@@ -217,9 +217,10 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
                            composite=0.0, residual_ratio=0.0, certified=True,
                            probes=0)
     d_scaled = d / rd_norm
-    matrix, rhs = approx.regression_parts(d_scaled)
+    iterations = 0
 
     def probe(r, stream, warm=None):
+        nonlocal iterations
         m_r = matrix.scaled(r)
         thresh = eps * r / 2.0
         inst = RegressionInstance(matrix=m_r, b=rhs, epsilon=max(thresh / 2.0, 1e-12))
@@ -231,6 +232,7 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
             res = solve_box_linf(inst, mode=mode, seed=seed, stream=stream,
                                  value_target=thresh, x0=warm, lb_target=thresh)
             val = res.value
+        iterations += res.sampled_coordinates
         return val <= thresh + 1e-12, res.x, val
 
     # the spanning tree routes the demands exactly, so its congestion is a
@@ -244,6 +246,9 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     probes = 0
     largest_reject = None
     if hi > 1.0:
+        # built only here: when the tree already routes at congestion 1, no
+        # probe runs and the regression rows would go unused
+        matrix, rhs = approx.regression_parts(d_scaled)
         ok_lo, x_lo, _ = probe(lo, 1, warm=best_x * (best_r / lo))
         probes += 1
         if ok_lo:
@@ -271,7 +276,7 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     return RouteResult(flow=flow, x=x, radius=best_r * rd_norm,
                        composite=composite, residual_ratio=ratio,
                        certified=True, probes=probes,
-                       meta={"opt_lower": opt_lower})
+                       meta={"opt_lower": opt_lower, "iterations": iterations})
 
 
 def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):
@@ -290,6 +295,7 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):
     d_k = d.copy()
     ratios = []
     opt_lower = 0.0
+    iterations = 0
     for k in range(rounds + 1):
         eps_k = eps if k == 0 else 0.5
         rd_before = float(np.abs(approx.apply(d_k)).max())
@@ -297,6 +303,7 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):
             break
         route = almost_route(net, d_k, approx, eps_k, solver=solver,
                              seed=seed + k)
+        iterations += route.meta.get("iterations", 0)
         f_total += route.flow
         d_k = d_k - incidence_apply(net, route.flow)
         rd_after = float(np.abs(approx.apply(d_k)).max())
@@ -324,6 +331,7 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):
         raise SolverFault("exact tree routing failed to close the demands")
     sol = FlowSolution.from_flow(net, f_total)
     sol.meta["contraction"] = ratios
+    sol.meta["iterations"] = iterations
     if net.sink is not None:
         sol.value = float(achieved[net.sink])
     return sol
@@ -497,6 +505,8 @@ def dinic_oracle(net):
     """
     if net.source is None or net.sink is None:
         raise InputError("max flow needs designated source and sink")
+    if net.source == net.sink:
+        raise InputError("max flow needs a source distinct from the sink")
     n = net.n
     heads, caps, orig = [], [], []
     graph = [[] for _ in range(n)]
@@ -532,26 +542,33 @@ def dinic_oracle(net):
         if level[t] < 0:
             break
         it = [0] * n
-
-        def dfs(u, pushed):
-            if u == t:
-                return pushed
-            while it[u] < len(graph[u]):
-                a = graph[u][it[u]]
-                v = heads[a]
-                if caps[a] - flow_arc[a] > 1e-9 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, caps[a] - flow_arc[a]))
-                    if got > 0:
-                        flow_arc[a] += got
-                        flow_arc[a ^ 1] -= got
-                        return got
-                it[u] += 1
-            return 0.0
-
         while True:
-            pushed = dfs(s, math.inf)
-            if pushed <= 0:
+            # one s-t path of the level graph, walked with an explicit arc
+            # stack so that path length is not bounded by the recursion limit
+            path = []
+            u = s
+            while u != t:
+                arcs = graph[u]
+                while it[u] < len(arcs):
+                    a = arcs[it[u]]
+                    if caps[a] - flow_arc[a] > 1e-9 and level[heads[a]] == level[u] + 1:
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    # dead end: step back and skip the arc that led here
+                    u = heads[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                path.append(a)
+                u = heads[a]
+            if u != t:
                 break
+            pushed = min(caps[a] - flow_arc[a] for a in path)
+            for a in path:
+                flow_arc[a] += pushed
+                flow_arc[a ^ 1] -= pushed
             total += pushed
     f = np.zeros(net.m)
     for a in range(0, len(heads), 2):

@@ -195,5 +195,5 @@ def write_flow_file(path, net, solution):
     """Write ``e <u> <v> <flow>`` lines plus the summary line."""
     with open(path, "w") as fh:
         for u, v, f in zip(net.tails, net.heads, solution.flow):
-            fh.write(f"e {u + 1} {v + 1} {f!r}\n")
+            fh.write(f"e {u + 1} {v + 1} {float(f)!r}\n")
         fh.write(f"value {solution.value!r} congestion {solution.max_congestion!r}\n")

@@ -5,10 +5,14 @@ approximating the saddle point of the entropy-regularized bilinear objective
 
     h(x, y) = y (A x - b) + (eps/2) |x|^2/(2s) - (eps / 4 log n) * entropy-term.
 
-Each phase runs a random number of half-step/full-step coordinate iterations
-whose dual side lives inside a SimplexMaintainer, then materializes the
-"aggregate point" (all-coordinate half step) at the stopping iteration; the
-expected Bregman divergence to the regularized saddle point halves per phase.
+Each phase runs a random number of half-step/full-step coordinate iterations,
+then materializes the "aggregate point" (all-coordinate half step) at the
+stopping iteration; the expected Bregman divergence to the regularized saddle
+point halves per phase.  The dual simplex point lives in a dense
+ReferenceSimplex up to DENSE_DUAL_MAX_ROWS sign-doubled rows, and in a
+SimplexMaintainer above; both answer the same queries (coord, coord_half,
+update_half, update, sample, prob, values), so the iteration does not know
+which one it drives.
 Primal coordinates are sampled from a two-branch mixture built on sqrt-scale
 smoothness surrogates and floored by uniform mixing, with the exact realized
 probability returned for debiasing.
@@ -24,12 +28,19 @@ import numpy as np
 from .core import sign_double
 from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, StaticAlias, make_rng
-from .simplexmaint import SimplexMaintainer
+from .simplexmaint import ReferenceSimplex, SimplexMaintainer
+
+# Largest sign-doubled row count whose dual is kept dense.  The dense recursion
+# costs O(n) numpy work per iteration and the maintainer a near-constant but
+# large Python cost; CHANGES.md has the phase_iterate timings that place the
+# crossover.
+DENSE_DUAL_MAX_ROWS = 65536
 
 
 def lj_dense(matrix, y, s, eps):
-    """Per-column curvature surrogates s*cm_j*<|a_j|, y> + eps*cm_j, densely."""
-    ay = np.abs(matrix.to_dense()).T @ y
+    """Per-column curvature surrogates s*cm_j*<|a_j|, y> + eps*cm_j."""
+    rows, cols, vals = matrix.flat_entries()
+    ay = np.bincount(cols, weights=np.abs(vals) * y[rows], minlength=matrix.n_cols)
     return s * matrix.col_maxabs * ay + eps * matrix.col_maxabs
 
 
@@ -80,7 +91,7 @@ class MirrorProxConfig:
 
 
 class PhaseState:
-    """Primal iterate, the dual maintainer, and the precomputed sampling tables."""
+    """Primal iterate, the dual simplex point, and the precomputed sampling tables."""
 
     def __init__(self, matrix2, b2, config, x0=None, y0=None):
         self.matrix = matrix2
@@ -126,17 +137,14 @@ class PhaseState:
                 q = np.where(denom > 0, q / np.where(denom > 0, denom, 1.0), 0.0)
             self.qij.append((rows, q))
         delta0 = (b2 - matrix2.dot(self.x)) / config.kappa
-        self.y = SimplexMaintainer(np.log(y0), eps, config.kappa, tau=config.tau,
-                                   delta0=delta0)
+        if n2 <= DENSE_DUAL_MAX_ROWS:
+            self.y = ReferenceSimplex(np.log(y0), eps, config.kappa)
+        else:
+            self.y = SimplexMaintainer(np.log(y0), eps, config.kappa, tau=config.tau,
+                                       delta0=delta0)
         self.delta = delta0.copy()
         self.iteration = 0
         self.update_norm_violations = 0
-
-    def refresh_delta(self, changed_j=None):
-        """Keep delta = (b - A x)/kappa in sync after primal coordinate moves."""
-        if changed_j is None:
-            self.delta = (self.b - self.matrix.dot(self.x)) / self.config.kappa
-        return self.delta
 
     def exact_y(self):
         v = self.y.values()
@@ -144,8 +152,8 @@ class PhaseState:
         return e / e.sum()
 
     def sqrt_y_prob(self, i):
-        """P(i) under the sqrt(y) law, consistent with the maintainer's estimate."""
-        return math.exp(0.5 * self.y.value(i) - self.y._log_partition(0.5))
+        """P(i) under the sqrt(y) law, consistent with the dual's sampler."""
+        return self.y.prob(i, 0.5)
 
 
 def sample_pj(phase, uniforms):
@@ -153,9 +161,9 @@ def sample_pj(phase, uniforms):
 
     Realized law: with probability 1/2 uniform over columns; otherwise a biased
     coin picks the static branch (j ~ sqrt(eps cm_j)) or the dynamic branch
-    (i ~ sqrt(y_i) through the maintainer, then j ~ q_ij).  The probability is
+    (i ~ sqrt(y_i) through the dual, then j ~ q_ij).  The probability is
     assembled from the same quantities, with the sqrt(y) weights evaluated at
-    the maintainer's partition estimate.
+    the dual's partition estimate.
     """
     m = phase.m
     total_mass = phase.mass_dyn + phase.mass_static
@@ -201,8 +209,6 @@ def phase_iterate(phase, uniforms):
     """
     cfg = phase.config
     matrix, kappa, s, eps = phase.matrix, cfg.kappa, cfg.s, cfg.eps
-    if phase.y.window >= phase.y.window_cap:
-        phase.y.restart()
     j, pj = sample_pj(phase, uniforms)
     rows, vals = matrix.col(j)
 

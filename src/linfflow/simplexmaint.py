@@ -32,10 +32,12 @@ Two layers cooperate:
 Any coordinate touched by a sparse update is evicted into a fresh singleton
 bucket; a binomial-heap discipline over bucket sizes (merge on rank collision,
 re-anchor and squish at merges) keeps at most one bucket per rank and bounds
-the amortized merge work.  The structure is restarted from exact values every
-n iterations.
+the amortized merge work.  The structure restarts itself from exact values
+when a bucket drifts too far, and at the first ``update_half`` after n
+iterations.
 
-``ReferenceSimplex`` is the dense oracle twin used by the tests.
+``ReferenceSimplex`` is the dense twin: the tests' oracle, and the mirror-prox
+dual at sizes where its O(n) work per iteration is the cheaper of the two.
 """
 
 from __future__ import annotations
@@ -488,6 +490,10 @@ class SimplexMaintainer:
         """Current simplex weight of coordinate i, within 1 + tau multiplicative."""
         return math.exp(self.value(i) - self._log_partition(1.0))
 
+    def prob(self, i, power=1.0):
+        """exp(power * v_i) / Z under the partition estimate sample() uses."""
+        return math.exp(power * self.value(i) - self._log_partition(power))
+
     def coord_half(self, i):
         """Half-step weight of coordinate i; requires update_half this iteration."""
         if self._half_delta is None:
@@ -498,14 +504,18 @@ class SimplexMaintainer:
     def update_half(self, delta):
         """Publish the half-step representation v_{t+1/2} = (1-c) v_t - delta.
 
-        Coordinates whose dense entry changed are evicted into fresh singleton
-        buckets so every bucket's delta snapshot matches the live vector.
+        Opens a new iteration, so it first restarts the structure when the
+        n-iteration window is full.  Coordinates whose dense entry changed are
+        evicted into fresh singleton buckets so every bucket's delta snapshot
+        matches the live vector.
         """
         delta = np.asarray(delta, dtype=np.float64)
         if delta.shape != (self.n,):
             raise InputError("delta length mismatch")
         if np.abs(delta).max() > 1.0 / (8.0 * self.n) + 1e-12:
             raise InputError("dense update exceeds the 1/(8n) stability bound")
+        if self.window >= self.window_cap:
+            self.restart()
         changed = np.flatnonzero(delta != self._delta_state)
         for i in changed:
             self._evict(int(i), float(delta[i]))
@@ -517,7 +527,8 @@ class SimplexMaintainer:
         """Advance one full iteration with dense ``delta`` and sparse ``zeta``.
 
         ``zeta`` is an iterable of (index, value) pairs.  Raises when the
-        n-iteration window is exhausted; call restart first.
+        n-iteration window is exhausted and no ``update_half`` opened this
+        iteration (which would have restarted the structure).
         """
         if self.window >= self.window_cap:
             raise SolverFault("update window exhausted; restart required")
@@ -634,8 +645,7 @@ class SimplexMaintainer:
                 p_accept = 1.0
             if uniforms.next() < p_accept:
                 i = int(b.coords[slot])
-                prob = math.exp(power * self.value(i) - self._log_partition(power))
-                return i, prob
+                return i, self.prob(i, power)
         raise SolverFault("rejection sampling exceeded 64 rounds; drift invariant breached")
 
     def debug_dump(self):
@@ -649,7 +659,13 @@ class SimplexMaintainer:
 
 
 class ReferenceSimplex:
-    """Dense oracle twin: the same recursion carried with explicit vectors."""
+    """Dense twin: the same recursion carried with explicit vectors.
+
+    It serves as the oracle the tests compare the maintainer against, and as
+    the mirror-prox dual below the size at which the maintainer pays off.  Each
+    query costs O(n); the normalised weights of each power and of the half
+    step are cached until the next update.
+    """
 
     def __init__(self, v0, eps, kappa, delta0=None):
         self.v = np.asarray(v0, dtype=np.float64).copy()
@@ -658,17 +674,35 @@ class ReferenceSimplex:
         log_n = max(math.log(self.n), 1.0)
         self.c = eps / (4.0 * kappa * log_n)
         self.vh = None
+        self._half_delta = None
+        self._yh = None
+        self._laws = {}
+        self._cdfs = {}
 
     def update_half(self, delta):
+        delta = np.asarray(delta, dtype=np.float64)
+        if delta.shape != (self.n,):
+            raise InputError("delta length mismatch")
+        if np.abs(delta).max() > 1.0 / (8.0 * self.n) + 1e-12:
+            raise InputError("dense update exceeds the 1/(8n) stability bound")
         self.vh = (1.0 - self.c) * self.v - delta
+        self._half_delta = delta.copy()
+        self._yh = None
 
     def update(self, delta, zeta=()):
-        vh = (1.0 - self.c) * self.v - delta
+        if self._half_delta is None:
+            self.update_half(delta)
+        elif not np.array_equal(self._half_delta, delta):
+            raise InputError("update delta differs from the update_half delta")
         zvec = np.zeros(self.n)
         for i, val in (zeta.items() if isinstance(zeta, dict) else zeta):
             zvec[int(i)] += float(val)
-        self.v = self.v - self.c * vh - delta - zvec
+        self.v = self.v - self.c * self.vh - self._half_delta - zvec
         self.vh = None
+        self._half_delta = None
+        self._yh = None
+        self._laws.clear()
+        self._cdfs.clear()
 
     def y(self):
         e = np.exp(self.v - self.v.max())
@@ -681,3 +715,35 @@ class ReferenceSimplex:
     def y_power(self, power):
         e = np.exp(power * (self.v - self.v.max()))
         return e / e.sum()
+
+    def _law(self, power):
+        law = self._laws.get(power)
+        if law is None:
+            law = self._laws[power] = self.y_power(power)
+        return law
+
+    def values(self):
+        return self.v.copy()
+
+    def coord(self, i):
+        return float(self._law(1.0)[i])
+
+    def coord_half(self, i):
+        if self.vh is None:
+            raise SolverFault("coord_half before update_half")
+        if self._yh is None:
+            self._yh = self.y_half()
+        return float(self._yh[i])
+
+    def prob(self, i, power=1.0):
+        """exp(power * v_i) / sum_k exp(power * v_k)."""
+        return float(self._law(power)[i])
+
+    def sample(self, uniforms, power=1.0):
+        """Draw i proportional to exp(power * v_i) with one uniform; (i, prob)."""
+        cdf = self._cdfs.get(power)
+        if cdf is None:
+            cdf = self._cdfs[power] = np.cumsum(self._law(power))
+        i = min(int(np.searchsorted(cdf, uniforms.next() * cdf[-1], side="right")),
+                self.n - 1)
+        return i, self.prob(i, power)

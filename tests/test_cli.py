@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_to_sparse
+from helpers import box_linf_opt, dense_to_sparse, random_sparse
 from linfflow.cli import main
 from linfflow.core import write_matrix_file
 
@@ -52,6 +52,25 @@ class TestRegress:
         assert code == 0
         assert out.startswith("value ")
 
+    def test_mirror_prox_eight_by_sixteen_within_eps(self, tmp_path, capsys):
+        # 8 rows, 16 columns: the instance on which the bucket partition sums
+        # of SimplexMaintainer lost positivity (exit 3)
+        rng = np.random.default_rng(5)
+        while True:
+            matrix = random_sparse(rng, 8, 16, per_col=2, scale=0.5)
+            if (matrix.row_l1 > 0).all():
+                break
+        scale = max(matrix.norm_inf, 1.0)
+        a = matrix.to_dense() / scale
+        b = rng.uniform(-0.8, 0.8, 8)
+        path = tmp_path / "m.linf"
+        write_matrix_file(path, dense_to_sparse(a), b=b)
+        code, out, _ = run(capsys, "regress", "--input", str(path), "--eps", "0.1",
+                           "--solver", "mirror-prox", "--seed", "3")
+        assert code == 0
+        opt, _ = box_linf_opt(a, b)
+        assert opt - 1e-9 <= float(out.splitlines()[0].split()[1]) <= opt + 0.1
+
     def test_parse_failure_status(self, tmp_path, capsys):
         bad = tmp_path / "bad.linf"
         bad.write_text("linf-matrix v1 2 2 1\n0 0 oops\n")
@@ -97,6 +116,36 @@ class TestFlowCommands:
         assert code == 0
         assert float(out.splitlines()[0].split()[1]) == 1.0
 
+    def test_dinic_long_path(self, tmp_path, capsys):
+        n = 3000
+        path = tmp_path / "long.dimacs"
+        path.write_text(f"c undirected\np max {n} {n - 1}\nn 1 s\nn {n} t\n"
+                        + "".join(f"a {k} {k + 1} 1\n" for k in range(1, n)))
+        code, out, _ = run(capsys, "maxflow", "--input", str(path), "--solver", "dinic")
+        assert code == 0
+        assert float(out.splitlines()[0].split()[1]) == 1.0
+
+    def test_dinic_source_is_sink_rejected(self, tmp_path, capsys):
+        path = tmp_path / "loop.dimacs"
+        path.write_text("c undirected\np max 3 2\nn 1 s\nn 1 t\na 1 2 1\na 2 3 1\n")
+        code, _, err = run(capsys, "maxflow", "--input", str(path), "--solver", "dinic")
+        assert code == 2
+        assert "distinct" in err
+
+    @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
+    def test_flow_file_fields_are_numbers(self, path_graph, capsys, tmp_path, command):
+        flow_out = tmp_path / "f.txt"
+        code, _, _ = run(capsys, command, "--input", path_graph, "--output", str(flow_out))
+        assert code == 0
+        lines = flow_out.read_text().splitlines()
+        assert [l.split()[0] for l in lines] == ["e", "e", "value"]
+        for line in lines[:-1]:
+            _, u, v, f = line.split()
+            float(u), float(v), float(f)
+        _, value, label, congestion = lines[-1].split()
+        assert label == "congestion"
+        float(value), float(congestion)
+
 
 class TestBench:
     def test_bench_rows(self, identity_instance, capsys, tmp_path):
@@ -110,6 +159,15 @@ class TestBench:
         assert len(rows) == 4
         for row in rows[1:]:
             assert row.split(",")[2] == "0"  # deterministic by default
+
+    def test_dimacs_rows_count_probe_iterations(self, tmp_path, capsys):
+        # on a 4-cycle the spanning tree routes at congestion 2, so a probe runs
+        path = tmp_path / "cycle.dimacs"
+        path.write_text("c undirected\np max 4 4\nn 1 s\nn 3 t\n"
+                        "a 1 2 1\na 2 3 1\na 3 4 1\na 4 1 1\n")
+        code, out, _ = run(capsys, "bench", "--input", str(path), "--eps-grid", "0.5")
+        assert code == 0
+        assert int(out.splitlines()[1].split(",")[1]) > 0
 
     def test_bad_eps_rejected(self, identity_instance, capsys):
         code, _, err = run(capsys, "bench", "--input", identity_instance,

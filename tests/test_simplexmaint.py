@@ -15,12 +15,14 @@ def uniforms(seed=0, stream=0):
     return BufferedUniforms(make_rng(seed, stream))
 
 
-def make_pair(v0, eps=0.05, kappa=None, tau=1e-6, n=None):
+def make_pair(v0, eps=0.05, kappa=None, tau=1e-6, n=None, kind="maintainer"):
+    """(structure under test, dense oracle); ``kind`` picks the structure."""
     v0 = np.asarray(v0, dtype=float)
     n = len(v0)
     kappa = kappa if kappa is not None else 16.0 * n + 4.0
-    return (SimplexMaintainer(v0, eps, kappa, tau=tau),
-            ReferenceSimplex(v0, eps, kappa))
+    under_test = (SimplexMaintainer(v0, eps, kappa, tau=tau) if kind == "maintainer"
+                  else ReferenceSimplex(v0, eps, kappa))
+    return under_test, ReferenceSimplex(v0, eps, kappa)
 
 
 def random_delta_stream(rng, n, steps, flips_per_step=2):
@@ -41,8 +43,6 @@ def drive(maint, ref, rng, steps, n, zeta_scale=0.2, zeta_count=2, check_every=N
     """Run both structures in lockstep, comparing full distributions periodically."""
     deltas = random_delta_stream(rng, n, steps)
     for k, delta in enumerate(deltas):
-        if maint.window >= maint.window_cap:
-            maint.restart()
         zeta = []
         for _ in range(zeta_count):
             if rng.random() < 0.7:
@@ -182,10 +182,12 @@ class TestUpdate:
 
 
 class TestUpdateHalf:
+    kind = "maintainer"
+
     def test_tiny_c_limit_half_equals_full(self):
         rng = np.random.default_rng(5)
         v0 = rng.normal(size=8)
-        m, _ = make_pair(v0, kappa=1e12)  # c -> 0
+        m, _ = make_pair(v0, kappa=1e12, kind=self.kind)  # c -> 0
         zero = np.zeros(8)
         m.update_half(zero)
         for i in range(8):
@@ -194,7 +196,7 @@ class TestUpdateHalf:
     def test_two_coordinate_hand_recursion(self):
         v0 = np.array([0.3, -0.2])
         eps, kappa = 0.05, 36.0
-        m, _ = make_pair(v0, eps=eps, kappa=kappa)
+        m, _ = make_pair(v0, eps=eps, kappa=kappa, kind=self.kind)
         c = m.c
         delta = np.array([0.01, -0.02])
         m.update_half(delta)
@@ -208,11 +210,11 @@ class TestUpdateHalf:
     def test_half_queries_match_oracle_over_run(self):
         rng = np.random.default_rng(6)
         n = 32
-        m, ref = make_pair(rng.normal(size=n), eps=0.05)
+        m, ref = make_pair(rng.normal(size=n), eps=0.05, kind=self.kind)
         drive(m, ref, rng, steps=200, n=n, check_every=20, check_half=True)
 
     def test_coord_half_requires_stage(self):
-        m, _ = make_pair(np.zeros(4))
+        m, _ = make_pair(np.zeros(4), kind=self.kind)
         with pytest.raises(SolverFault, match="update_half"):
             m.coord_half(0)
 
@@ -245,15 +247,17 @@ class TestCoord:
 
 
 class TestSample:
+    kind = "maintainer"
+
     def test_singleton(self):
-        m, _ = make_pair([0.0])
+        m, _ = make_pair([0.0], kind=self.kind)
         i, p = m.sample(uniforms(1), power=1.0)
         assert i == 0
         assert p == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_frequencies(self):
         n = 8
-        m, _ = make_pair(np.zeros(n))
+        m, _ = make_pair(np.zeros(n), kind=self.kind)
         u = uniforms(2)
         draws = 40_000
         counts = np.zeros(n)
@@ -266,7 +270,7 @@ class TestSample:
         rng = np.random.default_rng(7)
         n = 16
         v0 = rng.normal(size=n)
-        m, ref = make_pair(v0)
+        m, ref = make_pair(v0, kind=self.kind)
         law = ref.y_power(0.5)
         u = uniforms(3)
         draws = 40_000
@@ -280,7 +284,7 @@ class TestSample:
     def test_sample_after_updates_matches_law(self):
         rng = np.random.default_rng(8)
         n = 16
-        m, ref = make_pair(rng.normal(size=n))
+        m, ref = make_pair(rng.normal(size=n), kind=self.kind)
         drive(m, ref, rng, steps=100, n=n, check_every=None)
         law = ref.y()
         u = uniforms(4)
@@ -290,6 +294,44 @@ class TestSample:
             i, _ = m.sample(u, power=1.0)
             counts[i] += 1
         assert stats.chisquare(counts, law * draws).pvalue > 0.001
+
+
+class TestSampleDense(TestSample):
+    kind = "dense"
+
+
+class TestUpdateHalfDense(TestUpdateHalf):
+    kind = "dense"
+
+
+@pytest.mark.parametrize("kind", ["maintainer", "dense"])
+class TestDualInterface:
+    def test_prob_matches_power_law_over_run(self, kind):
+        rng = np.random.default_rng(16)
+        n = 32
+        m, ref = make_pair(rng.normal(size=n), kind=kind)
+        for steps in (0, 40, 40):
+            drive(m, ref, rng, steps=steps, n=n)
+            for power in (1.0, 0.5):
+                law = ref.y_power(power)
+                for i in range(n):
+                    assert m.prob(i, power) == pytest.approx(law[i], rel=1e-6)
+        # log-weights agree up to the shift that leaves y unchanged
+        v = m.values()
+        np.testing.assert_allclose(v - v.max(), ref.v - ref.v.max(), atol=1e-6)
+
+    def test_input_checks(self, kind):
+        n = 8
+        m, _ = make_pair(np.zeros(n), kind=kind)
+        with pytest.raises(InputError, match="length"):
+            m.update_half(np.zeros(n + 1))
+        with pytest.raises(InputError, match="1/\\(8n\\)"):
+            m.update(np.full(n, 1.0 / n), [])
+        m.update_half(np.zeros(n))
+        other = np.zeros(n)
+        other[0] = 1.0 / (16.0 * n)
+        with pytest.raises(InputError, match="differs"):
+            m.update(other, [])
 
 
 class TestRestart:
