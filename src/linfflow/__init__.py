@@ -4,8 +4,9 @@ Two solver families minimize ``max_i |(A x - b)_i|`` over the unit box:
 
 * a proximal outer loop around locally adaptive randomized coordinate descent
   (l2 or column-weighted geometry), and
-* a phased randomized mirror-prox method whose dual simplex variable lives in
-  an implicit near-constant-time maintenance structure.
+* a phased randomized mirror-prox method whose dual simplex variable is kept
+  as a dense vector; the paper's implicit maintenance structure for it is
+  ``SimplexMaintainer``.
 
 On top of them sit the flow reductions: spanning-tree congestion
 approximation, demand routing by bisection over the congestion radius,

@@ -46,7 +46,6 @@ def build_parser():
         sp.add_argument("--solver", choices=SOLVERS, default=solver_default)
         sp.add_argument("--sparsity-s", type=float, default=None,
                         help="estimate of the squared l2 norm of the optimizer")
-        sp.add_argument("--tau", type=float, default=1e-6)
         sp.add_argument("--trace", default=None, help="CSV trace output path")
         sp.add_argument("--output", default=None, help="solution output path")
         sp.add_argument("--format", choices=("dimacs", "linf-matrix"),
@@ -87,8 +86,7 @@ def _run_regress(args):
                              seed=args.seed, timing=args.timing)
         value, x, rows = res.value, res.x, res.transcript_csv()
     elif args.solver == "mirror-prox":
-        res = solve_flow_regress(inst, seed=args.seed, tau=args.tau,
-                                 collect_transcript=True)
+        res = solve_flow_regress(inst, seed=args.seed, collect_transcript=True)
         value, x, rows = res.value, res.x, res.transcript_csv()
     elif args.solver in ("gd", "plain-cd"):
         m2, b2 = sign_double(matrix, b)

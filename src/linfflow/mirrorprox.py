@@ -9,10 +9,10 @@ Each phase runs a random number of half-step/full-step coordinate iterations,
 then materializes the "aggregate point" (all-coordinate half step) at the
 stopping iteration; the expected Bregman divergence to the regularized saddle
 point halves per phase.  The dual simplex point lives in a dense
-ReferenceSimplex up to DENSE_DUAL_MAX_ROWS sign-doubled rows, and in a
-SimplexMaintainer above; both answer the same queries (coord, coord_half,
-update_half, update, sample, prob, values), so the iteration does not know
-which one it drives.
+ReferenceSimplex, queried only through coord, coord_half, update_half, update,
+sample, prob and values; SimplexMaintainer answers the same queries with the
+paper's implicit structure, but it was measured slower at every size tried
+(CHANGES.md), so the iteration does not use it.
 Primal coordinates are sampled from a two-branch mixture built on sqrt-scale
 smoothness surrogates and floored by uniform mixing, with the exact realized
 probability returned for debiasing.
@@ -28,13 +28,7 @@ import numpy as np
 from .core import sign_double
 from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, StaticAlias, make_rng
-from .simplexmaint import ReferenceSimplex, SimplexMaintainer
-
-# Largest sign-doubled row count whose dual is kept dense.  The dense recursion
-# costs O(n) numpy work per iteration and the maintainer a near-constant but
-# large Python cost; CHANGES.md has the phase_iterate timings that place the
-# crossover.
-DENSE_DUAL_MAX_ROWS = 65536
+from .simplexmaint import ReferenceSimplex
 
 
 def lj_dense(matrix, y, s, eps):
@@ -71,11 +65,10 @@ class MirrorProxConfig:
     phases: int
     c_sqrt: float
     seed: int = 0
-    tau: float = 1e-6
     fail_prob: float = 0.5
 
     @classmethod
-    def for_instance(cls, matrix2, eps, s, seed=0, tau=1e-6, fail_prob=0.5):
+    def for_instance(cls, matrix2, eps, s, seed=0, fail_prob=0.5):
         """Sizes from the sign-doubled matrix: kappa, T, and the phase count."""
         n2, m = matrix2.n_rows, matrix2.n_cols
         c_sqrt = math.sqrt(max(matrix2.max_col_nnz, 1))
@@ -86,8 +79,7 @@ class MirrorProxConfig:
         theta0 = 1.0 + math.log(n2)
         phases = max(1, math.ceil(math.log2(16.0 * s * theta0 / (eps * eps))))
         return cls(eps=eps, s=s, kappa=kappa, t_per_phase=t_per_phase,
-                   phases=phases, c_sqrt=c_sqrt, seed=seed, tau=tau,
-                   fail_prob=fail_prob)
+                   phases=phases, c_sqrt=c_sqrt, seed=seed, fail_prob=fail_prob)
 
 
 class PhaseState:
@@ -136,13 +128,8 @@ class PhaseState:
             with np.errstate(invalid="ignore", divide="ignore"):
                 q = np.where(denom > 0, q / np.where(denom > 0, denom, 1.0), 0.0)
             self.qij.append((rows, q))
-        delta0 = (b2 - matrix2.dot(self.x)) / config.kappa
-        if n2 <= DENSE_DUAL_MAX_ROWS:
-            self.y = ReferenceSimplex(np.log(y0), eps, config.kappa)
-        else:
-            self.y = SimplexMaintainer(np.log(y0), eps, config.kappa, tau=config.tau,
-                                       delta0=delta0)
-        self.delta = delta0.copy()
+        self.y = ReferenceSimplex(np.log(y0), eps, config.kappa)
+        self.delta = (b2 - matrix2.dot(self.x)) / config.kappa
         self.iteration = 0
         self.update_norm_violations = 0
 
@@ -304,7 +291,7 @@ class FlowRegressResult:
         return "\n".join(lines) + "\n"
 
 
-def solve_flow_regress(inst, seed=0, s=None, tau=1e-6, fail_prob=0.5,
+def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5,
                        value_target=None, max_phases=None, collect_transcript=False):
     """Approximately minimize a flow-shaped instance to additive epsilon.
 
@@ -317,7 +304,7 @@ def solve_flow_regress(inst, seed=0, s=None, tau=1e-6, fail_prob=0.5,
     runs = max(1, math.ceil(math.log2(1.0 / fail_prob)))
     best = None
     for r in range(runs):
-        res = _solve_flow_regress_once(inst, seed=seed, run_index=r, s=s, tau=tau,
+        res = _solve_flow_regress_once(inst, seed=seed, run_index=r, s=s,
                                        value_target=value_target,
                                        max_phases=max_phases,
                                        collect_transcript=collect_transcript)
@@ -328,7 +315,7 @@ def solve_flow_regress(inst, seed=0, s=None, tau=1e-6, fail_prob=0.5,
     return best
 
 
-def _solve_flow_regress_once(inst, seed, run_index, s, tau, value_target,
+def _solve_flow_regress_once(inst, seed, run_index, s, value_target,
                              max_phases, collect_transcript):
     matrix, b = inst.matrix, inst.b
     if abs(inst.radius - 1.0) > 1e-12:
@@ -348,7 +335,7 @@ def _solve_flow_regress_once(inst, seed, run_index, s, tau, value_target,
             f"epsilon {inst.epsilon} below the n^-3 resolution of this method"
         )
     s_val = float(s if s is not None else inst.s)
-    cfg = MirrorProxConfig.for_instance(matrix2, eps_s, s_val, seed=seed, tau=tau)
+    cfg = MirrorProxConfig.for_instance(matrix2, eps_s, s_val, seed=seed)
     if max_phases is not None:
         cfg = MirrorProxConfig(**{**cfg.__dict__, "phases": min(cfg.phases, max_phases)})
     phase = PhaseState(matrix2, b2, cfg)

@@ -7,9 +7,11 @@ The update recursion is the half-step/full-step pair
     v_{t+1}   = v_t - c v_{t+1/2} - delta_t - zeta_t
 
 with ``delta_t`` dense but tiny (sup norm at most 1/(8n)) and sparsely changing
-between iterations, and ``zeta_t`` sparse.  Coordinate queries, half-step
-queries, and exact sampling (powers 1 and 1/2) all run in near-constant
-amortized time per iteration.
+between iterations, and ``zeta_t`` sparse.  The paper answers coordinate
+queries, half-step queries, and exact sampling (powers 1 and 1/2) in
+near-constant amortized time per iteration.  This implementation still takes
+the whole dense ``delta_t`` on every update and makes O(n) numpy passes over
+it, so its cost per iteration grows with n.
 
 Two layers cooperate:
 
@@ -37,7 +39,7 @@ when a bucket drifts too far, and at the first ``update_half`` after n
 iterations.
 
 ``ReferenceSimplex`` is the dense twin: the tests' oracle, and the mirror-prox
-dual at sizes where its O(n) work per iteration is the cheaper of the two.
+dual, since its O(n) work per iteration was measured cheaper at every size.
 """
 
 from __future__ import annotations
@@ -662,9 +664,8 @@ class ReferenceSimplex:
     """Dense twin: the same recursion carried with explicit vectors.
 
     It serves as the oracle the tests compare the maintainer against, and as
-    the mirror-prox dual below the size at which the maintainer pays off.  Each
-    query costs O(n); the normalised weights of each power and of the half
-    step are cached until the next update.
+    the mirror-prox dual.  Each query costs O(n); the normalised weights of
+    each power and of the half step are cached until the next update.
     """
 
     def __init__(self, v0, eps, kappa, delta0=None):

@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from helpers import box_linf_opt, dense_to_sparse, random_sparse
-from linfflow import mirrorprox
 from linfflow.core import RegressionInstance, SparseMatrix, sign_double
 from linfflow.errors import InputError
 from linfflow.mirrorprox import (
@@ -21,7 +20,6 @@ from linfflow.mirrorprox import (
     solve_flow_regress,
 )
 from linfflow.sampling import BufferedUniforms, make_rng
-from linfflow.simplexmaint import ReferenceSimplex, SimplexMaintainer
 
 
 def uniforms(seed=0, stream=0):
@@ -46,25 +44,6 @@ def make_phase(matrix, b, eps=0.25, s=None, seed=0):
     s = float(s if s is not None else matrix.n_cols)
     cfg = MirrorProxConfig.for_instance(matrix2, eps, s, seed=seed)
     return PhaseState(matrix2, b2, cfg), cfg
-
-
-@pytest.fixture
-def maintainer_dual(monkeypatch):
-    """Keep every PhaseState's dual in SimplexMaintainer, whatever its size.
-
-    The test classes below run on the dense dual, which PhaseState picks at
-    their sizes; each ``...Maintainer`` subclass reruns them on the maintainer.
-    """
-    monkeypatch.setattr(mirrorprox, "DENSE_DUAL_MAX_ROWS", 0)
-
-
-class TestDualSelection:
-    def test_dense_up_to_the_crossover(self, monkeypatch):
-        m = SparseMatrix.from_triplets([(0, 0, 0.5), (1, 1, 0.5)], 2, 2)
-        monkeypatch.setattr(mirrorprox, "DENSE_DUAL_MAX_ROWS", 4)
-        assert isinstance(make_phase(m, np.zeros(2))[0].y, ReferenceSimplex)
-        monkeypatch.setattr(mirrorprox, "DENSE_DUAL_MAX_ROWS", 3)
-        assert isinstance(make_phase(m, np.zeros(2))[0].y, SimplexMaintainer)
 
 
 class TestLjTilde:
@@ -206,16 +185,6 @@ class TestPhaseIterate:
             y_prev = y_now
 
 
-@pytest.mark.usefixtures("maintainer_dual")
-class TestSamplePjMaintainer(TestSamplePj):
-    pass
-
-
-@pytest.mark.usefixtures("maintainer_dual")
-class TestPhaseIterateMaintainer(TestPhaseIterate):
-    pass
-
-
 class TestDebiasing:
     def test_aggregate_point_identity(self):
         rng = np.random.default_rng(9)
@@ -297,11 +266,6 @@ class TestRunPhase:
         assert (np.abs(x_out) <= 1.0).all()
         assert (y_out > 0).all()
         assert y_out.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.usefixtures("maintainer_dual")
-class TestRunPhaseMaintainer(TestRunPhase):
-    pass
 
 
 class TestRegToDiv:
@@ -387,11 +351,6 @@ class TestPhaseHalving:
         assert float(np.mean(ratios)) <= 0.75
 
 
-@pytest.mark.usefixtures("maintainer_dual")
-class TestPhaseHalvingMaintainer(TestPhaseHalving):
-    pass
-
-
 class TestSqrtSmoothnessSum:
     def test_sum_under_analytic_bound_over_run(self):
         rng = np.random.default_rng(21)
@@ -409,11 +368,6 @@ class TestSqrtSmoothnessSum:
 
                 total = float(np.sqrt(lj_tilde(m2, y, cfg.s, cfg.eps)).sum())
                 assert total <= bound + 1e-9
-
-
-@pytest.mark.usefixtures("maintainer_dual")
-class TestSqrtSmoothnessSumMaintainer(TestSqrtSmoothnessSum):
-    pass
 
 
 class TestFlowShapedPathInstance:

@@ -181,8 +181,8 @@ class TestUpdate:
             m.update(zero, [])
 
 
-class TestUpdateHalf:
-    kind = "maintainer"
+class _HalfStepCases:
+    """Half-step laws of either backend; ``kind`` picks it."""
 
     def test_tiny_c_limit_half_equals_full(self):
         rng = np.random.default_rng(5)
@@ -207,16 +207,24 @@ class TestUpdateHalf:
         for i in range(2):
             assert m.coord_half(i) == pytest.approx(yh[i], rel=1e-6)
 
-    def test_half_queries_match_oracle_over_run(self):
-        rng = np.random.default_rng(6)
-        n = 32
-        m, ref = make_pair(rng.normal(size=n), eps=0.05, kind=self.kind)
-        drive(m, ref, rng, steps=200, n=n, check_every=20, check_half=True)
-
     def test_coord_half_requires_stage(self):
         m, _ = make_pair(np.zeros(4), kind=self.kind)
         with pytest.raises(SolverFault, match="update_half"):
             m.coord_half(0)
+
+
+class TestUpdateHalf(_HalfStepCases):
+    kind = "maintainer"
+
+    def test_half_queries_match_oracle_over_run(self):
+        rng = np.random.default_rng(6)
+        n = 32
+        m, ref = make_pair(rng.normal(size=n), eps=0.05)
+        drive(m, ref, rng, steps=200, n=n, check_every=20, check_half=True)
+
+
+class TestUpdateHalfDense(_HalfStepCases):
+    kind = "dense"
 
 
 class TestCoord:
@@ -300,16 +308,11 @@ class TestSampleDense(TestSample):
     kind = "dense"
 
 
-class TestUpdateHalfDense(TestUpdateHalf):
-    kind = "dense"
-
-
-@pytest.mark.parametrize("kind", ["maintainer", "dense"])
 class TestDualInterface:
-    def test_prob_matches_power_law_over_run(self, kind):
+    def test_prob_matches_power_law_over_run(self):
         rng = np.random.default_rng(16)
         n = 32
-        m, ref = make_pair(rng.normal(size=n), kind=kind)
+        m, ref = make_pair(rng.normal(size=n))
         for steps in (0, 40, 40):
             drive(m, ref, rng, steps=steps, n=n)
             for power in (1.0, 0.5):
@@ -320,6 +323,7 @@ class TestDualInterface:
         v = m.values()
         np.testing.assert_allclose(v - v.max(), ref.v - ref.v.max(), atol=1e-6)
 
+    @pytest.mark.parametrize("kind", ["maintainer", "dense"])
     def test_input_checks(self, kind):
         n = 8
         m, _ = make_pair(np.zeros(n), kind=kind)
