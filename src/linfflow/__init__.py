@@ -16,7 +16,6 @@ unit-capacity maximum flows.
 
 from .baselines import SmoothedObjective, gd_general_norm, plain_cd
 from .cdsolver import (
-    CdIterate,
     ProxOuterState,
     RegressionResult,
     SubproblemSolver,
@@ -68,15 +67,11 @@ from .sampling import (
     DynamicTree,
     StaticAlias,
     make_rng,
-    mixture_sample,
-    tree_sample,
-    tree_update,
 )
 from .simplexmaint import ReferenceSimplex, SimplexMaintainer
 from .smoothing import (
     LocalSmoothnessParams,
     SoftmaxState,
-    apply_coord_update,
     grad_coord,
     local_smoothness,
     smax_eval,

@@ -1,15 +1,19 @@
 """Box-constrained coordinate descent with per-point curvature bounds, wrapped in
 a primal-dual proximal outer loop.
 
-The outer loop maintains a pair (x in the box, p on the simplex).  Each outer
-iteration shifts the rhs by ``-alpha * log p``, solves the resulting smoothed
-strongly convex subproblem to a prescribed sup-norm accuracy with randomized
-coordinate descent (sampling j proportionally to its current curvature bound),
-then takes the closed-form dual response.  Early exit in both loops is
-certificate-driven: the inner loop stops when a projected-gradient bound
-certifies the required objective gap, the outer loop when the primal value
-meets a weak-duality lower bound within epsilon.  The worst-case iteration
-budgets are kept as fallbacks so a run always terminates.
+The outer loop maintains a pair (x in the box, p on the simplex over the
+sign-doubled rows ``[A; -A]``).  The doubled matrix is never built: a row and
+its mirror share their column pattern and |A_ij|, so the smoothing state, the
+sampler tree and every column scan work over the n rows of A with one weight
+pair per row.  Each outer iteration shifts the rhs by ``-alpha * log p``,
+solves the resulting smoothed strongly convex subproblem to a prescribed
+sup-norm accuracy with randomized coordinate descent (sampling j
+proportionally to its current curvature bound), then takes the closed-form
+dual response.  Early exit in both loops is certificate-driven: the inner
+loop stops when a projected-gradient bound certifies the required objective
+gap, the outer loop when the primal value meets a weak-duality lower bound
+within epsilon.  The worst-case iteration budgets are kept as fallbacks so a
+run always terminates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import sign_double
 from .errors import InputError
 from .sampling import BufferedUniforms, CoordSampler, make_rng
 from .smoothing import (
@@ -32,42 +35,32 @@ from .smoothing import (
 )
 
 
-@dataclass
-class CdIterate:
-    """One coordinate-descent trajectory over a fixed subproblem."""
-
-    state: SoftmaxState
-    params: LocalSmoothnessParams
-    center: np.ndarray
-    sampler: CoordSampler
-
-
-def lcd_step(it, uniforms):
+def lcd_step(state, sampler, center, uniforms):
     """Sample a coordinate by its curvature weight and take the clamped step.
 
-    Returns ``(j, delta)``; the iterate, its softmax caches, and the sampler
-    tree are updated in place.  The gradient and curvature share one scan of
-    the column.
+    ``sampler`` tracks ``state`` and carries the curvature parameters; the
+    step pulls toward ``center``.  Returns ``(j, delta)``; the iterate, its
+    softmax caches, and the sampler tree are updated in place.  The gradient
+    (pair difference) and curvature (pair sum) share one scan of the column.
     """
-    state = it.state
-    params = it.params
-    j = it.sampler.sample(uniforms)
+    params = sampler.params
+    j = sampler.sample(uniforms)
     rows, vals = state._cols[j]
-    expw = state.expw
+    expw, expw_neg = state.expw, state.expw_neg
     inner = 0.0
     abs_inner = 0.0
     cm = 0.0
-    for k in range(len(rows)):
-        v = vals[k]
-        e = expw[rows[k]]
-        inner += v * e
+    for i, v in zip(rows, vals):
+        e = expw[i]
+        f = expw_neg[i]
+        inner += v * (e - f)
         if v < 0:
             v = -v
         if v > cm:
             cm = v
-        abs_inner += v * e
+        abs_inner += v * (e + f)
     xj = state.x[j]
-    g = inner / state.z + params.curvature[j] * (xj - it.center[j])
+    g = inner / state.z + params.curvature[j] * (xj - center[j])
     lj = (8.0 / state.alpha) * cm * abs_inner / state.z + params.static_l[j]
     target = xj - g / lj
     if target > 1.0:
@@ -76,7 +69,7 @@ def lcd_step(it, uniforms):
         target = -1.0
     delta = target - xj
     if delta != 0.0:
-        it.sampler.step(j, delta)
+        sampler.step(j, delta)
     return j, delta
 
 
@@ -93,8 +86,9 @@ class SubproblemSolver:
     """Reusable machinery for the regularized smoothed subproblems.
 
     The matrix, alpha, and regularizer geometry are fixed across calls; each
-    call binds a fresh rhs and warm-start point.  The sampler's static alias
-    structures are built once and rebound cheaply.
+    call binds a fresh rhs (with its mirrored half, for a folded sign-doubled
+    system) and warm-start point.  The sampler's static alias structures are
+    built once and rebound cheaply.
     """
 
     def __init__(self, matrix, alpha, params):
@@ -107,7 +101,7 @@ class SubproblemSolver:
         self.total_steps = 0
 
     def range_bound(self):
-        n, m = self.matrix.n_rows, self.matrix.n_cols
+        n, m = self.params.rows, self.matrix.n_cols
         p = self.params
         if p.mode == "l2":
             reg_range = self.alpha * m / (2.0 * p.scale)
@@ -131,32 +125,30 @@ class SubproblemSolver:
 
     def _certificate(self, state, center):
         """Upper bound on the objective gap from the projected gradient."""
-        g = self.matrix.t_dot(state.distribution())
+        g = self.matrix.t_dot(state.distribution())  # A^T (p - p_neg)
         g += self.params.curvature * (state.x - center)
         c = self.params.curvature
         t = np.clip(state.x - g / c, -1.0, 1.0) - state.x
         return float(-(g * t + 0.5 * c * t * t).sum())
 
     def solve(self, b_t, center, x_start, delta_x, fail_prob, uniforms,
-              budget_override=None, stop_check=None):
+              budget_override=None, stop_check=None, b_neg=None):
         """Drive the iterate to within delta_x of the subproblem optimum (sup norm).
 
-        The returned flag is False when the iteration budget ran out before the
-        projected-gradient certificate fired; the best iterate is still
-        returned so the caller may retry with a new stream.  ``stop_check``,
-        when given, is polled at certificate points with the current x and may
-        abort the solve early (used for direct value targets).
+        ``b_neg``, when given, is the rhs of the mirrored rows ``-A x - b_neg``
+        and ``final_w`` then covers both halves.  The returned flag is False
+        when the iteration budget ran out before the projected-gradient
+        certificate fired; the best iterate is still returned so the caller
+        may retry with a new stream.  ``stop_check``, when given, is polled at
+        certificate points with the current x and may abort the solve early
+        (used for direct value targets).
         """
-        state = SoftmaxState(self.matrix, b_t, self.alpha, x0=x_start)
+        state = SoftmaxState(self.matrix, b_t, self.alpha, x0=x_start, b_neg=b_neg)
         if self._sampler is None:
             self._sampler = CoordSampler(state, self.params)
         else:
-            self._sampler.state = state
-            self._sampler.tree.rebuild(np.array(state.expw) * self._sampler.row_mass)
-            self._sampler._synced_version = state.version
-            self._sampler._synced_rebuilds = state.rebuild_count
-        it = CdIterate(state=state, params=self.params, center=center,
-                       sampler=self._sampler)
+            self._sampler.rebind(state)
+        sampler = self._sampler
         gap_target = self.gap_target(delta_x)
         budget = budget_override if budget_override is not None else self.budget(
             delta_x, fail_prob)
@@ -168,7 +160,7 @@ class SubproblemSolver:
                 break
             chunk = min(check_every, budget - done)
             for _ in range(chunk):
-                lcd_step(it, uniforms)
+                lcd_step(state, sampler, center, uniforms)
             done += chunk
             certified = self._certificate(state, center) <= gap_target
         self.total_steps += done
@@ -194,7 +186,12 @@ def dual_response(matrix, x, b, logp_prev, alpha):
 
 @dataclass
 class ProxOuterState:
-    """Current primal-dual pair of the outer loop, over the sign-doubled system."""
+    """Current primal-dual pair of the outer loop over the sign-doubled system.
+
+    The system stays folded: ``matrix`` and ``b`` are the original A and b,
+    while ``logp`` is the dual over all 2n doubled rows (the rows of A, then
+    their mirrors), so the shifted rhs of the two halves may differ.
+    """
 
     matrix: object
     b: np.ndarray
@@ -215,7 +212,7 @@ class ProxOuterState:
         if self.params.mode == "l2":
             mid = eps * self.params.scale / (8.0 * self.alpha * m)
         else:
-            mid = eps * self.matrix.n_rows / (8.0 * self.alpha * m)
+            mid = eps * self.params.rows / (8.0 * self.alpha * m)
         return min(eps / (16.0 * norm_a), mid,
                    eps * self.alpha / (64.0 * norm_a * norm_a))
 
@@ -226,9 +223,11 @@ def prox_outer_iterate(outer, uniforms, stop_check=None):
     The subproblem's cached log-weights already equal the dual-response
     exponents, so the response is a pure normalization.
     """
-    b_t = outer.b - outer.alpha * outer.logp
+    n = outer.matrix.n_rows
+    shift = outer.alpha * outer.logp
     res = outer.solver.solve(
-        b_t=b_t,
+        b_t=outer.b - shift[:n],
+        b_neg=-outer.b - shift[n:],
         center=outer.x,
         x_start=outer.x,
         delta_x=outer.delta_x_threshold(),
@@ -265,7 +264,9 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
                    lb_target=None):
     """Solve one unit-box instance to additive epsilon with high probability.
 
-    Sign-doubling is applied internally; the instance must already have radius
+    The max-abs residual is the max over the sign-doubled rows; the solver keeps
+    that system folded (one weight pair per row of A, a 2n-entry dual) and
+    never builds the doubled matrix.  The instance must already have radius
     one (use ``reduce_to_unit_box`` first otherwise).  ``value_target``, when
     given, adds an extra stop condition on the directly evaluated objective
     (used by scaling benchmarks where the optimum is known); ``lb_target``
@@ -278,11 +279,12 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         raise InputError(f"unknown mode {mode!r}")
     import time as _time
 
-    matrix2, b2 = sign_double(inst.matrix, inst.b)
-    n2, m = matrix2.n_rows, matrix2.n_cols
+    matrix, b = inst.matrix, inst.b
+    n, m = matrix.n_rows, matrix.n_cols
+    n2 = 2 * n  # rows of the sign-doubled system
     eps = inst.epsilon
     s = inst.s
-    norm_a = matrix2.norm_inf
+    norm_a = matrix.norm_inf
     uniforms = BufferedUniforms(rng if rng is not None else make_rng(seed, stream))
     transcript = []
 
@@ -300,24 +302,22 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         alpha = max(eps, math.sqrt(n2 / m) * norm_a)
 
     if mode == "l2":
-        params = LocalSmoothnessParams.l2(matrix2, alpha, s)
+        params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
     else:
-        params = LocalSmoothnessParams.diag(matrix2, alpha, d_floor=eps / m)
+        params = LocalSmoothnessParams.diag(matrix, alpha, d_floor=eps / m, rows=n2)
 
     t_planned = math.ceil(2.0 * alpha * (1.0 + math.log(n2)) / eps)
     if max_outer is not None:
         t_planned = min(t_planned, max_outer)
     fail_prob = 1.0 / (max(t_planned, 1) * n2 * n2)
-    solver = SubproblemSolver(matrix2, alpha, params)
+    solver = SubproblemSolver(matrix, alpha, params)
     x_init = np.zeros(m) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1, 1)
     outer = ProxOuterState(
-        matrix=matrix2, b=b2, alpha=alpha, params=params,
+        matrix=matrix, b=b, alpha=alpha, params=params,
         x=x_init, logp=np.full(n2, -math.log(n2)),
         eps_iter=eps / 2.0, fail_prob=fail_prob, solver=solver,
     )
-
-    def evaluate(x):
-        return float((matrix2.dot(x) - b2).max())
+    evaluate = inst.value_at
 
     best_x = outer.x.copy()
     best_val = evaluate(best_x)
@@ -330,7 +330,8 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         t_planned = 0  # warm start already meets the caller's target
     for t in range(t_planned):
         p = np.exp(outer.logp)
-        lb = -float(np.abs(matrix2.t_dot(p)).sum()) - float(p @ b2)
+        q = p[:n] - p[n:]  # the doubled rows' dual, folded onto the rows of A
+        lb = -float(np.abs(matrix.t_dot(q)).sum()) - float(q @ b)
         best_lb = max(best_lb, lb)
         if best_val - best_lb <= eps:
             certified = True
@@ -346,7 +347,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         outer.eps_iter = max(eps / 2.0, min(gap_now / 8.0, envelope))
         stop_check = None
         if value_target is not None:
-            stop_check = lambda xv: float((matrix2.dot(xv) - b2).max()) <= value_target
+            stop_check = lambda xv: evaluate(xv) <= value_target
         res = prox_outer_iterate(outer, uniforms, stop_check=stop_check)
         t_done = t + 1
         x_sum += outer.x

@@ -1,16 +1,19 @@
 """Sparse matrices, regression instances, and the reductions to the canonical unit box.
 
 The solvers in this package all operate on one canonical shape: minimize the
-maximum entry of ``A x - b`` over ``x`` in ``[-1, 1]^m``, where ``A`` has been
-sign-doubled so the maximum entry equals the max-abs residual of the original
-system.  This module holds the immutable matrix type (column and row views both
-materialized), the instance record, and the affine change of variables that
-maps general boxes onto the unit box.
+max-abs residual ``max_i |(A x - b)_i|`` over ``x`` in ``[-1, 1]^m``.  That is
+the maximum entry of the sign-doubled system ``[A; -A] x - [b; -b]``
+(``sign_double``): the mirror-prox solver and the baselines build it, while
+the coordinate descent path keeps it folded, one weight pair per row of
+``A``.  This module holds the immutable matrix type (column and row views
+both materialized), the instance record, and the affine change of variables
+that maps general boxes onto the unit box.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,8 +92,9 @@ class SparseMatrix:
     def from_triplets(cls, triplets, n_rows, n_cols):
         """Build from ``(row, col, value)`` triplets.
 
-        Out-of-range indices and duplicate ``(row, col)`` pairs are rejected;
-        explicit zeros are rejected as well so the norm caches stay exact.
+        Out-of-range indices, duplicate ``(row, col)`` pairs and non-finite
+        values are rejected; explicit zeros are rejected as well so the norm
+        caches stay exact.
         """
         rows, cols, vals = [], [], []
         seen = set()
@@ -105,6 +109,8 @@ class SparseMatrix:
             seen.add((i, j))
             if v == 0.0:
                 raise InputError(f"triplet {k}: explicit zero at ({i}, {j})")
+            if not math.isfinite(v):
+                raise InputError(f"triplet {k}: non-finite value {v!r} at ({i}, {j})")
             rows.append(i)
             cols.append(j)
             vals.append(v)
@@ -209,6 +215,9 @@ class RegressionInstance:
             raise InputError(
                 f"rhs length {b.shape} does not match {self.matrix.n_rows} rows"
             )
+        bad = np.flatnonzero(~np.isfinite(b))
+        if len(bad):
+            raise InputError(f"rhs entry {bad[0]} is not finite: {float(b[bad[0]])!r}")
         object.__setattr__(self, "b", b)
         if self.radius <= 0:
             raise InputError("box radius must be positive")

@@ -191,8 +191,6 @@ class RouteResult:
     flow: np.ndarray
     x: np.ndarray
     radius: float
-    composite: float
-    residual_ratio: float
     certified: bool
     probes: int
     meta: dict = field(default_factory=dict)
@@ -214,8 +212,7 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     rd_norm = float(np.abs(rd).max()) if len(rd) else 0.0
     if rd_norm == 0.0:
         return RouteResult(flow=np.zeros(net.m), x=np.zeros(net.m), radius=0.0,
-                           composite=0.0, residual_ratio=0.0, certified=True,
-                           probes=0)
+                           certified=True, probes=0)
     d_scaled = d / rd_norm
     iterations = 0
 
@@ -266,15 +263,10 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
                     largest_reject = mid
     x = best_x * best_r * rd_norm
     flow = x * net.caps
-    resid = d - incidence_apply(net, flow)
-    composite = 2.0 * approx.alpha * float(np.abs(approx.apply(resid)).max()) \
-        + float(np.abs(x / rd_norm / best_r).max()) * best_r * rd_norm
-    ratio = float(np.abs(approx.apply(resid)).max()) / rd_norm
     # opt_lower: rejected radii certify OPT above them; the approximator row
     # bound certifies OPT >= |R d| always
     opt_lower = rd_norm if largest_reject is None else largest_reject * rd_norm
     return RouteResult(flow=flow, x=x, radius=best_r * rd_norm,
-                       composite=composite, residual_ratio=ratio,
                        certified=True, probes=probes,
                        meta={"opt_lower": opt_lower, "iterations": iterations})
 

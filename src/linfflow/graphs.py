@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +16,9 @@ class FlowNetwork:
 
     Undirected edges are stored with ``u < v`` (lexicographic orientation) so
     instance hashing is deterministic.  Parallel edges are allowed; self loops
-    are not.  The demand vector must sum to zero and the underlying graph must
-    be connected.
+    are not.  Capacities must be positive and finite, a designated source or
+    sink must be a vertex, the demand vector must sum to zero and the
+    underlying graph must be connected.
     """
 
     __slots__ = ("n", "tails", "heads", "caps", "directed", "demand", "source", "sink")
@@ -30,8 +32,9 @@ class FlowNetwork:
                 raise InputError(f"edge {k}: endpoint out of range")
             if u == v:
                 raise InputError(f"edge {k}: self loop at {u}")
-            if cap <= 0:
-                raise InputError(f"edge {k}: capacity must be positive")
+            if not 0.0 < cap < math.inf:  # also false for nan
+                raise InputError(
+                    f"edge {k}: capacity {cap!r} must be positive and finite")
             if not directed and u > v:
                 u, v = v, u
             tails.append(u)
@@ -41,6 +44,11 @@ class FlowNetwork:
         self.heads = np.array(heads, dtype=np.int64)
         self.caps = np.array(caps, dtype=np.float64)
         self.directed = bool(directed)
+        for role, vertex in (("source", source), ("sink", sink)):
+            if vertex is not None and not 0 <= vertex < self.n:
+                raise InputError(
+                    f"{role} vertex {vertex} out of range for {self.n} vertices "
+                    f"(0-indexed)")
         self.source = source
         self.sink = sink
         if demand is None:
@@ -95,6 +103,8 @@ class FlowNetwork:
         """Demand vector routing ``amount`` units from source to sink."""
         if self.source is None or self.sink is None:
             raise InputError("network has no designated source/sink")
+        if self.source == self.sink:
+            raise InputError("max flow needs a source distinct from the sink")
         d = np.zeros(self.n)
         d[self.source] = -amount
         d[self.sink] = amount

@@ -4,9 +4,10 @@ Coordinate selection needs to track weights of the form
 ``static_j + coeff * sum_i p_i(x) * w_ij`` as x changes one coordinate at a
 time.  The static summand lives in a precomputed alias table; the dynamic
 summand is sampled by descending a sum tree over rows (leaf weight
-``expw_i * row_mass_i``) and then drawing from a per-row alias table over the
-``w_ij``.  All randomness flows through counter-based Philox generators keyed
-by (seed, stream), so every run is replayable.
+``(expw_i + expw_neg_i) * row_mass_i``, one leaf for a row and its mirror)
+and then drawing from a per-row alias table over the ``w_ij``.  All
+randomness flows through counter-based Philox generators keyed by
+(seed, stream), so every run is replayable.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class DynamicTree:
     uniform draw per level.  Weights must be nonnegative.
     """
 
-    __slots__ = ("n", "size", "nodes", "touched_nodes", "update_count")
+    __slots__ = ("n", "size", "levels", "nodes", "touched_nodes", "update_count")
 
     def __init__(self, weights):
         weights = list(map(float, weights))
@@ -60,6 +61,7 @@ class DynamicTree:
         while size < max(self.n, 1):
             size *= 2
         self.size = size
+        self.levels = size.bit_length()  # nodes on a root-to-leaf path
         nodes = [0.0] * (2 * size)
         for i, w in enumerate(weights):
             if w < 0:
@@ -79,18 +81,21 @@ class DynamicTree:
         return self.nodes[self.size + i]
 
     def update(self, i, weight):
-        """Set leaf i; refreshes the ancestor sums along one path."""
+        """Set leaf i; refreshes the ancestor sums along one path.
+
+        The running subtree sum is carried up the path and added to each
+        sibling, which gives the same sums as re-adding both children.
+        """
         if weight < 0:
             raise InputError(f"leaf {i}: negative weight")
         k = self.size + i
         nodes = self.nodes
         nodes[k] = weight
-        self.touched_nodes += 1
-        k >>= 1
-        while k >= 1:
-            nodes[k] = nodes[2 * k] + nodes[2 * k + 1]
-            self.touched_nodes += 1
+        while k > 1:
+            weight += nodes[k ^ 1]
             k >>= 1
+            nodes[k] = weight
+        self.touched_nodes += self.levels
         self.update_count += 1
 
     def sample(self, uniforms):
@@ -158,25 +163,16 @@ class StaticAlias:
         return i if (r - i) < self.prob[i] else self.alias[i]
 
 
-def tree_update(tree, i, weight):
-    """Module-level alias for DynamicTree.update."""
-    tree.update(i, weight)
-
-
-def tree_sample(tree, uniforms):
-    """Module-level alias for DynamicTree.sample."""
-    return tree.sample(uniforms)
-
-
 class CoordSampler:
     """Samples coordinates proportionally to their current smoothness weights.
 
     The weight of column j decomposes as ``static_j + (8/alpha) * sum_i p_i w_ij``
     with everything except p precomputed: the static summand uses an alias
-    table; the dynamic summand routes through a row tree (leaf
-    ``expw_i * row_mass_i``) and a per-row alias over the ``w_ij``.  The sampler
-    stays in sync with its SoftmaxState by being the single mutation path
-    (``step``); sampling with a stale state raises.
+    table; the dynamic summand routes through a row tree and a per-row alias
+    over the ``w_ij``.  A row of A and its mirrored row share their column
+    pattern and their |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) *
+    row_mass_i``.  The sampler stays in sync with its SoftmaxState by being the
+    single mutation path (``step``); sampling with a stale state raises.
     """
 
     def __init__(self, state, params):
@@ -206,28 +202,38 @@ class CoordSampler:
             self.row_alias.append(
                 (cols, StaticAlias(w)) if self.row_mass[i] > 0 else None
             )
-        self.tree = DynamicTree(np.array(state.expw) * self.row_mass)
+        self._row_mass = self.row_mass.tolist()  # for the per-step leaf refresh
+        self.tree = DynamicTree(self._leaves())
         self._synced_version = state.version
         self._synced_rebuilds = state.rebuild_count
 
-    def _leaf(self, i):
-        return self.state.expw[i] * float(self.row_mass[i])
+    def _leaves(self):
+        state = self.state
+        return (np.array(state.expw) + np.array(state.expw_neg)) * self.row_mass
 
     def resync(self):
         """Full leaf refresh; needed after a state rebuild."""
-        self.tree.rebuild(np.array(self.state.expw) * self.row_mass)
+        self.tree.rebuild(self._leaves())
         self._synced_version = self.state.version
         self._synced_rebuilds = self.state.rebuild_count
 
+    def rebind(self, state):
+        """Track a fresh state over the same matrix (a new rhs or iterate)."""
+        self.state = state
+        self.resync()
+
     def step(self, j, delta):
         """Apply a coordinate update to the state and keep the tree in sync."""
-        rows = self.state.apply_coord_update(j, delta)
-        if self.state.rebuild_count != self._synced_rebuilds:
+        state = self.state
+        rows = state.apply_coord_update(j, delta)
+        if state.rebuild_count != self._synced_rebuilds:
             self.resync()
             return
+        expw, expw_neg, mass = state.expw, state.expw_neg, self._row_mass
+        update = self.tree.update
         for i in rows:
-            self.tree.update(int(i), self._leaf(int(i)))
-        self._synced_version = self.state.version
+            update(i, (expw[i] + expw_neg[i]) * mass[i])
+        self._synced_version = state.version
 
     def dynamic_mass(self):
         return self.dyn_coeff * self.tree.total / self.state.z
@@ -257,15 +263,10 @@ class CoordSampler:
             dyn = 0.0
         else:
             w = self.params.row_entry_weight(j, vals)
-            expw = self.state.expw
-            p = np.array([expw[int(i)] for i in rows]) / self.state.z
+            expw, expw_neg = self.state.expw, self.state.expw_neg
+            p = np.array([expw[int(i)] + expw_neg[int(i)] for i in rows]) / self.state.z
             dyn = self.dyn_coeff * float(w @ p)
         return dyn + float(self.params.sample_static[j])
-
-
-def mixture_sample(sampler, uniforms):
-    """One draw from the static/dynamic two-summand mixture."""
-    return sampler.sample(uniforms)
 
 
 def chi2_pvalue(observed, expected):

@@ -171,9 +171,6 @@ class SimplexMaintainer:
         self._create_bucket(np.arange(self.n), kind="init")
         self._needs_restart = False
 
-    def _rep_coeffs(self):
-        return self._mt[:, 0]
-
     def _values_at(self, idx):
         a = self._mt[:, 0]
         return self._q[idx] * a[0] + self._r[idx] * a[1] + self._s[idx] * a[2]

@@ -2,11 +2,18 @@
 
 The smoothed objective is ``alpha * log(sum_i exp((A x - b)_i / alpha))`` plus a
 quadratic pull toward a center point; two regularizer geometries are supported
-("l2" and a column-weighted "diag" variant).  Everything is maintained
-incrementally under single-coordinate updates of x: the shifted log-weights w
-change only at the rows of the touched column, and the normalizer is patched in
-place, with a full rebuild whenever the running max drifts more than
-REBUILD_DRIFT log units past the stored shift (overflow hygiene).
+("l2" and a column-weighted "diag" variant).  The max-abs residual is the max
+over the sign-doubled rows ``[A; -A]``; a state keeps such a system folded, one
+weight pair per row of A: ``(A x - b)_i`` and its mirror ``(-A x - b_neg)_i``,
+whose rhs differs once a proximal shift is applied.  Without a mirrored rhs the
+mirror weights are identically zero and the state is the one-sided smoothing
+of ``A x - b``.
+
+Everything is maintained incrementally under single-coordinate updates of x:
+the shifted log-weights change only at the rows of the touched column, and the
+normalizer is patched in place, with a full rebuild whenever the running max
+drifts more than REBUILD_DRIFT log units past the stored shift (overflow
+hygiene).
 
 The per-row caches are plain Python lists: coordinate steps touch only a
 handful of entries, where list indexing beats numpy call overhead by an order
@@ -29,18 +36,21 @@ class SoftmaxState:
     """Cached residual weights for one (matrix, rhs, alpha) triple.
 
     Owns the current iterate x.  ``expw`` holds exp(w - wref) where
-    w = (A x - b)/alpha and wref is the shift captured at the last rebuild;
-    ``z`` is the running sum of expw.
+    w = (A x - b)/alpha, ``expw_neg`` holds exp(w_neg - wref) where
+    w_neg = (-A x - b_neg)/alpha, and wref is the shift captured at the last
+    rebuild; ``z`` is the running sum of both.  With ``b_neg`` omitted the
+    mirrored rows are absent: w_neg is -inf and expw_neg is zero.
     """
 
-    __slots__ = ("matrix", "b", "alpha", "x", "w", "wref", "expw", "z",
-                 "version", "rebuild_count", "_cols")
+    __slots__ = ("matrix", "b", "b_neg", "alpha", "x", "w", "w_neg", "wref",
+                 "expw", "expw_neg", "z", "version", "rebuild_count", "_cols")
 
-    def __init__(self, matrix, b, alpha, x0=None):
+    def __init__(self, matrix, b, alpha, x0=None, b_neg=None):
         if alpha <= 0:
             raise InputError("alpha must be positive")
         self.matrix = matrix
         self.b = np.asarray(b, dtype=np.float64)
+        self.b_neg = None if b_neg is None else np.asarray(b_neg, dtype=np.float64)
         self.alpha = float(alpha)
         m = matrix.n_cols
         self.x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
@@ -57,24 +67,38 @@ class SoftmaxState:
         self._rebuild()
 
     def _rebuild(self):
-        w = (self.matrix.dot(self.x) - self.b) / self.alpha
-        self.wref = float(w.max()) if len(w) else 0.0
+        ax = self.matrix.dot(self.x)
+        w = (ax - self.b) / self.alpha
+        if self.b_neg is None:
+            w_neg = np.full(len(w), -math.inf)
+        else:
+            w_neg = (-ax - self.b_neg) / self.alpha
+        self.wref = float(max(w.max(), w_neg.max())) if len(w) else 0.0
         expw = np.exp(w - self.wref)
-        self.z = float(expw.sum())
+        expw_neg = np.exp(w_neg - self.wref)
+        self.z = float(expw.sum() + expw_neg.sum())
         self.w = w.tolist()
+        self.w_neg = w_neg.tolist()
         self.expw = expw.tolist()
+        self.expw_neg = expw_neg.tolist()
         self.rebuild_count += 1
 
     def smax(self):
-        """alpha * log sum exp((A x - b)/alpha), in shifted form."""
+        """alpha * log sum exp of every smoothed row, in shifted form."""
         return self.alpha * (self.wref + math.log(self.z))
 
     def distribution(self):
-        """Softmax weights over rows; a fresh dense array."""
-        return np.array(self.expw) / self.z
+        """Gradient of smax with respect to A x: p - p_neg; a fresh dense array.
+
+        For a one-sided state this is the softmax distribution over rows.
+        """
+        return (np.array(self.expw) - np.array(self.expw_neg)) / self.z
 
     def w_array(self):
-        return np.array(self.w)
+        """Log-weights of every smoothed row: the rows of A, then the mirrors."""
+        if self.b_neg is None:
+            return np.array(self.w)
+        return np.array(self.w + self.w_neg)
 
     def apply_coord_update(self, j, delta):
         """Move x_j by delta; touches only the rows of column j.
@@ -91,20 +115,26 @@ class SoftmaxState:
         if not rows:
             return ()
         scale = delta / self.alpha
-        w, expw = self.w, self.expw
+        w, w_neg = self.w, self.w_neg
+        expw, expw_neg = self.expw, self.expw_neg
         wref = self.wref
         z = self.z
         drift = False
-        for k in range(len(rows)):
-            i = rows[k]
-            wn = w[i] + vals[k] * scale
+        exp = math.exp
+        for i, v in zip(rows, vals):
+            step = v * scale
+            wn = w[i] + step
+            wm = w_neg[i] - step
             w[i] = wn
-            if wn - wref > REBUILD_DRIFT:
+            w_neg[i] = wm
+            if wn - wref > REBUILD_DRIFT or wm - wref > REBUILD_DRIFT:
                 drift = True
             else:
-                e = math.exp(wn - wref)
-                z += e - expw[i]
+                e = exp(wn - wref)
+                f = exp(wm - wref)
+                z += (e - expw[i]) + (f - expw_neg[i])
                 expw[i] = e
+                expw_neg[i] = f
         if drift:
             self._rebuild()
         else:
@@ -120,39 +150,43 @@ class LocalSmoothnessParams:
     ``static_l[j]`` is the x-independent part of the smoothness bound L_j;
     ``sample_static[j]`` is the static summand of the sampling weight
     (L_j itself in l2 mode, L_j / d_j in diag mode); ``row_entry_weight``
-    scales |A_ij| inside the dynamic summand.
+    scales |A_ij| inside the dynamic summand.  ``rows`` counts the smoothed
+    rows: ``2 * n_rows`` when the state folds the sign-doubled system, which
+    keeps every size-dependent constant that of the doubled system.
     """
 
     mode: str
     alpha: float
     scale: float
+    rows: int
     curvature: np.ndarray
     static_l: np.ndarray
     sample_static: np.ndarray
     d: np.ndarray | None = None
 
     @classmethod
-    def l2(cls, matrix, alpha, s):
+    def l2(cls, matrix, alpha, s, rows=None):
         if s <= 0:
             raise InputError("s must be positive")
         m = matrix.n_cols
         curv = np.full(m, alpha / s)
         static_l = 16.0 * matrix.col_maxabs / s + alpha / s
         return cls(mode="l2", alpha=float(alpha), scale=float(s),
+                   rows=matrix.n_rows if rows is None else int(rows),
                    curvature=curv, static_l=static_l, sample_static=static_l)
 
     @classmethod
-    def diag(cls, matrix, alpha, d_floor=0.0):
+    def diag(cls, matrix, alpha, d_floor=0.0, rows=None):
         norm_a = matrix.norm_inf
         if norm_a <= 0:
             raise InputError("diag mode needs a nonzero matrix")
-        n = matrix.n_rows
+        n = matrix.n_rows if rows is None else int(rows)
         scale = n * norm_a
         d = np.maximum(matrix.col_maxabs, d_floor)
         curv = alpha * d / scale
         static_l = (16.0 * matrix.col_maxabs * d + alpha * d) / scale
         sample_static = np.where(d > 0, static_l / np.where(d > 0, d, 1.0), 0.0)
-        return cls(mode="diag", alpha=float(alpha), scale=float(scale),
+        return cls(mode="diag", alpha=float(alpha), scale=float(scale), rows=n,
                    curvature=curv, static_l=static_l, sample_static=sample_static,
                    d=d)
 
@@ -172,22 +206,24 @@ class LocalSmoothnessParams:
 
 
 def smax_eval(state):
-    """Smoothed max of the residual.  Always within [max, max + alpha*log n]."""
+    """Smoothed max of the residual.  Always within [max, max + alpha*log n],
+    with n the number of smoothed rows."""
     return float(state.smax())
 
 
 def softmax_distribution(state):
-    """Gradient of smax_eval with respect to the residual vector."""
+    """Gradient of smax_eval with respect to A x (p - p_neg; p when one-sided)."""
     return state.distribution()
 
 
 def grad_coord(state, j, center, params):
     """Partial derivative of the regularized objective along coordinate j."""
     rows, vals = state._cols[j]
-    expw = state.expw
+    expw, expw_neg = state.expw, state.expw_neg
     acc = 0.0
     for k in range(len(rows)):
-        acc += vals[k] * expw[rows[k]]
+        i = rows[k]
+        acc += vals[k] * (expw[i] - expw_neg[i])
     return acc / state.z + float(params.curvature[j]) * (state.x[j] - center[j])
 
 
@@ -198,24 +234,20 @@ def local_smoothness(state, j, params):
     """
     rows, vals = state._cols[j]
     if rows:
-        expw = state.expw
+        expw, expw_neg = state.expw, state.expw_neg
         acc = 0.0
         cm = 0.0
         for k in range(len(rows)):
+            i = rows[k]
             v = vals[k]
             av = v if v >= 0 else -v
             if av > cm:
                 cm = av
-            acc += av * expw[rows[k]]
+            acc += av * (expw[i] + expw_neg[i])
         dyn = (8.0 / state.alpha) * cm * acc / state.z
     else:
         dyn = 0.0
     return dyn + float(params.static_l[j])
-
-
-def apply_coord_update(state, j, delta):
-    """Module-level alias for SoftmaxState.apply_coord_update."""
-    return state.apply_coord_update(j, delta)
 
 
 def smax_hessian_diag(state, j):
@@ -223,27 +255,30 @@ def smax_hessian_diag(state, j):
     rows, vals = state._cols[j]
     if not rows:
         return 0.0
-    expw = state.expw
+    expw, expw_neg = state.expw, state.expw_neg
     first = 0.0
     second = 0.0
     for k in range(len(rows)):
-        p = expw[rows[k]] / state.z
-        first += vals[k] * vals[k] * p
-        second += vals[k] * p
+        i = rows[k]
+        p, p_neg = expw[i] / state.z, expw_neg[i] / state.z
+        first += vals[k] * vals[k] * (p + p_neg)
+        second += vals[k] * (p - p_neg)
     return (first - second * second) / state.alpha
 
 
 def hessian_diag_upper(state, j, params):
-    """Upper envelope (1/alpha) * sum_i A_ij^2 p_i plus regularizer curvature.
+    """Upper envelope (1/alpha) * sum_i A_ij^2 (p_i + p_neg_i) plus the
+    regularizer curvature.
 
     This is the bound the smoothness certificates are checked against; it
     dominates the exact diagonal.
     """
     rows, vals = state._cols[j]
     quad = 0.0
-    expw = state.expw
+    expw, expw_neg = state.expw, state.expw_neg
     for k in range(len(rows)):
-        quad += vals[k] * vals[k] * expw[rows[k]]
+        i = rows[k]
+        quad += vals[k] * vals[k] * (expw[i] + expw_neg[i])
     return quad / (state.z * state.alpha) + float(params.curvature[j])
 
 
@@ -264,7 +299,7 @@ def sum_smoothness_bound(matrix, alpha, params):
     """
     norm_a = matrix.norm_inf
     m = matrix.n_cols
-    n = matrix.n_rows
+    n = params.rows
     if params.mode == "l2":
         s = params.scale
         return (8.0 / alpha) * norm_a ** 2 + 16.0 * min(m, n) * norm_a / s + m * alpha / s

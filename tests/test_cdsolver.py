@@ -1,6 +1,7 @@
 """Coordinate-descent subproblem solver and the proximal outer loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from helpers import (
     random_instance,
 )
 from linfflow.cdsolver import (
-    CdIterate,
     ProxOuterState,
     SubproblemSolver,
     dual_response,
@@ -35,7 +35,11 @@ def make_iterate(matrix, b, alpha, s, x0=None, center=None):
     params = LocalSmoothnessParams.l2(matrix, alpha, s)
     sampler = CoordSampler(state, params)
     center = np.zeros(matrix.n_cols) if center is None else center
-    return CdIterate(state=state, params=params, center=center, sampler=sampler)
+    return SimpleNamespace(state=state, params=params, center=center, sampler=sampler)
+
+
+def step(it, u):
+    return lcd_step(it.state, it.sampler, it.center, u)
 
 
 class TestLcdStep:
@@ -47,7 +51,7 @@ class TestLcdStep:
         it = make_iterate(d, b2, alpha=1.0, s=2.0, x0=x.copy(), center=x.copy())
         u = uniforms(1)
         for _ in range(20):
-            _, delta = lcd_step(it, u)
+            _, delta = step(it, u)
             assert delta == 0.0
         np.testing.assert_array_equal(it.state.x, x)
 
@@ -59,7 +63,7 @@ class TestLcdStep:
         it = make_iterate(m, b, alpha=1.0, s=1.0, x0=np.array([1.0]),
                           center=np.array([1.0]))
         u = uniforms(2)
-        _, delta = lcd_step(it, u)
+        _, delta = step(it, u)
         assert delta == 0.0
         assert it.state.x[0] == 1.0
 
@@ -70,7 +74,7 @@ class TestLcdStep:
         it = make_iterate(d, b2, alpha=0.5, s=5.0)
         u = uniforms(3)
         for _ in range(500):
-            lcd_step(it, u)
+            step(it, u)
             assert (np.abs(it.state.x) <= 1.0 + 1e-15).all()
 
     def test_one_dim_converges_to_golden_section(self):
@@ -81,7 +85,7 @@ class TestLcdStep:
         it = make_iterate(d, b2, alpha=alpha, s=s)
         u = uniforms(4)
         for _ in range(3000):
-            lcd_step(it, u)
+            step(it, u)
 
         params = it.params
 
@@ -106,7 +110,7 @@ class TestLcdStep:
             # recompute the quantities the step will use
             j = None
             x_before = it.state.x.copy()
-            j, delta = lcd_step(it, u)
+            j, delta = step(it, u)
             g = grad_coord(
                 SoftmaxState(d, b2, alpha, x0=x_before), j, it.center, it.params
             )
@@ -221,13 +225,13 @@ class TestDualResponse:
 
 class TestProxOuter:
     def make_outer(self, matrix, b, alpha, s, eps):
-        d, b2 = sign_double(matrix, b)
-        params = LocalSmoothnessParams.l2(d, alpha, s)
-        solver = SubproblemSolver(d, alpha, params)
+        n2 = 2 * matrix.n_rows
+        params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
+        solver = SubproblemSolver(matrix, alpha, params)
         return ProxOuterState(
-            matrix=d, b=b2, alpha=alpha, params=params,
+            matrix=matrix, b=b, alpha=alpha, params=params,
             x=np.zeros(matrix.n_cols),
-            logp=np.full(d.n_rows, -math.log(d.n_rows)),
+            logp=np.full(n2, -math.log(n2)),
             eps_iter=eps / 2, fail_prob=1e-4, solver=solver,
         )
 
@@ -360,11 +364,9 @@ class TestRateProperties:
         gaps = []
         state = SoftmaxState(d, b2, alpha)
         sampler = CoordSampler(state, params)
-        it = CdIterate(state=state, params=params, center=center,
-                       sampler=sampler)
         u = uniforms(7)
         for k in range(1500):
-            lcd_step(it, u)
+            lcd_step(state, sampler, center, u)
             if k % 10 == 0:
                 gaps.append(objective_value(state, center, params) - h_star)
         gaps = np.array(gaps)

@@ -78,6 +78,20 @@ class TestRegress:
         assert code == 2
         assert "bad.linf:2" in err
 
+    def test_non_finite_entry_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.linf"
+        bad.write_text("linf-matrix v1 2 2 2\n0 0 1.0\n1 1 nan\n")
+        code, _, err = run(capsys, "regress", "--input", str(bad))
+        assert code == 2
+        assert "non-finite value nan at (1, 1)" in err
+
+    def test_non_finite_rhs_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "inf.linf"
+        bad.write_text("linf-matrix v1 2 2 2\n0 0 1.0\n1 1 1.0\nb 0 inf\n")
+        code, _, err = run(capsys, "regress", "--input", str(bad))
+        assert code == 2
+        assert "rhs entry 0 is not finite" in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         path = tmp_path / "m.linf"
@@ -131,6 +145,33 @@ class TestFlowCommands:
         code, _, err = run(capsys, "maxflow", "--input", str(path), "--solver", "dinic")
         assert code == 2
         assert "distinct" in err
+
+    @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
+    def test_source_is_sink_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "loop.dimacs"
+        path.write_text("c undirected\np max 3 2\nn 1 s\nn 1 t\na 1 2 1\na 2 3 1\n")
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert "distinct" in err
+
+    @pytest.mark.parametrize("cap", ["nan", "inf"])
+    def test_non_finite_capacity_rejected(self, tmp_path, capsys, cap):
+        path = tmp_path / "cap.dimacs"
+        path.write_text(
+            f"c undirected\np max 3 2\nn 1 s\nn 3 t\na 1 2 {cap}\na 2 3 1\n")
+        code, out, err = run(capsys, "maxflow", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "edge 0: capacity" in err
+
+    @pytest.mark.parametrize("terminals", ["n 9 s\nn 3 t", "n 1 s\nn 9 t"],
+                             ids=["source", "sink"])
+    def test_terminal_out_of_range_rejected(self, tmp_path, capsys, terminals):
+        path = tmp_path / "far.dimacs"
+        path.write_text(f"c undirected\np max 3 2\n{terminals}\na 1 2 1\na 2 3 1\n")
+        code, _, err = run(capsys, "maxflow", "--input", str(path))
+        assert code == 2
+        assert "vertex 8 out of range for 3 vertices" in err
 
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     def test_flow_file_fields_are_numbers(self, path_graph, capsys, tmp_path, command):

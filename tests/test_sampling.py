@@ -15,9 +15,6 @@ from linfflow.sampling import (
     StaticAlias,
     chi2_pvalue,
     make_rng,
-    mixture_sample,
-    tree_sample,
-    tree_update,
 )
 from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState, local_smoothness
 
@@ -29,10 +26,10 @@ def uniforms(seed=0, stream=0):
 class TestDynamicTree:
     def test_single_live_leaf(self):
         t = DynamicTree([0.0, 0.0, 0.0, 0.0])
-        tree_update(t, 0, 1.0)
+        t.update(0, 1.0)
         assert t.total == 1.0
         u = uniforms()
-        assert all(tree_sample(t, u) == 0 for _ in range(50))
+        assert all(t.sample(u) == 0 for _ in range(50))
 
     def test_uniform_total(self):
         t = DynamicTree([1.0] * 8)
@@ -46,29 +43,29 @@ class TestDynamicTree:
         for _ in range(100_000):
             i = int(rng.integers(0, n))
             w[i] = float(rng.random())
-            tree_update(t, i, w[i])
+            t.update(i, w[i])
         assert t.total == pytest.approx(w.sum(), rel=1e-9)
 
     def test_rejects_negative(self):
         t = DynamicTree([1.0, 2.0])
         with pytest.raises(InputError):
-            tree_update(t, 0, -1.0)
+            t.update(0, -1.0)
 
     def test_rejects_empty_total(self):
         t = DynamicTree([0.0, 0.0])
         with pytest.raises(SolverFault):
-            tree_sample(t, uniforms())
+            t.sample(uniforms())
 
     def test_degenerate_weight_vector(self):
         t = DynamicTree([1.0, 0.0, 0.0])
         u = uniforms(3)
-        assert all(tree_sample(t, u) == 0 for _ in range(100))
+        assert all(t.sample(u) == 0 for _ in range(100))
 
     def test_two_leaf_frequencies(self):
         t = DynamicTree([1.0, 1.0])
         u = uniforms(1)
         n = 100_000
-        hits = sum(tree_sample(t, u) for _ in range(n))
+        hits = sum(t.sample(u) for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(hits - n / 2) <= 3 * sigma
 
@@ -79,14 +76,14 @@ class TestDynamicTree:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            counts[tree_sample(t, u)] += 1
+            counts[t.sample(u)] += 1
         expected = w / w.sum() * n
         assert stats.chisquare(counts, expected).pvalue > 0.001
 
     def test_touched_nodes_logarithmic(self):
         t = DynamicTree([1.0] * 128)
         before = t.touched_nodes
-        tree_update(t, 5, 2.0)
+        t.update(5, 2.0)
         assert t.touched_nodes - before <= math.ceil(math.log2(128)) + 1
 
 
@@ -131,7 +128,7 @@ class TestMixtureSampler:
         params = LocalSmoothnessParams.l2(matrix, 1.0, 1.0)
         sampler = CoordSampler(state, params)
         u = uniforms(6)
-        assert all(mixture_sample(sampler, u) == 0 for _ in range(50))
+        assert all(sampler.sample(u) == 0 for _ in range(50))
 
     def test_symmetric_columns(self):
         from linfflow.core import SparseMatrix
@@ -142,7 +139,7 @@ class TestMixtureSampler:
         sampler = CoordSampler(state, params)
         u = uniforms(7)
         n = 100_000
-        hits = sum(mixture_sample(sampler, u) for _ in range(n))
+        hits = sum(sampler.sample(u) for _ in range(n))
         assert abs(hits - n / 2) <= 3 * math.sqrt(n * 0.25)
 
     def test_matches_dense_weights(self):
@@ -152,7 +149,7 @@ class TestMixtureSampler:
         n = 100_000
         counts = np.zeros(15)
         for _ in range(n):
-            counts[mixture_sample(sampler, u)] += 1
+            counts[sampler.sample(u)] += 1
         dense = np.array([local_smoothness(state, j, params) for j in range(15)])
         expected = dense / dense.sum() * n
         assert stats.chisquare(counts, expected).pvalue > 0.001
@@ -183,7 +180,7 @@ class TestMixtureSampler:
         state, params, sampler = self.make(rng, 6, 6)
         state.apply_coord_update(0, 0.1)  # bypasses the sampler
         with pytest.raises(SolverFault, match="sync"):
-            mixture_sample(sampler, uniforms(10))
+            sampler.sample(uniforms(10))
 
     def test_survives_state_rebuild(self):
         rng = np.random.default_rng(15)

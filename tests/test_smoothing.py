@@ -12,7 +12,6 @@ from linfflow.core import sign_double
 from linfflow.smoothing import (
     LocalSmoothnessParams,
     SoftmaxState,
-    apply_coord_update,
     grad_coord,
     hessian_diag_upper,
     local_smoothness,
@@ -216,13 +215,13 @@ class TestApplyCoordUpdate:
         m = random_sparse(rng, 5, 4)
         st_ = SoftmaxState(m, rng.normal(size=5), 0.5)
         w0, z0 = st_.w.copy(), st_.z
-        apply_coord_update(st_, 2, 0.0)
+        st_.apply_coord_update(2, 0.0)
         np.testing.assert_array_equal(st_.w, w0)
         assert st_.z == z0
 
     def test_scalar_case(self):
         st_ = state_for([[1.0]], [0.0], 1.0)
-        apply_coord_update(st_, 0, 2.0)
+        st_.apply_coord_update(0, 2.0)
         assert st_.w[0] == pytest.approx(2.0)
         assert st_.smax() == pytest.approx(2.0)
 
@@ -234,7 +233,7 @@ class TestApplyCoordUpdate:
         for _ in range(10_000):
             j = int(rng.integers(0, 80))
             delta = float(rng.normal() * 0.05)
-            apply_coord_update(st_, j, delta)
+            st_.apply_coord_update(j, delta)
         fresh = SoftmaxState(m, b, 0.3, x0=st_.x)
         np.testing.assert_allclose(
             softmax_distribution(st_), softmax_distribution(fresh), rtol=1e-8
@@ -247,7 +246,7 @@ class TestApplyCoordUpdate:
         st_ = SoftmaxState(m, b, 1.0)
         k = 2000
         for _ in range(k):
-            apply_coord_update(st_, int(rng.integers(0, 10)),
+            st_.apply_coord_update(int(rng.integers(0, 10)),
                                float(rng.normal() * 0.01))
         fresh = (m.dot(st_.x) - b) / 1.0
         assert np.abs(st_.w_array() - fresh).max() <= k * 1e-14 * max(m.norm_inf, 1.0)
@@ -255,7 +254,7 @@ class TestApplyCoordUpdate:
     def test_rebuild_on_drift(self):
         st_ = state_for([[1.0]], [0.0], 1.0)
         rebuilds = st_.rebuild_count
-        apply_coord_update(st_, 0, 100.0)  # drift of 100 log units forces rebuild
+        st_.apply_coord_update(0, 100.0)  # drift of 100 log units forces rebuild
         assert st_.rebuild_count == rebuilds + 1
         assert st_.smax() == pytest.approx(100.0)
 
