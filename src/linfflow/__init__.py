@@ -21,6 +21,7 @@ from .cdsolver import (
     SubproblemSolver,
     dual_response,
     lcd_step,
+    lcd_steps,
     prox_outer_iterate,
     solve_box_linf,
 )
@@ -31,6 +32,7 @@ from .core import (
     read_matrix_file,
     reduce_to_unit_box,
     sign_double,
+    weak_duality_bound,
     write_matrix_file,
 )
 from .errors import InfeasibleError, InputError, SolverFault

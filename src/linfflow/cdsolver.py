@@ -14,6 +14,13 @@ loop stops when a projected-gradient bound certifies the required objective
 gap, the outer loop when the primal value meets a weak-duality lower bound
 within epsilon.  The worst-case iteration budgets are kept as fallbacks so a
 run always terminates.
+
+The steps between two certificate checks run in one call of ``lcd_steps``, a
+fused kernel that inlines the sampler draw, the column scan, the clamped step,
+the weight-pair update and the tree refresh over local Python lists.  It
+leaves every cache, counter and random draw exactly as the step-by-step
+primitives in ``sampling`` and ``smoothing`` would, and ``lcd_step`` is its
+one-step case.
 """
 
 from __future__ import annotations
@@ -23,53 +30,177 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .core import weak_duality_bound
+from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, CoordSampler, make_rng
 from .smoothing import (
+    REBUILD_DRIFT,
     LocalSmoothnessParams,
     SoftmaxState,
-    grad_coord,
-    local_smoothness,
     objective_value,
     sum_smoothness_bound,
 )
 
 
-def lcd_step(state, sampler, center, uniforms):
-    """Sample a coordinate by its curvature weight and take the clamped step.
+def lcd_steps(state, sampler, center, uniforms, count):
+    """Run ``count`` coordinate steps in one call; returns ``(moving, j, delta)``.
 
-    ``sampler`` tracks ``state`` and carries the curvature parameters; the
-    step pulls toward ``center``.  Returns ``(j, delta)``; the iterate, its
-    softmax caches, and the sampler tree are updated in place.  The gradient
-    (pair difference) and curvature (pair sum) share one scan of the column.
+    Each step samples a coordinate j by its curvature weight and takes the
+    clamped step toward ``center``; the gradient (pair difference) and the
+    curvature (pair sum) share one scan of the column.  ``moving`` counts the
+    steps that moved x, and ``(j, delta)`` is the last step's draw and move.
+
+    The iterate, its softmax caches, the sampler tree with its counters and the
+    uniform cursor end exactly as ``CoordSampler.sample``, ``grad_coord`` /
+    ``local_smoothness``, the clamp and ``CoordSampler.step`` leave them one
+    step at a time.  Their bodies are inlined here over local lists, because
+    the call chain cost more than the O(c) work of a step.  The kernel is the
+    only mutator while it runs, so the sync check is made once, at entry; a
+    drift rebuild writes x back, rebuilds the state and resyncs the sampler.
+    ``center`` is any float sequence (a list is fastest).
     """
-    params = sampler.params
-    j = sampler.sample(uniforms)
-    rows, vals = state._cols[j]
-    expw, expw_neg = state.expw, state.expw_neg
-    inner = 0.0
-    abs_inner = 0.0
-    cm = 0.0
-    for i, v in zip(rows, vals):
-        e = expw[i]
-        f = expw_neg[i]
-        inner += v * (e - f)
-        if v < 0:
-            v = -v
-        if v > cm:
-            cm = v
-        abs_inner += v * (e + f)
-    xj = state.x[j]
-    g = inner / state.z + params.curvature[j] * (xj - center[j])
-    lj = (8.0 / state.alpha) * cm * abs_inner / state.z + params.static_l[j]
-    target = xj - g / lj
-    if target > 1.0:
-        target = 1.0
-    elif target < -1.0:
-        target = -1.0
-    delta = target - xj
-    if delta != 0.0:
-        sampler.step(j, delta)
+    if sampler.state is not state or state.version != sampler._synced_version:
+        raise SolverFault("sampler out of sync with its softmax state")
+    cols, abs_cols = state.matrix.py_columns()
+    curvature, static_l, row_mass = (sampler._curvature, sampler._static_l,
+                                     sampler._row_mass)
+    static_mass, dyn_coeff = sampler.static_mass, sampler.dyn_coeff
+    row_alias = sampler.row_alias
+    s_n, s_prob, s_alias = (sampler.static_alias.n, sampler.static_alias.prob,
+                            sampler.static_alias.alias)
+    tree = sampler.tree
+    nodes, size = tree.nodes, tree.size
+    rng, block, buf, pos = uniforms.rng, uniforms.block, uniforms._buf, uniforms._pos
+    alpha = state.alpha
+    coeff = 8.0 / alpha
+    x = state.x.tolist()
+    w, w_neg, expw, expw_neg = state.w, state.w_neg, state.expw, state.expw_neg
+    wref, z, version = state.wref, state.z, state.version
+    exp, isfinite, drift_limit = math.exp, math.isfinite, REBUILD_DRIFT
+    moving = updates = 0
+    j, delta = -1, 0.0
+    try:
+        for _ in range(count):
+            # draw j: the static summand or the row tree, then the row alias
+            total = nodes[1]
+            dyn = dyn_coeff * total
+            stat = static_mass * z
+            if stat <= 0 and dyn <= 0:
+                raise SolverFault("sampler has zero total mass")
+            if pos == block:
+                buf, pos = rng.random(block).tolist(), 0
+            u = buf[pos]
+            pos += 1
+            if u * (stat + dyn) < stat:
+                if pos == block:
+                    buf, pos = rng.random(block).tolist(), 0
+                r = buf[pos] * s_n
+                pos += 1
+                k = int(r)
+                if k == s_n:
+                    k -= 1
+                j = k if (r - k) < s_prob[k] else s_alias[k]
+            else:
+                if total <= 0.0:
+                    raise SolverFault("sampling from an empty tree")
+                k = 1
+                while k < size:
+                    if pos == block:
+                        buf, pos = rng.random(block).tolist(), 0
+                    u = buf[pos] * nodes[k]
+                    pos += 1
+                    k = 2 * k if u < nodes[2 * k] else 2 * k + 1
+                row_cols, alias = row_alias[k - size]
+                if pos == block:
+                    buf, pos = rng.random(block).tolist(), 0
+                r = buf[pos] * alias.n
+                pos += 1
+                k = int(r)
+                if k == alias.n:
+                    k -= 1
+                j = row_cols[k if (r - k) < alias.prob[k] else alias.alias[k]]
+
+            # one column scan: gradient and curvature bound, then the clamp
+            rows, vals = cols[j]
+            abs_vals, cm = abs_cols[j]
+            inner = 0.0
+            abs_inner = 0.0
+            for i, v, a in zip(rows, vals, abs_vals):
+                e = expw[i]
+                f = expw_neg[i]
+                inner += v * (e - f)
+                abs_inner += a * (e + f)
+            xj = x[j]
+            g = inner / z + curvature[j] * (xj - center[j])
+            lj = coeff * cm * abs_inner / z + static_l[j]
+            target = xj - g / lj
+            if target > 1.0:
+                target = 1.0
+            elif target < -1.0:
+                target = -1.0
+            delta = target - xj
+            if delta == 0.0:
+                continue
+
+            # the weight-pair update of the column's rows (apply_coord_update)
+            if not isfinite(delta):
+                raise InputError("coordinate update must be finite")
+            moving += 1
+            x[j] = xj + delta
+            version += 1
+            if not rows:
+                continue
+            scale = delta / alpha
+            drift = False
+            for i, v in zip(rows, vals):
+                step = v * scale
+                wn = w[i] + step
+                wm = w_neg[i] - step
+                w[i] = wn
+                w_neg[i] = wm
+                dn = wn - wref
+                dm = wm - wref
+                if dn > drift_limit or dm > drift_limit:
+                    drift = True
+                else:
+                    e = exp(dn)
+                    f = exp(dm)
+                    z += (e - expw[i]) + (f - expw_neg[i])
+                    expw[i] = e
+                    expw_neg[i] = f
+            if drift:
+                state.x[:] = x
+                state.version = version
+                state._rebuild()
+                sampler.resync()
+                w, w_neg, expw, expw_neg = (state.w, state.w_neg, state.expw,
+                                            state.expw_neg)
+                wref, z, nodes = state.wref, state.z, tree.nodes
+                continue
+
+            # the leaf-path refresh of the same rows (DynamicTree.update)
+            for i in rows:
+                leaf = (expw[i] + expw_neg[i]) * row_mass[i]
+                k = size + i
+                nodes[k] = leaf
+                while k > 1:
+                    leaf += nodes[k ^ 1]
+                    k >>= 1
+                    nodes[k] = leaf
+            updates += len(rows)
+    finally:
+        state.x[:] = x
+        state.z = z
+        state.version = sampler._synced_version = version
+        uniforms._buf, uniforms._pos = buf, pos
+        tree.update_count += updates
+        tree.touched_nodes += updates * tree.levels
+    return moving, j, delta
+
+
+def lcd_step(state, sampler, center, uniforms):
+    """One coordinate step (``lcd_steps`` with count 1); returns ``(j, delta)``."""
+    _, j, delta = lcd_steps(state, sampler, center, uniforms, 1)
     return j, delta
 
 
@@ -99,6 +230,7 @@ class SubproblemSolver:
         self.s_bound = sum_smoothness_bound(matrix, alpha, params)
         self._sampler = None
         self.total_steps = 0
+        self.moving_steps = 0
 
     def range_bound(self):
         n, m = self.params.rows, self.matrix.n_cols
@@ -153,17 +285,18 @@ class SubproblemSolver:
         budget = budget_override if budget_override is not None else self.budget(
             delta_x, fail_prob)
         check_every = min(512, max(16, self.matrix.n_cols))
-        done = 0
+        center_list = np.asarray(center, dtype=np.float64).tolist()
+        done = moving = 0
         certified = self._certificate(state, center) <= gap_target
         while not certified and done < budget:
             if stop_check is not None and stop_check(state.x):
                 break
             chunk = min(check_every, budget - done)
-            for _ in range(chunk):
-                lcd_step(state, sampler, center, uniforms)
+            moving += lcd_steps(state, sampler, center_list, uniforms, chunk)[0]
             done += chunk
             certified = self._certificate(state, center) <= gap_target
         self.total_steps += done
+        self.moving_steps += moving
         return SubproblemResult(
             x=state.x.copy(),
             certified=certified,
@@ -251,6 +384,7 @@ class RegressionResult:
     sampled_coordinates: int
     transcript: list
     seed: int
+    moving_steps: int = 0  # sampled steps that moved x
 
     def transcript_csv(self):
         lines = ["outer_iter,inner_iters,objective,elapsed_ns,seed"]
@@ -331,7 +465,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     for t in range(t_planned):
         p = np.exp(outer.logp)
         q = p[:n] - p[n:]  # the doubled rows' dual, folded onto the rows of A
-        lb = -float(np.abs(matrix.t_dot(q)).sum()) - float(q @ b)
+        lb = weak_duality_bound(matrix, b, q)
         best_lb = max(best_lb, lb)
         if best_val - best_lb <= eps:
             certified = True
@@ -378,4 +512,5 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         sampled_coordinates=solver.total_steps,
         transcript=transcript,
         seed=seed,
+        moving_steps=solver.moving_steps,
     )

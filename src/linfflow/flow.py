@@ -200,10 +200,14 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     """Route d to composite factor (1 + eps): certificate-driven radius search.
 
     Solves the box-constrained regression against the approximator rows at a
-    bisected congestion radius; a probe is accepted when the solver exhibits a
-    point of value at most eps*r/2 and rejected when the weak-duality bound
-    certifies the value stays above it.  Raises InfeasibleError when no radius
-    up to the approximator quality bound is routable.
+    bisected congestion radius.  A probe ends in one of three states: accepted
+    when the solver exhibits a point of value at most eps*r/2, a certified
+    reject when the weak-duality bound (``value - gap``) stays above it, and
+    undecided when the solver's budget ran out first.  An undecided probe moves
+    the search like a reject but certifies nothing: only certified rejects
+    raise ``meta["opt_lower"]``, ``meta["undecided_probes"]`` counts the rest,
+    and ``certified`` is False when there were any.  Raises InfeasibleError
+    when no radius up to the approximator quality bound is routable.
     """
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
@@ -212,25 +216,29 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     rd_norm = float(np.abs(rd).max()) if len(rd) else 0.0
     if rd_norm == 0.0:
         return RouteResult(flow=np.zeros(net.m), x=np.zeros(net.m), radius=0.0,
-                           certified=True, probes=0)
+                           certified=True, probes=0,
+                           meta={"undecided_probes": 0})
     d_scaled = d / rd_norm
     iterations = 0
+    undecided = 0
 
     def probe(r, stream, warm=None):
-        nonlocal iterations
+        """Returns ``(accepted, certified_reject, x)`` and counts undecided probes."""
+        nonlocal iterations, undecided
         m_r = matrix.scaled(r)
         thresh = eps * r / 2.0
         inst = RegressionInstance(matrix=m_r, b=rhs, epsilon=max(thresh / 2.0, 1e-12))
         if solver == "mirror-prox":
             res = solve_flow_regress(inst, seed=seed, value_target=thresh)
-            val = res.value
         else:
             mode = "diag" if solver == "cd-diag" else "l2"
             res = solve_box_linf(inst, mode=mode, seed=seed, stream=stream,
                                  value_target=thresh, x0=warm, lb_target=thresh)
-            val = res.value
         iterations += res.sampled_coordinates
-        return val <= thresh + 1e-12, res.x, val
+        accepted = res.value <= thresh + 1e-12
+        rejected = not accepted and res.value - res.gap > thresh
+        undecided += not (accepted or rejected)
+        return accepted, rejected, res.x
 
     # the spanning tree routes the demands exactly, so its congestion is a
     # certified acceptable radius with a zero-residual point: the search only
@@ -246,29 +254,32 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
         # built only here: when the tree already routes at congestion 1, no
         # probe runs and the regression rows would go unused
         matrix, rhs = approx.regression_parts(d_scaled)
-        ok_lo, x_lo, _ = probe(lo, 1, warm=best_x * (best_r / lo))
+        ok_lo, rejected, x_lo = probe(lo, 1, warm=best_x * (best_r / lo))
         probes += 1
         if ok_lo:
             best_r, best_x = lo, x_lo
         else:
-            largest_reject = lo
+            if rejected:
+                largest_reject = lo
             while hi / lo > 1.0 + eps / 4.0 and probes < 60:
                 mid = math.sqrt(lo * hi)
-                ok, x_mid, _ = probe(mid, probes, warm=best_x * (best_r / mid))
+                ok, rejected, x_mid = probe(mid, probes, warm=best_x * (best_r / mid))
                 probes += 1
                 if ok:
                     hi, best_r, best_x = mid, mid, x_mid
                 else:
                     lo = mid
-                    largest_reject = mid
+                    if rejected:
+                        largest_reject = mid
     x = best_x * best_r * rd_norm
     flow = x * net.caps
-    # opt_lower: rejected radii certify OPT above them; the approximator row
-    # bound certifies OPT >= |R d| always
+    # opt_lower: certified rejected radii bound OPT from below; the approximator
+    # row bound certifies OPT >= |R d| always
     opt_lower = rd_norm if largest_reject is None else largest_reject * rd_norm
     return RouteResult(flow=flow, x=x, radius=best_r * rd_norm,
-                       certified=True, probes=probes,
-                       meta={"opt_lower": opt_lower, "iterations": iterations})
+                       certified=undecided == 0, probes=probes,
+                       meta={"opt_lower": opt_lower, "iterations": iterations,
+                             "undecided_probes": undecided})
 
 
 def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):

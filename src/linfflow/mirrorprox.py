@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import sign_double
+from .core import sign_double, weak_duality_bound
 from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, StaticAlias, make_rng
 from .simplexmaint import ReferenceSimplex
@@ -360,7 +360,7 @@ def _solve_flow_regress_once(inst, seed, run_index, s, value_target,
         if val < best_val:
             best_val = val
             best_x = x_out.copy()
-        lb = -float(np.abs(matrix2.t_dot(y_out)).sum()) - float(y_out @ b2)
+        lb = weak_duality_bound(matrix2, b2, y_out)
         best_lb = max(best_lb, lb)
         if collect_transcript:
             transcript.append((k, t_star - 1, -1, "", repr(val), ""))

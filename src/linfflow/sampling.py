@@ -8,6 +8,12 @@ summand is sampled by descending a sum tree over rows (leaf weight
 and then drawing from a per-row alias table over the ``w_ij``.  All
 randomness flows through counter-based Philox generators keyed by
 (seed, stream), so every run is replayable.
+
+``CoordSampler.sample`` and ``CoordSampler.step`` are the reference
+primitives, and the baselines and the law tests call them.  The prox-CD hot
+loop (``cdsolver.lcd_steps``) inlines both over the same tables, with the same
+draws in the same order; for it the sampler keeps Python-list copies of the
+row masses and the curvature parameters.
 """
 
 from __future__ import annotations
@@ -26,19 +32,23 @@ def make_rng(seed, stream=0):
 
 
 class BufferedUniforms:
-    """Block-buffered uniform draws; same stream order as raw generator calls."""
+    """Block-buffered uniform draws; same stream order as raw generator calls.
+
+    The block is kept as a Python list: a draw is then a list index, and the
+    values the hot loops multiply are Python floats.
+    """
 
     __slots__ = ("rng", "block", "_buf", "_pos")
 
     def __init__(self, rng, block=4096):
         self.rng = rng
         self.block = block
-        self._buf = rng.random(block)
+        self._buf = rng.random(block).tolist()
         self._pos = 0
 
     def next(self):
         if self._pos == self.block:
-            self._buf = self.rng.random(self.block)
+            self._buf = self.rng.random(self.block).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
@@ -183,7 +193,7 @@ class CoordSampler:
         self.static_alias = StaticAlias(params.sample_static)
         self.static_mass = float(params.sample_static.sum())
         self.dyn_coeff = 8.0 / state.alpha
-        self.row_alias = []
+        self.row_alias = []  # per row: (column ids as a list, alias over them)
         self.row_mass = np.zeros(n)
         for i in range(n):
             cols, vals = matrix.row(i)
@@ -200,9 +210,12 @@ class CoordSampler:
                     w[k] = abs(v) * cm / dj if dj > 0 else 0.0
             self.row_mass[i] = w.sum()
             self.row_alias.append(
-                (cols, StaticAlias(w)) if self.row_mass[i] > 0 else None
+                (cols.tolist(), StaticAlias(w)) if self.row_mass[i] > 0 else None
             )
-        self._row_mass = self.row_mass.tolist()  # for the per-step leaf refresh
+        # Python-list copies for the fused step loop (cdsolver.lcd_steps)
+        self._row_mass = self.row_mass.tolist()
+        self._curvature = params.curvature.tolist()
+        self._static_l = params.static_l.tolist()
         self.tree = DynamicTree(self._leaves())
         self._synced_version = state.version
         self._synced_rebuilds = state.rebuild_count
@@ -254,7 +267,7 @@ class CoordSampler:
             return self.static_alias.sample(uniforms)
         i = self.tree.sample(uniforms)
         cols, alias = self.row_alias[i]
-        return int(cols[alias.sample(uniforms)])
+        return cols[alias.sample(uniforms)]
 
     def weight(self, j):
         """Current sampling weight of column j (matches the drawn law exactly)."""

@@ -56,14 +56,7 @@ class SoftmaxState:
         self.x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.version = 0
         self.rebuild_count = 0
-        self._cols = getattr(matrix, "_py_cols", None)
-        if self._cols is None:
-            self._cols = [
-                (tuple(int(i) for i in matrix.col(j)[0]),
-                 tuple(float(v) for v in matrix.col(j)[1]))
-                for j in range(m)
-            ]
-            matrix._py_cols = self._cols
+        self._cols = matrix.py_columns()[0]
         self._rebuild()
 
     def _rebuild(self):

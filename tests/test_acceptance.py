@@ -52,6 +52,7 @@ def report(number, name, elapsed, budget, ok=True):
     assert elapsed < budget, f"criterion {number} exceeded its runtime budget"
 
 
+@pytest.mark.slow
 def test_criterion_01_softmax_sandwich():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -67,6 +68,7 @@ def test_criterion_01_softmax_sandwich():
     report(1, "softmax sandwich", time.perf_counter() - start, 1.0)
 
 
+@pytest.mark.slow
 def test_criterion_02_local_smoothness_validity():
     start = time.perf_counter()
     rng = np.random.default_rng(102)
@@ -96,6 +98,7 @@ def test_criterion_02_local_smoothness_validity():
     report(2, "local smoothness validity", time.perf_counter() - start, 30.0)
 
 
+@pytest.mark.slow
 def test_criterion_03_trace_bound():
     start = time.perf_counter()
     rng = np.random.default_rng(103)
@@ -131,6 +134,7 @@ def _subproblem_opt(matrix2, b2, alpha, params, center, iters=40_000):
     return objective_value(st, center, params)
 
 
+@pytest.mark.slow
 def test_criterion_04_cd_expected_progress():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
@@ -176,6 +180,7 @@ def test_criterion_04_cd_expected_progress():
     report(4, "cd expected progress", time.perf_counter() - start, 120.0)
 
 
+@pytest.mark.slow
 def test_criterion_05_end_to_end_regression():
     start = time.perf_counter()
     rng = np.random.default_rng(105)
@@ -231,6 +236,7 @@ def _mirror_prox_count(matrix2, b2, m_cols, opt, eps, seed, check=25):
     return total
 
 
+@pytest.mark.slow
 def test_criterion_06_iteration_scaling():
     start = time.perf_counter()
     matrix, b = _fixed_scaling_instance()
@@ -264,6 +270,7 @@ def test_criterion_06_iteration_scaling():
     report(6, "O(1/eps) iteration scaling", time.perf_counter() - start, 300.0)
 
 
+@pytest.mark.slow
 def test_criterion_07_simplex_maintainer_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(107)
@@ -327,6 +334,7 @@ def _phase_halving_instance(seed, n_rows, m_cols):
     return matrix, b
 
 
+@pytest.mark.slow
 def test_criterion_08_phase_halving():
     start = time.perf_counter()
     cases = [
@@ -374,6 +382,7 @@ def _criterion9_graphs():
     return graphs
 
 
+@pytest.mark.slow
 def test_criterion_09_and_11_approximate_maxflow_and_contraction():
     start = time.perf_counter()
     eps = 0.05
@@ -393,6 +402,7 @@ def test_criterion_09_and_11_approximate_maxflow_and_contraction():
     report(11, "residual contraction", elapsed, 120.0)
 
 
+@pytest.mark.slow
 def test_criterion_10_exact_pipelines():
     start = time.perf_counter()
     rng = np.random.default_rng(110)
@@ -432,6 +442,7 @@ def test_criterion_10_directed_reduction_identity():
         assert dist == pytest.approx(f_value, abs=1e-6), (dist, f_value)
 
 
+@pytest.mark.slow
 def test_criterion_12_determinism():
     start = time.perf_counter()
     rng = np.random.default_rng(112)

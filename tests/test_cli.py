@@ -227,3 +227,13 @@ class TestVerify:
         assert code == 0
         assert "check dinic-vs-augmenting ok" in out
         assert "check approximator-sandwich ok" in out
+
+    def test_matrix_checks_stay_sparse(self, tmp_path, capsys):
+        # a dense n x m view of this matrix would take 80 GB
+        path = tmp_path / "wide.linf"
+        path.write_text("linf-matrix v1 100000 100000 3\n0 0 1.5\n"
+                        "99999 99999 -2.0\n5000 70000 0.25\nb 3 1.0\n")
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert "check column-max-cache ok" in out
+        assert "check row-l1-cache ok" in out

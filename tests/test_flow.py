@@ -1,6 +1,7 @@
 """Max-flow pipeline: approximator, routing recursion, rounding, exact flows."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from helpers import (
     random_connected_graph,
     random_unit_digraph,
 )
+from linfflow import flow as flow_module
 from linfflow.errors import InputError
 from linfflow.flow import (
+    almost_route,
     augment_to_max,
     build_tree_approximator,
     dinic_oracle,
@@ -84,6 +87,46 @@ class TestTreeApproximator:
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
             FlowNetwork(4, [(0, 1, 1.0), (2, 3, 1.0)])
+
+
+class TestAlmostRoute:
+    """Probe verdicts stubbed in by radius: accept at r >= 1.6, a reject below
+    1.3, and between them either a certified reject or an undecided probe."""
+
+    def route(self, monkeypatch, middle):
+        eps = 0.1
+
+        def probe(inst, value_target, **_):
+            r = 2.0 * value_target / eps  # the probe's threshold is eps * r / 2
+            verdict = "accept" if r >= 1.6 else "reject" if r < 1.3 else middle
+            value, gap = {"accept": (0.0, 0.0), "reject": (2 * value_target, 0.0),
+                          "undecided": (2 * value_target, 2 * value_target)}[verdict]
+            return SimpleNamespace(value=value, gap=gap, sampled_coordinates=1,
+                                   x=np.zeros(inst.matrix.n_cols))
+
+        monkeypatch.setattr(flow_module, "solve_box_linf", probe)
+        # two disjoint s-t paths: the tree routes 2 units at congestion 2
+        net = FlowNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)],
+                          source=0, sink=3)
+        approx = build_tree_approximator(net)
+        d = net.st_demand(2.0)
+        rd_norm = float(np.abs(approx.apply(d)).max())
+        return almost_route(net, d, approx, eps), rd_norm
+
+    def test_undecided_probes_do_not_certify(self, monkeypatch):
+        certified, rd_norm = self.route(monkeypatch, "reject")
+        undecided, _ = self.route(monkeypatch, "undecided")
+        # an undecided probe moves the search exactly as a reject does
+        assert undecided.probes == certified.probes >= 4
+        assert undecided.radius == certified.radius
+        assert certified.certified and certified.meta["undecided_probes"] == 0
+        assert not undecided.certified
+        assert undecided.meta["undecided_probes"] >= 1
+        # but only certified rejects raise the lower bound
+        lb_certified = certified.meta["opt_lower"] / rd_norm
+        lb_undecided = undecided.meta["opt_lower"] / rd_norm
+        assert 1.3 <= lb_certified < 1.6
+        assert 1.0 <= lb_undecided < 1.3 and lb_undecided < lb_certified
 
 
 class TestFlowToRegress:
