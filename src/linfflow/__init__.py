@@ -57,8 +57,10 @@ from .graphs import (
 from .mirrorprox import (
     MirrorProxConfig,
     PhaseState,
+    PhaseTables,
     lj_tilde,
     phase_iterate,
+    phase_iterates,
     run_phase,
     sample_pj,
     solve_flow_regress,

@@ -376,6 +376,11 @@ def prox_outer_iterate(outer, uniforms, stop_check=None):
 
 @dataclass
 class RegressionResult:
+    """A prox-CD solve.  ``stop_reason`` is ``certified`` (weak-duality gap at
+    most eps), ``value_target`` or ``lb_target`` (the caller's stop condition
+    met) or ``outer_budget`` (every planned outer iteration ran).  Transcript
+    rows carry ``elapsed_ns`` only when the solve was timed."""
+
     x: np.ndarray
     value: float
     certified: bool
@@ -384,10 +389,15 @@ class RegressionResult:
     sampled_coordinates: int
     transcript: list
     seed: int
+    stop_reason: str
     moving_steps: int = 0  # sampled steps that moved x
+    timed: bool = False
 
     def transcript_csv(self):
-        lines = ["outer_iter,inner_iters,objective,elapsed_ns,seed"]
+        if self.timed:
+            lines = ["outer_iter,inner_iters,objective,elapsed_ns,seed"]
+        else:
+            lines = ["outer_iter,inner_iters,objective,seed"]
         for row in self.transcript:
             lines.append(",".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
@@ -426,7 +436,8 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         x = np.zeros(m)
         return RegressionResult(x=x, value=inst.value_at(x), certified=True, gap=0.0,
                                 outer_iterations=0, sampled_coordinates=0,
-                                transcript=transcript, seed=seed)
+                                transcript=transcript, seed=seed,
+                                stop_reason="certified", timed=timing)
 
     if inst.alpha_override is not None:
         alpha = inst.alpha_override
@@ -458,10 +469,12 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     best_lb = -math.inf
     x_sum = np.zeros(m)
     certified = best_val - best_lb <= eps
+    stop_reason = "outer_budget"
     t_done = 0
     start = _time.perf_counter_ns()
     if value_target is not None and best_val <= value_target:
         t_planned = 0  # warm start already meets the caller's target
+        stop_reason = "value_target"
     for t in range(t_planned):
         p = np.exp(outer.logp)
         q = p[:n] - p[n:]  # the doubled rows' dual, folded onto the rows of A
@@ -469,8 +482,10 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         best_lb = max(best_lb, lb)
         if best_val - best_lb <= eps:
             certified = True
+            stop_reason = "certified"
             break
         if lb_target is not None and best_lb > lb_target:
+            stop_reason = "lb_target"
             break
         # adaptive slack: while the certified gap is far above eps, the
         # per-iteration subproblem accuracy tracks the gap instead of the
@@ -489,12 +504,16 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         if val < best_val:
             best_val = val
             best_x = outer.x.copy()
-        elapsed = _time.perf_counter_ns() - start if timing else 0
-        transcript.append((t_done, res.iterations, repr(val), elapsed, seed))
+        row = (t_done, res.iterations, repr(val))
+        if timing:
+            row += (_time.perf_counter_ns() - start,)
+        transcript.append(row + (seed,))
         if best_val - best_lb <= eps:
             certified = True
+            stop_reason = "certified"
             break
         if value_target is not None and best_val <= value_target:
+            stop_reason = "value_target"
             break
 
     if t_done > 0:
@@ -512,5 +531,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         sampled_coordinates=solver.total_steps,
         transcript=transcript,
         seed=seed,
+        stop_reason=stop_reason,
         moving_steps=solver.moving_steps,
+        timed=timing,
     )

@@ -2,8 +2,8 @@
 
 Exit statuses are fixed for CI scripting: 0 success, 2 parse or input error,
 3 solver fault, 4 infeasible demands.  All commands are deterministic given
-(arguments, seed); wall-clock columns are written as zero unless --timing is
-passed so repeated runs are byte identical.
+(arguments, seed); wall-clock columns appear in traces and in the bench table
+only under --timing, so repeated runs without it are byte identical.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _run_bench(args):
     for eps in grid:
         _check_eps(eps)
     fmt = _sniff_format(args.input, args.format)
-    rows = ["eps,iterations,elapsed_ns,value"]
+    rows = ["eps,iterations,elapsed_ns,value" if args.timing else "eps,iterations,value"]
     import time as _time
 
     for eps in grid:
@@ -184,8 +184,8 @@ def _run_bench(args):
                     inst, mode="diag" if args.solver == "cd-diag" else "l2",
                     seed=args.seed)
                 value, iters = res.value, res.sampled_coordinates
-        elapsed = _time.perf_counter_ns() - start if args.timing else 0
-        rows.append(f"{eps},{iters},{elapsed},{float(value)!r}")
+        elapsed = f"{_time.perf_counter_ns() - start}," if args.timing else ""
+        rows.append(f"{eps},{iters},{elapsed}{float(value)!r}")
     table = "\n".join(rows) + "\n"
     if args.trace:
         with open(args.trace, "w") as fh:

@@ -199,18 +199,20 @@ class SparseMatrix:
         return h.hexdigest()[:16]
 
 
-def sign_double(matrix, b):
+def sign_double(matrix, b, scale=1.0):
     """Stack A on top of -A (and b on -b) so max-entry equals the max-abs residual.
 
     For every x the maximum entry of ``A' x - b'`` equals ``max_i |(A x - b)_i|``.
+    ``scale`` divides the entries and the rhs first, in the same single build.
     """
     rows, cols, vals = matrix.flat_entries()
+    vals = vals / scale
+    b = np.asarray(b, dtype=np.float64) / scale
     n = matrix.n_rows
     rows2 = np.concatenate([rows, rows + n])
     cols2 = np.concatenate([cols, cols])
     vals2 = np.concatenate([vals, -vals])
     doubled = SparseMatrix(2 * n, matrix.n_cols, rows2, cols2, vals2, _private=True)
-    b = np.asarray(b, dtype=np.float64)
     return doubled, np.concatenate([b, -b])
 
 
@@ -253,6 +255,12 @@ class RegressionInstance:
             raise InputError("box radius must be positive")
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
+        size = max(self.matrix.norm_inf, float(np.abs(b).max()) if len(b) else 0.0)
+        if self.epsilon <= size * np.finfo(np.float64).eps:
+            raise InputError(
+                f"epsilon {self.epsilon!r} is below the floating-point resolution "
+                f"of an instance whose row l1 norms or rhs reach {size:.3g}"
+            )
         s = self.s if self.s is not None else float(self.matrix.n_cols)
         if not 0 < s <= self.matrix.n_cols:
             raise InputError(f"s must lie in (0, m]; got {s}")
@@ -309,6 +317,12 @@ def reduce_to_unit_box(inst, x0=None):
 
 
 MATRIX_HEADER = "linf-matrix v1"
+# SparseMatrix builds Python-level caches per row and per column, so a header
+# declaring far more rows or columns than entries would stall the reader
+MAX_MATRIX_DIM = 1_000_000
+# the step-size constants square the row l1 norms; with entries within 1e140
+# and at most MAX_MATRIX_DIM of them per row, the squares stay finite
+MAX_MATRIX_MAGNITUDE = 1e140
 
 
 def write_matrix_file(path, matrix, b=None):
@@ -341,6 +355,14 @@ def read_matrix_file(path):
         n_rows, n_cols, nnz = int(head[2]), int(head[3]), int(head[4])
     except ValueError as exc:
         raise InputError(f"{path}:1: bad header counts: {exc}") from exc
+    if min(n_rows, n_cols, nnz) < 0 or n_rows == 0:
+        raise InputError(f"{path}:1: header needs at least one row and "
+                         "non-negative counts")
+    if max(n_rows, n_cols) > MAX_MATRIX_DIM:
+        raise InputError(
+            f"{path}:1: {n_rows}x{n_cols} exceeds the {MAX_MATRIX_DIM} rows or "
+            "columns a matrix file may declare"
+        )
     triplets = []
     b = np.zeros(n_rows)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -354,11 +376,18 @@ def read_matrix_file(path):
                 i, v = int(parts[1]), float(parts[2])
                 if not 0 <= i < n_rows:
                     raise ValueError(f"rhs index {i} out of range")
+                if not math.isfinite(v):
+                    raise ValueError(f"rhs entry {i} is not finite: {v!r}")
+                if abs(v) > MAX_MATRIX_MAGNITUDE:
+                    raise ValueError(f"rhs entry {i} exceeds {MAX_MATRIX_MAGNITUDE:g}")
                 b[i] = v
             else:
                 if len(parts) != 3:
                     raise ValueError("expected 'i j value'")
-                triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                v = float(parts[2])
+                if abs(v) > MAX_MATRIX_MAGNITUDE and math.isfinite(v):
+                    raise ValueError(f"entry {v!r} exceeds {MAX_MATRIX_MAGNITUDE:g}")
+                triplets.append((int(parts[0]), int(parts[1]), v))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
     if len(triplets) != nnz:

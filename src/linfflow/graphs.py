@@ -11,6 +11,9 @@ import numpy as np
 from .errors import InputError
 
 
+_MIN_CAP = float(np.finfo(np.float64).tiny)  # the smallest normal float
+
+
 class FlowNetwork:
     """Capacitated graph with a fixed edge orientation and a demand vector.
 
@@ -18,7 +21,8 @@ class FlowNetwork:
     instance hashing is deterministic.  Parallel edges are allowed; self loops
     are not.  Capacities must be positive and finite, a designated source or
     sink must be a vertex, the demand vector must sum to zero and the
-    underlying graph must be connected.
+    underlying graph must be connected.  A subnormal capacity is rejected:
+    congestions divide by it.
     """
 
     __slots__ = ("n", "tails", "heads", "caps", "directed", "demand", "source", "sink")
@@ -26,20 +30,24 @@ class FlowNetwork:
     def __init__(self, n, edges, directed=False, demand=None, source=None, sink=None):
         self.n = int(n)
         tails, heads, caps = [], [], []
+        min_cap = _MIN_CAP
         for k, (u, v, cap) in enumerate(edges):
             u, v, cap = int(u), int(v), float(cap)
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InputError(f"edge {k}: endpoint out of range")
             if u == v:
                 raise InputError(f"edge {k}: self loop at {u}")
-            if not 0.0 < cap < math.inf:  # also false for nan
+            if not min_cap <= cap < math.inf:  # also false for nan
                 raise InputError(
-                    f"edge {k}: capacity {cap!r} must be positive and finite")
+                    f"edge {k}: capacity {cap!r} must be finite and at least "
+                    f"{_MIN_CAP!r}, so that its reciprocal is finite")
             if not directed and u > v:
                 u, v = v, u
             tails.append(u)
             heads.append(v)
             caps.append(cap)
+        if len(caps) < self.n - 1:  # before any O(n) allocation
+            raise InputError("underlying graph must be connected")
         self.tails = np.array(tails, dtype=np.int64)
         self.heads = np.array(heads, dtype=np.int64)
         self.caps = np.array(caps, dtype=np.float64)

@@ -8,20 +8,33 @@ approximating the saddle point of the entropy-regularized bilinear objective
 Each phase runs a random number of half-step/full-step coordinate iterations,
 then materializes the "aggregate point" (all-coordinate half step) at the
 stopping iteration; the expected Bregman divergence to the regularized saddle
-point halves per phase.  The dual simplex point lives in a dense
-ReferenceSimplex, queried only through coord, coord_half, update_half, update,
-sample, prob and values; SimplexMaintainer answers the same queries with the
-paper's implicit structure, but it was measured slower at every size tried
+point halves per phase.  Primal coordinates are sampled from a two-branch
+mixture built on sqrt-scale smoothness surrogates and floored by uniform
+mixing, with the exact realized probability returned for debiasing.
+
+The sampling tables depend only on (matrix, s, eps), so ``PhaseTables`` is
+built once per solve and shared by every phase.  The iterations of a phase
+run in one call of the fused kernel ``phase_iterates``, which inlines the
+draw, the exact p_j, both coordinate reads and clamps, and the dense dual
+recursion over Python lists.  On the small instances a phase can finish
+(its length grows with n), numpy's per-call overhead on 4- to 16-entry
+vectors cost more than the O(n + c) arithmetic of an iteration.  Somewhere
+between 64 and 256 sign-doubled rows the interpreted O(n) passes start to
+cost more than numpy's would (CHANGES.md).  ``phase_iterate`` is its one-step case.
+The dual point is carried as the log-weights of a ``ReferenceSimplex``, whose
+``sample``, ``prob``, ``update_half`` and ``update`` are the step-by-step
+reference the kernel is tested against (with ``sample_pj``, the reference
+draw); ``SimplexMaintainer`` answers the same queries with the paper's
+implicit structure, but it was measured slower at every size tried
 (CHANGES.md), so the iteration does not use it.
-Primal coordinates are sampled from a two-branch mixture built on sqrt-scale
-smoothness surrogates and floored by uniform mixing, with the exact realized
-probability returned for debiasing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,30 +95,25 @@ class MirrorProxConfig:
                    phases=phases, c_sqrt=c_sqrt, seed=seed, fail_prob=fail_prob)
 
 
-class PhaseState:
-    """Primal iterate, the dual simplex point, and the precomputed sampling tables."""
+class PhaseTables:
+    """The sampling tables of one (sign-doubled matrix, s, eps), in list form.
 
-    def __init__(self, matrix2, b2, config, x0=None, y0=None):
-        self.matrix = matrix2
-        self.b = b2
-        self.config = config
+    ``cols[j]`` is column j as ``(rows, vals)`` tuples.  The dynamic branch
+    draws a row i by sqrt(y_i), then j from ``row_alias[i] = (cols, alias)``,
+    a Walker table over sqrt(s cm_j |A_ij|); ``qij[j] = (rows, q)`` holds the
+    conditional law q_ij of j given each row of column j, normalized per row.
+    The static branch draws j from ``static_alias`` with law ``p_static``
+    proportional to sqrt(eps cm_j).  ``w_dyn`` / ``w_static`` weigh the two
+    branches.  ``q_rows``, ``q_cols`` and ``q`` are the q_ij as flat arrays,
+    for the aggregate step's dense p_j.
+    """
+
+    def __init__(self, matrix2, config):
         n2, m = matrix2.n_rows, matrix2.n_cols
-        self.n2, self.m = n2, m
-        self.log_n = max(math.log(n2), 1.0)
-        self.x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float).copy()
-        y0 = np.full(n2, 1.0 / n2) if y0 is None else np.asarray(y0, dtype=float)
-        if (y0 <= 0).any():
-            raise InputError("initial dual point must be strictly positive")
-        eps, s = config.eps, config.s
+        s, eps = config.s, config.eps
         cm = matrix2.col_maxabs
-        # static branch: j ~ sqrt(eps * cm_j)
-        self.static_w = np.sqrt(eps * cm)
-        self.static_sum = float(self.static_w.sum())
-        self.static_alias = StaticAlias(self.static_w) if self.static_sum > 0 else None
-        # dynamic branch: i ~ sqrt(y_i) then j ~ sqrt(s cm_j |A_ij|); w_i are the
-        # per-row normalizers of the q_ij conditional table
+        row_w = np.zeros(n2)
         self.row_alias = []
-        self.row_w = np.zeros(n2)
         for i in range(n2):
             cols, vals = matrix2.row(i)
             if len(cols) == 0:
@@ -114,24 +122,53 @@ class PhaseState:
                     "rows before solving"
                 )
             wij = np.sqrt(s * cm[cols] * np.abs(vals))
-            self.row_w[i] = wij.sum()
-            self.row_alias.append((cols, StaticAlias(wij), wij)
-                                  if self.row_w[i] > 0 else None)
-        self.mass_dyn = config.c_sqrt * math.sqrt(n2 * s)
-        self.mass_static = math.sqrt(m * n2 * eps)
-        # per-column q_ij tables for the exact probability of a sampled j
-        self.qij = []
-        for j in range(m):
-            rows, vals = matrix2.col(j)
-            q = np.sqrt(s * cm[j] * np.abs(vals))
-            denom = self.row_w[rows]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                q = np.where(denom > 0, q / np.where(denom > 0, denom, 1.0), 0.0)
-            self.qij.append((rows, q))
-        self.y = ReferenceSimplex(np.log(y0), eps, config.kappa)
+            row_w[i] = wij.sum()
+            if not row_w[i] > 0:
+                raise InputError(
+                    f"row {i % (n2 // 2)} of the instance is too small to sample: "
+                    "its weights sqrt(s * colmax_j * |A_ij|) underflow to 0"
+                )
+            self.row_alias.append((cols.tolist(), StaticAlias(wij)))
+        # every row has a column whose weight did not underflow, so neither
+        # does the static total
+        static_w = np.sqrt(eps * cm)
+        self.static_alias = StaticAlias(static_w)
+        self.p_static = (static_w / float(static_w.sum())).tolist()
+        rows, cols, vals = matrix2.flat_entries()  # column-major, rows ascending
+        q = np.sqrt(s * cm[cols] * np.abs(vals)) / row_w[rows]
+        self.q_rows, self.q_cols, self.q = rows, cols, q
+        bounds = np.concatenate([[0], np.cumsum(matrix2.col_nnz)]).tolist()
+        rows_l, q_l = rows.tolist(), q.tolist()
+        self.qij = [(rows_l[a:b], q_l[a:b]) for a, b in zip(bounds, bounds[1:])]
+        self.cols = matrix2.py_columns()[0]
+        mass_dyn = config.c_sqrt * math.sqrt(n2 * s)
+        mass_static = math.sqrt(m * n2 * eps)
+        self.mass_dyn, self.mass_static = mass_dyn, mass_static
+        self.w_dyn = mass_dyn / (mass_dyn + mass_static)
+        self.w_static = mass_static / (mass_dyn + mass_static)
+
+
+class PhaseState:
+    """Primal iterate, the dual simplex point and the dense residual shift delta.
+
+    ``tables`` are shared across the phases of a solve; they are built here
+    when not given.
+    """
+
+    def __init__(self, matrix2, b2, config, x0=None, y0=None, tables=None):
+        self.matrix = matrix2
+        self.b = b2
+        self.config = config
+        n2, m = matrix2.n_rows, matrix2.n_cols
+        self.n2, self.m = n2, m
+        self.x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float).copy()
+        y0 = np.full(n2, 1.0 / n2) if y0 is None else np.asarray(y0, dtype=float)
+        if (y0 <= 0).any():
+            raise InputError("initial dual point must be strictly positive")
+        self.tables = PhaseTables(matrix2, config) if tables is None else tables
+        self.y = ReferenceSimplex(np.log(y0), config.eps, config.kappa)
         self.delta = (b2 - matrix2.dot(self.x)) / config.kappa
         self.iteration = 0
-        self.update_norm_violations = 0
 
     def exact_y(self):
         v = self.y.values()
@@ -150,89 +187,188 @@ def sample_pj(phase, uniforms):
     coin picks the static branch (j ~ sqrt(eps cm_j)) or the dynamic branch
     (i ~ sqrt(y_i) through the dual, then j ~ q_ij).  The probability is
     assembled from the same quantities, with the sqrt(y) weights evaluated at
-    the dual's partition estimate.
+    the dual's partition estimate.  ``phase_iterates`` inlines this draw; this
+    function is the reference it is tested against.
     """
+    tables = phase.tables
     m = phase.m
-    total_mass = phase.mass_dyn + phase.mass_static
+    total_mass = tables.mass_dyn + tables.mass_static
     u = uniforms.next()
     if u < 0.5:
         j = int(uniforms.next() * m)
         if j == m:
             j -= 1
     else:
-        if uniforms.next() * total_mass < phase.mass_dyn:
+        if uniforms.next() * total_mass < tables.mass_dyn:
             i, _ = phase.y.sample(uniforms, power=0.5)
-            cols, alias, _ = phase.row_alias[i]
-            j = int(cols[alias.sample(uniforms)])
+            cols, alias = tables.row_alias[i]
+            j = cols[alias.sample(uniforms)]
         else:
-            j = phase.static_alias.sample(uniforms)
+            j = tables.static_alias.sample(uniforms)
     # exact probability of j under the mixture
-    rows, q = phase.qij[j]
+    rows, q = tables.qij[j]
     p_dyn = 0.0
-    for k in range(len(rows)):
-        if q[k] > 0.0:
-            p_dyn += phase.sqrt_y_prob(int(rows[k])) * q[k]
-    w1 = phase.mass_dyn / total_mass
-    w2 = phase.mass_static / total_mass
-    p_static = phase.static_w[j] / phase.static_sum if phase.static_sum > 0 else 0.0
-    pj = 0.5 * (w1 * p_dyn + w2 * p_static) + 0.5 / m
+    for r, qk in zip(rows, q):
+        if qk > 0.0:
+            p_dyn += phase.sqrt_y_prob(r) * qk
+    pj = 0.5 * (tables.w_dyn * p_dyn + tables.w_static * tables.p_static[j]) + 0.5 / m
     return j, pj
 
 
-def _clamp(v):
-    if v > 1.0:
-        return 1.0
-    if v < -1.0:
-        return -1.0
-    return v
+def phase_iterates(phase, uniforms, count):
+    """Run ``count`` half-step/full-step pairs; returns the last ``(j, p_j, delta_j)``.
+
+    Each pair draws a column j with its exact probability p_j (the law and
+    the uniforms of ``sample_pj``), takes the primal half step in x_j against
+    y, the dual half step ``vh = (1 - c) v - delta``, the primal full step
+    against the half-step dual, and the full dual step
+    ``v <- v - c vh - delta - zeta``, where the sparse correction zeta carries
+    the half step's move of x_j; then it refreshes delta on the rows of the
+    moved column.  Only x_j moves.
+
+    The body inlines ``sample_pj`` and ``ReferenceSimplex.update_half`` /
+    ``update`` over local lists and keeps their checks: a delta above the
+    1/(8n) stability bound raises ``InputError``, and a dual correction above
+    1/4 in sup norm (an undersized kappa or a probability-floor breach) raises
+    ``SolverFault``.  Both update steps read the one delta, so they cannot
+    disagree.  The state is written back when the call ends, also on a raise.
+    """
+    cfg = phase.config
+    kappa, s = cfg.kappa, cfg.s
+    reg = cfg.eps / (2.0 * s)
+    tables = phase.tables
+    cols, qij, row_alias, p_static = (tables.cols, tables.qij, tables.row_alias,
+                                      tables.p_static)
+    static_alias = tables.static_alias
+    mass_dyn, w_dyn, w_static = tables.mass_dyn, tables.w_dyn, tables.w_static
+    total_mass = mass_dyn + tables.mass_static
+    m, n = phase.m, phase.n2
+    floor = 0.5 / m
+    dual = phase.y
+    c = dual.c
+    keep = 1.0 - c
+    bound = 1.0 / (8.0 * n) + 1e-12
+    x, v, delta = phase.x.tolist(), dual.v.tolist(), phase.delta.tolist()
+    over = any(abs(d) > bound for d in delta)
+    rng, block, buf, pos = uniforms.rng, uniforms.block, uniforms._buf, uniforms._pos
+    exp = math.exp
+    j, pj, delta_j = -1, 0.0, 0.0
+    done = 0
+    try:
+        for _ in range(count):
+            # draw j (sample_pj): uniform, or sqrt(y) row then row alias, or static
+            vmax = max(v)
+            e_half = [exp(0.5 * (vi - vmax)) for vi in v]
+            sum_half = sum(e_half)
+            if pos == block:
+                buf, pos = rng.random(block).tolist(), 0
+            u = buf[pos]
+            pos += 1
+            if pos == block:
+                buf, pos = rng.random(block).tolist(), 0
+            u2 = buf[pos]
+            pos += 1
+            if u < 0.5:
+                j = int(u2 * m)
+                if j == m:
+                    j -= 1
+            else:
+                if u2 * total_mass < mass_dyn:
+                    cdf = list(accumulate([e / sum_half for e in e_half]))
+                    if pos == block:
+                        buf, pos = rng.random(block).tolist(), 0
+                    i = bisect_right(cdf, buf[pos] * cdf[-1])
+                    pos += 1
+                    if i >= n:
+                        i = n - 1
+                    row_cols, alias = row_alias[i]
+                else:
+                    row_cols, alias = None, static_alias
+                if pos == block:
+                    buf, pos = rng.random(block).tolist(), 0
+                r = buf[pos] * alias.n
+                pos += 1
+                k = int(r)
+                if k == alias.n:
+                    k -= 1
+                k = k if (r - k) < alias.prob[k] else alias.alias[k]
+                j = k if row_cols is None else row_cols[k]
+            q_rows, q = qij[j]
+            p_dyn = 0.0
+            for r, qk in zip(q_rows, q):
+                if qk > 0.0:
+                    p_dyn += e_half[r] / sum_half * qk
+            pj = 0.5 * (w_dyn * p_dyn + w_static * p_static[j]) + floor
+
+            # primal half step against y
+            rows, vals = cols[j]
+            e_one = [exp(vi - vmax) for vi in v]
+            sum_one = sum(e_one)
+            ay = 0.0
+            for r, a in zip(rows, vals):
+                ay += a * (e_one[r] / sum_one)
+            xj = x[j]
+            kp = kappa * pj
+            x_half = xj - s * ((ay + reg * xj) / kp)
+            if x_half > 1.0:
+                x_half = 1.0
+            elif x_half < -1.0:
+                x_half = -1.0
+            delta_j = x_half - xj
+
+            # dual half step, then the primal full step against it
+            if over:
+                raise InputError("dense update exceeds the 1/(8n) stability bound")
+            vh = [keep * vi - di for vi, di in zip(v, delta)]
+            vh_max = max(vh)
+            e_h = [exp(t - vh_max) for t in vh]
+            sum_h = sum(e_h)
+            ay_half = 0.0
+            for r, a in zip(rows, vals):
+                ay_half += a * (e_h[r] / sum_h)
+            x_next = xj - s * ((ay_half + reg * x_half) / kp)
+            if x_next > 1.0:
+                x_next = 1.0
+            elif x_next < -1.0:
+                x_next = -1.0
+
+            # full dual step with the sparse correction of the half step's move
+            zeta = ()
+            if delta_j != 0.0 and rows:
+                scale = delta_j / kp
+                zeta = [-a * scale for a in vals]
+                zmax = max(map(abs, zeta))
+                if zmax > 0.25 + 1e-12:
+                    raise SolverFault(
+                        f"iteration {phase.iteration + done}: dual correction "
+                        f"{zmax:.3f} exceeds 1/4 (kappa={kappa:.3g}, p_j={pj:.3g}, j={j})"
+                    )
+            v = [vi - c * hi - di for vi, hi, di in zip(v, vh, delta)]
+            for r, z in zip(rows, zeta):
+                v[r] -= z
+
+            # move x_j and refresh delta = (b - A x) / kappa on its rows
+            if x_next != xj:
+                x[j] = x_next
+                f = (x_next - xj) / kappa
+                for r, a in zip(rows, vals):
+                    d = delta[r] - a * f
+                    delta[r] = d
+                    if abs(d) > bound:
+                        over = True
+            done += 1
+    finally:
+        phase.x[:] = x
+        phase.delta[:] = delta
+        dual.assign(v)
+        phase.iteration += done
+        uniforms._buf, uniforms._pos = buf, pos
+    return j, pj, delta_j
 
 
 def phase_iterate(phase, uniforms):
-    """One half-step/full-step pair; the primal moves in one coordinate.
-
-    Update-size guards assert the sparse dual correction stays below 1/4 in
-    sup norm; a violation indicates an undersized kappa or a probability-floor
-    breach and is surfaced as a fault.
-    """
-    cfg = phase.config
-    matrix, kappa, s, eps = phase.matrix, cfg.kappa, cfg.s, cfg.eps
-    j, pj = sample_pj(phase, uniforms)
-    rows, vals = matrix.col(j)
-
-    ay = 0.0
-    for k in range(len(rows)):
-        ay += vals[k] * phase.y.coord(int(rows[k]))
-    xj = phase.x[j]
-    g_half = (ay + (eps / (2.0 * s)) * xj) / (kappa * pj)
-    x_half_j = _clamp(xj - s * g_half)
-    delta_j = x_half_j - xj
-
-    phase.y.update_half(phase.delta)
-
-    ay_half = 0.0
-    for k in range(len(rows)):
-        ay_half += vals[k] * phase.y.coord_half(int(rows[k]))
-    g_full = (ay_half + (eps / (2.0 * s)) * x_half_j) / (kappa * pj)
-    x_next_j = _clamp(xj - s * g_full)
-
-    zeta = []
-    if delta_j != 0.0 and len(rows):
-        scale = delta_j / (kappa * pj)
-        zvals = -vals * scale
-        if np.abs(zvals).max() > 0.25 + 1e-12:
-            raise SolverFault(
-                f"iteration {phase.iteration}: dual correction {np.abs(zvals).max():.3f}"
-                f" exceeds 1/4 (kappa={kappa:.3g}, p_j={pj:.3g}, j={j})"
-            )
-        zeta = list(zip((int(i) for i in rows), zvals.tolist()))
-    phase.y.update(phase.delta, zeta)
-
-    if x_next_j != xj:
-        phase.x[j] = x_next_j
-        move = x_next_j - xj
-        phase.delta[rows] -= vals * (move / kappa)
-    phase.iteration += 1
-    return j, pj, delta_j
+    """One half-step/full-step pair: ``phase_iterates`` with ``count=1``."""
+    return phase_iterates(phase, uniforms, 1)
 
 
 def run_phase(phase, t_star, uniforms):
@@ -241,32 +377,23 @@ def run_phase(phase, t_star, uniforms):
     Returns (x_out, y_out): the all-coordinate half step taken from the final
     iterate with a fresh exact dense pass over y, and the dense half-step dual.
     """
-    cfg = phase.config
-    for _ in range(t_star - 1):
-        phase_iterate(phase, uniforms)
+    phase_iterates(phase, uniforms, t_star - 1)
+    cfg, tables = phase.config, phase.tables
     matrix, kappa, s, eps = phase.matrix, cfg.kappa, cfg.s, cfg.eps
     y_exact = phase.exact_y()
     aty = matrix.t_dot(y_exact)
     grad = aty + (eps / (2.0 * s)) * phase.x
     # dense p_j of every column under the same mixture law
     sq = np.sqrt(y_exact)
-    sq_sum = sq.sum()
-    p_dyn = np.zeros(phase.m)
-    for j in range(phase.m):
-        rows, q = phase.qij[j]
-        if len(rows):
-            p_dyn[j] = float((sq[rows] / sq_sum) @ q)
-    total_mass = phase.mass_dyn + phase.mass_static
-    w1 = phase.mass_dyn / total_mass
-    w2 = phase.mass_static / total_mass
-    p_static = (phase.static_w / phase.static_sum if phase.static_sum > 0
-                else np.zeros(phase.m))
-    pj_all = 0.5 * (w1 * p_dyn + w2 * p_static) + 0.5 / phase.m
+    sq /= sq.sum()
+    p_dyn = np.bincount(tables.q_cols, weights=sq[tables.q_rows] * tables.q,
+                        minlength=phase.m)
+    pj_all = (0.5 * (tables.w_dyn * p_dyn + tables.w_static * np.array(tables.p_static))
+              + 0.5 / phase.m)
     x_out = np.clip(phase.x - s * grad / (kappa * pj_all), -1.0, 1.0)
     # dual aggregate: the dense half step from the final iterate
     v = phase.y.values()
-    c = eps / (4.0 * kappa * max(math.log(phase.n2), 1.0))
-    v_half = (1.0 - c) * v - (phase.b - matrix.dot(phase.x)) / kappa
+    v_half = (1.0 - phase.y.c) * v - (phase.b - matrix.dot(phase.x)) / kappa
     e = np.exp(v_half - v_half.max())
     y_out = e / e.sum()
     return x_out, y_out
@@ -274,6 +401,10 @@ def run_phase(phase, t_star, uniforms):
 
 @dataclass
 class FlowRegressResult:
+    """A mirror-prox solve; ``stop_reason`` is ``certified`` (weak-duality gap
+    at most eps), ``value_target`` (the caller's target met) or
+    ``phase_budget`` (every planned phase ran)."""
+
     x: np.ndarray
     value: float
     phases_run: int
@@ -282,10 +413,13 @@ class FlowRegressResult:
     certified: bool
     gap: float
     seed: int
+    stop_reason: str
     transcript: list = field(default_factory=list)
 
     def transcript_csv(self):
-        lines = ["phase,iter,sampled_j,p_j,objective_sample,divergence_estimate"]
+        """One row per phase: its iterations, the aggregate point's value and
+        the phase's weak-duality lower bound, in the instance's units."""
+        lines = ["phase,iterations,value,lower_bound"]
         for row in self.transcript:
             lines.append(",".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
@@ -299,37 +433,18 @@ def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5,
     sign-doubled, and solved by phases; requires the (rescaled) epsilon to
     exceed n^-3.  Independent runs (``ceil(log2(1/fail_prob))`` of them, on
     disjoint seed streams) are compared by direct evaluation and the best
-    returned.
+    returned.  The doubled matrix and the sampling tables are built once and
+    shared by every run and phase.
     """
-    runs = max(1, math.ceil(math.log2(1.0 / fail_prob)))
-    best = None
-    for r in range(runs):
-        res = _solve_flow_regress_once(inst, seed=seed, run_index=r, s=s,
-                                       value_target=value_target,
-                                       max_phases=max_phases,
-                                       collect_transcript=collect_transcript)
-        if best is None or res.value < best.value:
-            best = res
-        if value_target is not None and best.value <= value_target:
-            break
-    return best
-
-
-def _solve_flow_regress_once(inst, seed, run_index, s, value_target,
-                             max_phases, collect_transcript):
     matrix, b = inst.matrix, inst.b
     if abs(inst.radius - 1.0) > 1e-12:
         raise InputError("instance must be reduced to the unit box first")
     scale = max(matrix.norm_inf, float(np.abs(b).max()) if len(b) else 0.0, 1.0)
     eps_s = inst.epsilon / scale
-    matrix2, b2 = sign_double(matrix, b / scale if scale != 1.0 else b)
-    if scale != 1.0:
-        rows, cols, vals = matrix2.flat_entries()
-        from .core import SparseMatrix
-
-        matrix2 = SparseMatrix(matrix2.n_rows, matrix2.n_cols, rows, cols,
-                               vals / scale, _private=True)
+    matrix2, b2 = sign_double(matrix, b, scale=scale)
     n2 = matrix2.n_rows
+    if n2 == 0:
+        raise InputError("instance has no rows")
     if eps_s <= n2 ** -3.0:
         raise InputError(
             f"epsilon {inst.epsilon} below the n^-3 resolution of this method"
@@ -337,48 +452,68 @@ def _solve_flow_regress_once(inst, seed, run_index, s, value_target,
     s_val = float(s if s is not None else inst.s)
     cfg = MirrorProxConfig.for_instance(matrix2, eps_s, s_val, seed=seed)
     if max_phases is not None:
-        cfg = MirrorProxConfig(**{**cfg.__dict__, "phases": min(cfg.phases, max_phases)})
-    phase = PhaseState(matrix2, b2, cfg)
+        cfg = replace(cfg, phases=min(cfg.phases, max_phases))
+    tables = PhaseTables(matrix2, cfg)
+    runs = max(1, math.ceil(math.log2(1.0 / fail_prob)))
+    best = None
+    for r in range(runs):
+        res = _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed=seed,
+                                       run_index=r, value_target=value_target,
+                                       collect_transcript=collect_transcript)
+        if best is None or res.value < best.value:
+            best = res
+        if value_target is not None and best.value <= value_target:
+            break
+    if float(best.x @ best.x) > 2.0 * s_val:
+        import warnings
+
+        warnings.warn("returned point has squared l2 norm above 2s; the given "
+                      "sparsity estimate was too small", stacklevel=2)
+    return best
+
+
+def _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed, run_index,
+                             value_target, collect_transcript):
+    eps_s = cfg.eps
     transcript = []
 
     def evaluate(x):
         return float((matrix2.dot(x) - b2).max())
 
-    best_x = phase.x.copy()
+    best_x = np.zeros(matrix2.n_cols)
     best_val = evaluate(best_x)
     best_lb = -math.inf
     total_iter = 0
     certified = False
+    stop_reason = "phase_budget"
+    x_in = y_in = None
     k = 0
     for k in range(cfg.phases):
+        # each phase starts from the previous phase's aggregate point
+        phase = PhaseState(matrix2, b2, cfg, x0=x_in, y0=y_in, tables=tables)
         rng = make_rng(seed, stream=(run_index << 20) | k)
         uniforms = BufferedUniforms(rng)
         t_star = int(rng.integers(1, cfg.t_per_phase + 1))
-        x_out, y_out = run_phase(phase, t_star, uniforms)
+        x_in, y_in = run_phase(phase, t_star, uniforms)
         total_iter += t_star - 1
-        val = evaluate(x_out)
+        val = evaluate(x_in)
         if val < best_val:
             best_val = val
-            best_x = x_out.copy()
-        lb = weak_duality_bound(matrix2, b2, y_out)
+            best_x = x_in.copy()
+        lb = weak_duality_bound(matrix2, b2, y_in)
         best_lb = max(best_lb, lb)
         if collect_transcript:
-            transcript.append((k, t_star - 1, -1, "", repr(val), ""))
-        # next phase starts from the aggregate point
-        phase = PhaseState(matrix2, b2, cfg, x0=x_out, y0=y_out)
+            transcript.append((k, t_star - 1, repr(val * scale), repr(lb * scale)))
         if best_val - best_lb <= eps_s:
             certified = True
+            stop_reason = "certified"
             break
         if value_target is not None and best_val * scale <= value_target:
+            stop_reason = "value_target"
             break
-    if float(best_x @ best_x) > 2.0 * s_val:
-        import warnings
-
-        warnings.warn("returned point has squared l2 norm above 2s; the given "
-                      "sparsity estimate was too small", stacklevel=2)
     return FlowRegressResult(
         x=best_x, value=best_val * scale, phases_run=k + 1,
         iterations=total_iter, sampled_coordinates=total_iter,
         certified=certified, gap=(best_val - best_lb) * scale, seed=seed,
-        transcript=transcript,
+        stop_reason=stop_reason, transcript=transcript,
     )

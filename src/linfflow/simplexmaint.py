@@ -38,8 +38,9 @@ the amortized merge work.  The structure restarts itself from exact values
 when a bucket drifts too far, and at the first ``update_half`` after n
 iterations.
 
-``ReferenceSimplex`` is the dense twin: the tests' oracle, and the mirror-prox
-dual, since its O(n) work per iteration was measured cheaper at every size.
+``ReferenceSimplex`` is the dense twin: the tests' oracle, and the holder of
+the mirror-prox dual, since O(n) dense work per iteration was measured cheaper
+at every size; the mirror-prox kernel carries the same recursion over lists.
 """
 
 from __future__ import annotations
@@ -660,9 +661,11 @@ class SimplexMaintainer:
 class ReferenceSimplex:
     """Dense twin: the same recursion carried with explicit vectors.
 
-    It serves as the oracle the tests compare the maintainer against, and as
-    the mirror-prox dual.  Each query costs O(n); the normalised weights of
-    each power and of the half step are cached until the next update.
+    It serves as the oracle the tests compare the maintainer against, and
+    holds the mirror-prox dual, whose kernel checks its own recursion against
+    ``update_half`` / ``update``.  Each query costs O(n); the normalised
+    weights of each power and of the half step are cached until the next
+    update.
     """
 
     def __init__(self, v0, eps, kappa, delta0=None):
@@ -696,6 +699,19 @@ class ReferenceSimplex:
         for i, val in (zeta.items() if isinstance(zeta, dict) else zeta):
             zvec[int(i)] += float(val)
         self.v = self.v - self.c * self.vh - self._half_delta - zvec
+        self.vh = None
+        self._half_delta = None
+        self._yh = None
+        self._laws.clear()
+        self._cdfs.clear()
+
+    def assign(self, v):
+        """Overwrite the log-weights in place, as a full step would leave them.
+
+        The fused mirror-prox kernel carries the recursion itself and writes
+        its result back here; cached laws are dropped.
+        """
+        self.v[:] = v
         self.vh = None
         self._half_delta = None
         self._yh = None

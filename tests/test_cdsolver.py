@@ -12,6 +12,7 @@ from helpers import (
     golden_section,
     grid_search_min,
     random_instance,
+    random_sparse,
 )
 from linfflow.cdsolver import (
     ProxOuterState,
@@ -389,3 +390,39 @@ class TestRateProperties:
             alpha = max(inst.epsilon, math.sqrt(inst.s / 5) * d.norm_inf)
             cap = 2 * math.ceil(alpha * (1 + math.log(n2)) / inst.epsilon)
             assert res.outer_iterations <= cap
+
+
+class TestStopReason:
+    @pytest.fixture
+    def inst(self):
+        rng = np.random.default_rng(1)
+        matrix = random_sparse(rng, 6, 6, per_col=2)
+        return RegressionInstance(matrix=matrix, b=rng.normal(size=6), epsilon=0.1)
+
+    def test_certified(self, inst):
+        res = solve_box_linf(inst, seed=2)
+        assert res.certified and res.stop_reason == "certified"
+
+    def test_outer_budget(self, inst):
+        res = solve_box_linf(inst, seed=2, max_outer=1)
+        assert not res.certified and res.stop_reason == "outer_budget"
+        assert res.outer_iterations == 1
+
+    def test_lb_target(self, inst):
+        # the first bound, at the uniform dual, is 0 > -1
+        res = solve_box_linf(inst, seed=2, lb_target=-1.0)
+        assert res.stop_reason == "lb_target" and res.outer_iterations == 0
+
+    def test_value_target(self, inst):
+        start = inst.value_at(np.zeros(6))
+        warm = solve_box_linf(inst, seed=2, value_target=start)
+        assert warm.stop_reason == "value_target" and warm.outer_iterations == 0
+        best = solve_box_linf(inst, seed=2).value
+        res = solve_box_linf(inst, seed=2, value_target=(best + start) / 2)
+        assert res.stop_reason == "value_target" and res.outer_iterations > 0
+        assert res.value <= (best + start) / 2
+
+    def test_zero_matrix_is_certified(self):
+        matrix = SparseMatrix.from_triplets([], 2, 2)
+        res = solve_box_linf(RegressionInstance(matrix=matrix, b=np.ones(2)))
+        assert res.certified and res.stop_reason == "certified"

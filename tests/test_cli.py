@@ -92,6 +92,80 @@ class TestRegress:
         assert code == 2
         assert "rhs entry 0 is not finite" in err
 
+    def test_cd_trace_has_elapsed_only_under_timing(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "m.linf"
+        write_matrix_file(path, dense_to_sparse(rng.normal(size=(3, 3)) * 0.3),
+                          b=rng.normal(size=3))
+        traces = {}
+        for flag in ((), ("--timing",)):
+            trace = tmp_path / f"t{len(flag)}.csv"
+            code, _, _ = run(capsys, "regress", "--input", str(path), "--eps", "0.05",
+                             "--seed", "4", "--trace", str(trace), *flag)
+            assert code == 0
+            traces[flag] = trace.read_text().splitlines()
+        plain, timed = traces[()], traces[("--timing",)]
+        assert plain[0] == "outer_iter,inner_iters,objective,seed"
+        assert timed[0] == "outer_iter,inner_iters,objective,elapsed_ns,seed"
+        assert len(plain) == len(timed) > 1
+        for p_row, t_row in zip(plain[1:], timed[1:]):
+            p_cells, t_cells = p_row.split(","), t_row.split(",")
+            assert int(t_cells[3]) > 0
+            assert p_cells == t_cells[:3] + t_cells[4:]
+
+    def test_mirror_prox_trace_has_one_row_per_phase(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        while True:
+            matrix = random_sparse(rng, 3, 5, per_col=2, scale=0.4)
+            if (matrix.row_l1 > 0).all():
+                break
+        b = rng.uniform(-0.8, 0.8, 3)
+        path = tmp_path / "m.linf"
+        write_matrix_file(path, matrix, b=b)
+        trace = tmp_path / "mp.csv"
+        code, out, _ = run(capsys, "regress", "--input", str(path), "--eps", "0.2",
+                           "--solver", "mirror-prox", "--seed", "1",
+                           "--trace", str(trace))
+        assert code == 0
+        rows = [r.split(",") for r in trace.read_text().splitlines()]
+        assert rows[0] == ["phase", "iterations", "value", "lower_bound"]
+        assert len(rows) > 1
+        assert [int(r[0]) for r in rows[1:]] == list(range(len(rows) - 1))
+        for _, iters, value, lower in rows[1:]:
+            assert int(iters) >= 0
+            assert float(lower) <= float(value)  # weak duality, phase by phase
+        # the returned value is the best of x = 0 and the phases' points
+        reported = float(out.splitlines()[0].split()[1])
+        assert reported <= min(float(r[2]) for r in rows[1:])
+
+    @pytest.mark.parametrize("solver", ["cd-l2", "mirror-prox", "gd"])
+    @pytest.mark.parametrize("body, message", [
+        ("linf-matrix v1 0 3 0\n", "at least one row"),
+        ("linf-matrix v1 -1 3 0\n", "non-negative"),
+        ("linf-matrix v1 2 1000000000000 0\n", "exceeds the 1000000"),
+        ("linf-matrix v1 1 1 1\n0 0 1e300\nb 0 1.0\n", "exceeds 1e+140"),
+        ("linf-matrix v1 1 1 1\n0 0 0.5\nb 0 1e300\n", "rhs entry 0 exceeds"),
+        ("linf-matrix v1 1 2 2\n0 0 1e100\n0 1 -1e100\nb 0 3\n",
+         "below the floating-point resolution"),
+    ])
+    def test_degenerate_matrix_files_rejected(self, tmp_path, capsys, solver, body,
+                                              message):
+        path = tmp_path / "bad.linf"
+        path.write_text(body)
+        code, _, err = run(capsys, "regress", "--input", str(path), "--eps", "0.2",
+                           "--solver", solver)
+        assert code == 2
+        assert message in err
+
+    def test_mirror_prox_underflowing_row_rejected(self, tmp_path, capsys):
+        # sqrt(s * colmax * |A_ij|) underflows to 0, so the row cannot be sampled
+        path = tmp_path / "tiny.linf"
+        path.write_text("linf-matrix v1 2 2 2\n0 0 0.5\n1 1 1e-320\nb 0 0.2\n")
+        code, _, err = run(capsys, "regress", "--input", str(path), "--eps", "0.2",
+                           "--solver", "mirror-prox")
+        assert code == 2
+        assert "row 1 of the instance is too small to sample" in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         path = tmp_path / "m.linf"
@@ -146,6 +220,23 @@ class TestFlowCommands:
         assert code == 2
         assert "distinct" in err
 
+    def test_subnormal_capacity_rejected(self, tmp_path, capsys):
+        # congestion divides by the capacity; 1e-320 printed "value nan"
+        path = tmp_path / "sub.dimacs"
+        path.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 1e-320\na 2 3 1\n")
+        code, out, err = run(capsys, "maxflow", "--input", str(path), "--eps", "0.2")
+        assert code == 2
+        assert "edge 0: capacity" in err and "nan" not in out
+
+    def test_too_few_arcs_rejected_before_allocating(self, tmp_path, capsys):
+        # a trillion vertices cannot be connected by 2 arcs; nothing O(n) is built
+        path = tmp_path / "huge.dimacs"
+        path.write_text("p max 1000000000000 2\nn 1 s\nn 3 t\na 1 2 1\na 2 3 1\n")
+        for command in ("maxflow", "exact-flow", "verify"):
+            code, _, err = run(capsys, command, "--input", str(path))
+            assert code == 2
+            assert "connected" in err
+
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     def test_source_is_sink_rejected(self, tmp_path, capsys, command):
         path = tmp_path / "loop.dimacs"
@@ -196,10 +287,20 @@ class TestBench:
                            "--trace", str(trace))
         assert code == 0
         rows = trace.read_text().splitlines()
-        assert rows[0] == "eps,iterations,elapsed_ns,value"
+        assert rows[0] == "eps,iterations,value"  # no wall clock by default
         assert len(rows) == 4
         for row in rows[1:]:
-            assert row.split(",")[2] == "0"  # deterministic by default
+            assert len(row.split(",")) == 3
+        assert out == trace.read_text()
+
+    def test_timing_adds_elapsed_column(self, identity_instance, capsys):
+        code, out, _ = run(capsys, "bench", "--input", identity_instance,
+                           "--eps-grid", "0.1,0.05", "--timing")
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0] == "eps,iterations,elapsed_ns,value"
+        for row in rows[1:]:
+            assert int(row.split(",")[2]) > 0
 
     def test_dimacs_rows_count_probe_iterations(self, tmp_path, capsys):
         # on a 4-cycle the spanning tree routes at congestion 2, so a probe runs

@@ -94,7 +94,8 @@ class TestSamplePj:
     def test_law_matches_dense_mixture(self):
         rng = np.random.default_rng(3)
         matrix, b = flow_shaped(rng, 6, 9)
-        phase, _ = make_phase(matrix, b, eps=0.3)
+        phase, cfg = make_phase(matrix, b, eps=0.3)
+        tables = phase.tables
         u = uniforms(3)
         n = 100_000
         counts = np.zeros(9)
@@ -108,12 +109,13 @@ class TestSamplePj:
         sq = np.sqrt(y)
         p_dyn = np.zeros(9)
         for j in range(9):
-            rows, q = phase.qij[j]
+            rows, q = tables.qij[j]
             if len(rows):
                 p_dyn[j] = float((sq[rows] / sq.sum()) @ q)
-        tm = phase.mass_dyn + phase.mass_static
-        law = 0.5 * (phase.mass_dyn / tm * p_dyn
-                     + phase.mass_static / tm * phase.static_w / phase.static_sum)
+        tm = tables.mass_dyn + tables.mass_static
+        static_w = np.sqrt(cfg.eps * phase.matrix.col_maxabs)
+        law = 0.5 * (tables.mass_dyn / tm * p_dyn
+                     + tables.mass_static / tm * static_w / static_w.sum())
         law += 0.5 / 9
         np.testing.assert_allclose(psum[counts > 0], law[counts > 0], rtol=1e-6)
         assert stats.chisquare(counts, law * n).pvalue > 0.001
@@ -387,3 +389,34 @@ class TestFlowShapedPathInstance:
         assert res.value <= eps + 1e-9
         # the solution routes close to one unit on each edge
         assert np.abs(res.x - 1.0).max() <= 0.6
+
+
+class TestStopReason:
+    @pytest.fixture
+    def inst(self):
+        rng = np.random.default_rng(14)
+        matrix, b = flow_shaped(rng, 3, 4)
+        return RegressionInstance(matrix=matrix, b=b, epsilon=0.15)
+
+    def test_certified(self, inst):
+        res = solve_flow_regress(inst, seed=7)
+        assert res.certified and res.stop_reason == "certified"
+        assert res.gap <= inst.epsilon
+
+    def test_phase_budget(self, inst):
+        res = solve_flow_regress(inst, seed=7, max_phases=1)
+        assert not res.certified and res.stop_reason == "phase_budget"
+        assert res.phases_run == 1
+
+    def test_value_target(self, inst):
+        res = solve_flow_regress(inst, seed=7, value_target=10.0)
+        assert not res.certified and res.stop_reason == "value_target"
+        assert res.phases_run == 1
+
+    def test_transcript_rows_follow_the_phases(self, inst):
+        res = solve_flow_regress(inst, seed=7, collect_transcript=True)
+        assert len(res.transcript) == res.phases_run
+        assert sum(row[1] for row in res.transcript) == res.iterations
+        assert min(float(row[2]) for row in res.transcript) >= res.value
+        best_lb = max(float(row[3]) for row in res.transcript)
+        assert res.gap == pytest.approx(res.value - best_lb, abs=1e-12)
