@@ -9,9 +9,10 @@ Two solver families minimize ``max_i |(A x - b)_i|`` over the unit box:
   ``SimplexMaintainer``.
 
 On top of them sit the flow reductions: spanning-tree congestion
-approximation, demand routing by bisection over the congestion radius,
-rounding to integral flows, and augmenting-path finishing for exact
-unit-capacity maximum flows.
+approximation, demand routing by bisection over the congestion radius (one
+regression matrix per approximator, shared by every radius probe), rounding
+to integral flows, and augmenting-path finishing for exact unit-capacity
+maximum flows.
 """
 
 from .baselines import SmoothedObjective, gd_general_norm, plain_cd
@@ -40,7 +41,6 @@ from .flow import (
     TreeApproximator,
     almost_route,
     augment_to_max,
-    build_tree_approximator,
     dinic_oracle,
     directed_reduce,
     exact_unit_maxflow,

@@ -23,11 +23,17 @@ from .core import (
     sign_double,
 )
 from .errors import InfeasibleError, InputError, SolverFault
-from .flow import dinic_oracle, exact_unit_maxflow, flow_to_regress
+from .flow import (
+    TreeApproximator,
+    augment_to_max,
+    dinic_oracle,
+    exact_unit_maxflow,
+    flow_to_regress,
+)
 from .graphs import FlowSolution, incidence_apply, read_dimacs, write_flow_file
 from .mirrorprox import solve_flow_regress
 from .sampling import make_rng
-from .simplexmaint import ReferenceSimplex, SimplexMaintainer
+from .simplexmaint import SimplexMaintainer
 
 SOLVERS = ("cd-l2", "cd-diag", "mirror-prox", "gd", "plain-cd", "dinic")
 
@@ -234,7 +240,6 @@ def _run_verify(args):
         report("softmax-sandwich", ok)
         n = max(matrix.n_rows, 2)
         maint = SimplexMaintainer(rng.normal(size=n), eps=0.1, kappa=16.0 * n)
-        ref = ReferenceSimplex(rng.normal(size=n), eps=0.1, kappa=16.0 * n)
         report("simplex-maintainer-init",
                abs(sum(maint.coord(i) for i in range(n)) - 1.0) < 1e-6)
     else:
@@ -245,12 +250,10 @@ def _run_verify(args):
         np.add.at(net_inflow, net.heads, f)
         report("incidence-apply",
                bool(np.allclose(incidence_apply(net, f), net_inflow)))
-        from .flow import augment_to_max, build_tree_approximator
-
         dv = dinic_oracle(net).value
         av = augment_to_max(net, np.zeros(net.m)).value
         report("dinic-vs-augmenting", abs(dv - av) <= 1e-9)
-        approx = build_tree_approximator(net)
+        approx = TreeApproximator(net)
         d = net.st_demand(1.0)
         f_tree = approx.tree_route(d)
         report("tree-routes-exactly",

@@ -183,14 +183,6 @@ class SparseMatrix:
         """Column-sorted (rows, cols, vals) arrays; read-only views."""
         return self._rows_flat, self._cols_flat, self._vals_flat
 
-    def scaled(self, factor):
-        """A copy with every entry multiplied by a nonzero factor."""
-        if factor == 0.0:
-            raise InputError("scale factor must be nonzero")
-        return SparseMatrix(self.n_rows, self.n_cols, self._rows_flat,
-                            self._cols_flat, self._vals_flat * factor,
-                            _private=True)
-
     def content_hash(self):
         h = hashlib.sha256()
         h.update(f"{self.n_rows},{self.n_cols};".encode())

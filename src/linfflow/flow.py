@@ -3,11 +3,13 @@ rounding, augmenting paths, and the directed-to-undirected reduction.
 
 The approximate path routes demands by a recursion of box-constrained
 regression solves against a congestion approximator (a maximum-capacity
-spanning tree here: quality factor m, exact on trees), each solved by a
-certificate-driven bisection over the congestion radius.  Exact unit-capacity
-flows follow by scaling to feasibility, rounding the fractional flow with
-cycle cancellation, and finishing with augmenting paths.  A Dinic blocking-flow
-solver serves as the in-package oracle.
+spanning tree here, exact on trees), each solved by a certificate-driven
+bisection over the congestion radius.  The regression matrix depends only on
+the tree, so each approximator builds it once; a probe at radius r keeps that
+matrix and divides the rhs by r, since ``max|r A x - b| = r max|A x - b/r|``.
+Exact unit-capacity flows follow by scaling to feasibility, rounding the
+fractional flow with cycle cancellation, and finishing with augmenting paths.
+A Dinic blocking-flow solver serves as the in-package oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ class TreeApproximator:
     """Congestion approximator from a maximum-capacity spanning tree.
 
     One row per tree edge: the indicator of the subtree cut scaled by the
-    inverse capacity crossing it.  Exact on trees; quality factor m in general
-    (every edge crossing a tree edge's cut has no larger capacity, by the
-    cycle property of the maximum spanning tree).
+    inverse capacity crossing it.  Exact on trees; in general ``alpha`` holds
+    the exact quality factor, at most m (every edge crossing a tree edge's cut
+    has no larger capacity, by the cycle property of the maximum spanning
+    tree).
     """
 
     def __init__(self, net):
@@ -83,7 +86,7 @@ class TreeApproximator:
         cutcap = {e: 0.0 for e in tree_edges}
         for e in range(m):
             a, b = int(net.tails[e]), int(net.heads[e])
-            for te in self._path_edges(a, b):
+            for te, _ in self._path_edges(a, b):
                 cutcap[te] += net.caps[e]
         self.cutcap = cutcap
         # exact quality factor: tree routing congests edge e by
@@ -100,23 +103,30 @@ class TreeApproximator:
             a, b = int(net.tails[e]), int(net.heads[e])
             self.row_vertex.append(a if self.depth[a] > self.depth[b] else b)
         self.n_rows = len(tree_edges)
+        self._matrix = None  # built by the first regression_parts call
 
     def _path_edges(self, a, b):
+        """``(tree edge, chi_S(b) - chi_S(a))`` along the tree path from a to b.
+
+        S is the subtree below the edge, which holds exactly the endpoint it
+        was climbed from: the sign is -1 for edges climbed from a, +1 from b.
+        """
+        parent, parent_edge = self.tree_parent, self.tree_parent_edge
         out = []
         da, db = int(self.depth[a]), int(self.depth[b])
         while da > db:
-            out.append(int(self.tree_parent_edge[a]))
-            a = int(self.tree_parent[a])
+            out.append((int(parent_edge[a]), -1.0))
+            a = int(parent[a])
             da -= 1
         while db > da:
-            out.append(int(self.tree_parent_edge[b]))
-            b = int(self.tree_parent[b])
+            out.append((int(parent_edge[b]), 1.0))
+            b = int(parent[b])
             db -= 1
         while a != b:
-            out.append(int(self.tree_parent_edge[a]))
-            out.append(int(self.tree_parent_edge[b]))
-            a = int(self.tree_parent[a])
-            b = int(self.tree_parent[b])
+            out.append((int(parent_edge[a]), -1.0))
+            out.append((int(parent_edge[b]), 1.0))
+            a = int(parent[a])
+            b = int(parent[b])
         return out
 
     def subtree_sums(self, d):
@@ -149,41 +159,33 @@ class TreeApproximator:
                 f[e] = -need
         return f
 
-    def _in_subtree(self, vertex, root_v):
-        v = vertex
-        dv, dr = int(self.depth[v]), int(self.depth[root_v])
-        while dv > dr:
-            v = int(self.tree_parent[v])
-            dv -= 1
-        return v == root_v
-
     def regression_parts(self, d):
-        """(A, b) with A = 2 alpha R B U and b = 2 alpha R d, as triplets."""
-        net = self.net
+        """(A, b) with A = 2 alpha R B U and b = 2 alpha R d.
+
+        A depends on the tree alone: the first call builds it, and every call
+        returns that same matrix object.
+        """
         scale = 2.0 * self.alpha
-        row_of = {e: k for k, e in enumerate(self.tree_edges)}
-        triplets = []
-        # column f touches exactly the tree edges on f's endpoints' tree path
-        for f in range(net.m):
-            a, b = int(net.tails[f]), int(net.heads[f])
-            for te in self._path_edges(a, b):
-                k = row_of[te]
-                v = self.row_vertex[k]
-                # chi_S(head) - chi_S(tail) for S = subtree below v
-                sign = (1.0 if self._in_subtree(b, v) else 0.0) - (
-                    1.0 if self._in_subtree(a, v) else 0.0)
-                if sign != 0.0:
-                    triplets.append(
-                        (k, f, scale * sign * net.caps[f] / self.cutcap[te])
-                    )
-        matrix = SparseMatrix.from_triplets(triplets, self.n_rows, net.m)
-        rhs = scale * self.apply(d)
-        return matrix, rhs
+        if self._matrix is None:
+            net = self.net
+            row_of = {e: k for k, e in enumerate(self.tree_edges)}
+            # column f touches exactly the tree edges on f's endpoints' tree path
+            triplets = [
+                (row_of[te], f, scale * sign * net.caps[f] / self.cutcap[te])
+                for f in range(net.m)
+                for te, sign in self._path_edges(int(net.tails[f]), int(net.heads[f]))
+            ]
+            self._matrix = SparseMatrix.from_triplets(triplets, self.n_rows, net.m)
+        return self._matrix, scale * self.apply(d)
 
 
-def build_tree_approximator(net):
-    """Spanning-tree congestion approximator with quality factor m."""
-    return TreeApproximator(net)
+ROUTING_SOLVERS = ("cd-l2", "cd-diag", "mirror-prox")
+
+
+def _check_routing_solver(solver):
+    if solver not in ROUTING_SOLVERS:
+        raise InputError(f"solver {solver} cannot route flows; use one of "
+                         + ", ".join(ROUTING_SOLVERS))
 
 
 @dataclass
@@ -200,7 +202,9 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     """Route d to composite factor (1 + eps): certificate-driven radius search.
 
     Solves the box-constrained regression against the approximator rows at a
-    bisected congestion radius.  A probe ends in one of three states: accepted
+    bisected congestion radius.  Every probe runs on the approximator's one
+    matrix with the rhs divided by the radius r, and its verdict is read in
+    the radius's units.  A probe ends in one of three states: accepted
     when the solver exhibits a point of value at most eps*r/2, a certified
     reject when the weak-duality bound (``value - gap``) stays above it, and
     undecided when the solver's budget ran out first.  An undecided probe moves
@@ -211,6 +215,7 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     """
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
+    _check_routing_solver(solver)
     d = np.asarray(d, dtype=np.float64)
     rd = approx.apply(d)
     rd_norm = float(np.abs(rd).max()) if len(rd) else 0.0
@@ -223,20 +228,25 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     undecided = 0
 
     def probe(r, stream, warm=None):
-        """Returns ``(accepted, certified_reject, x)`` and counts undecided probes."""
+        """Returns ``(accepted, certified_reject, x)`` and counts undecided probes.
+
+        ``max|r A x - b| = r max|A x - b/r|``: the solve sees rhs b/r with the
+        threshold and epsilon divided by r, and the verdicts multiply back.
+        """
         nonlocal iterations, undecided
-        m_r = matrix.scaled(r)
-        thresh = eps * r / 2.0
-        inst = RegressionInstance(matrix=m_r, b=rhs, epsilon=max(thresh / 2.0, 1e-12))
+        target = eps / 2.0
+        inst = RegressionInstance(matrix=matrix, b=rhs / r,
+                                  epsilon=max(eps / 4.0, 1e-12 / r))
         if solver == "mirror-prox":
-            res = solve_flow_regress(inst, seed=seed, value_target=thresh)
+            res = solve_flow_regress(inst, seed=seed, value_target=target)
         else:
             mode = "diag" if solver == "cd-diag" else "l2"
             res = solve_box_linf(inst, mode=mode, seed=seed, stream=stream,
-                                 value_target=thresh, x0=warm, lb_target=thresh)
+                                 value_target=target, x0=warm, lb_target=target)
         iterations += res.sampled_coordinates
-        accepted = res.value <= thresh + 1e-12
-        rejected = not accepted and res.value - res.gap > thresh
+        thresh = eps * r / 2.0
+        accepted = r * res.value <= thresh + 1e-12
+        rejected = not accepted and r * (res.value - res.gap) > thresh
         undecided += not (accepted or rejected)
         return accepted, rejected, res.x
 
@@ -251,8 +261,8 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     probes = 0
     largest_reject = None
     if hi > 1.0:
-        # built only here: when the tree already routes at congestion 1, no
-        # probe runs and the regression rows would go unused
+        # fetched only here: when the tree already routes at congestion 1, no
+        # probe runs and the approximator never builds its matrix
         matrix, rhs = approx.regression_parts(d_scaled)
         ok_lo, rejected, x_lo = probe(lo, 1, warm=best_x * (best_r / lo))
         probes += 1
@@ -291,8 +301,9 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):
     rounds route residual demands at accuracy 1/2 before the exact tree
     finish.  Residual contraction is asserted per round.
     """
+    _check_routing_solver(solver)
     d = np.asarray(d, dtype=np.float64)
-    approx = build_tree_approximator(net)
+    approx = TreeApproximator(net)
     rounds = max(1, math.ceil(math.log2(2 * max(net.m, 2))))
     f_total = np.zeros(net.m)
     d_k = d.copy()
@@ -456,19 +467,24 @@ def _find_cycle(n, adj):
 
 
 def augment_to_max(net, flow, rounds=None):
-    """BFS augmenting rounds on the unit residual graph; stops at maximality."""
+    """BFS augmenting rounds on the capacitated residual graph (Edmonds-Karp).
+
+    An edge has residual ``cap - f`` along its orientation and ``f - lo cap``
+    against it, with lo = 0 on digraphs and -1 on undirected graphs.  Runs
+    until no augmenting path remains, or for at most ``rounds`` augmentations.
+    """
     if net.source is None or net.sink is None:
         raise InputError("augmenting needs designated source and sink")
     f = np.asarray(flow, dtype=np.float64).copy()
+    caps = net.caps
     lo = 0.0 if net.directed else -1.0
-    rounds = net.m + 1 if rounds is None else rounds
     adj = [[] for _ in range(net.n)]
     for e in range(net.m):
         u, v = int(net.tails[e]), int(net.heads[e])
         adj[u].append((v, e, 1.0))
         adj[v].append((u, e, -1.0))
     done = 0
-    while done < rounds:
+    while rounds is None or done < rounds:
         parent = {net.source: None}
         q = deque([net.source])
         while q and net.sink not in parent:
@@ -476,7 +492,7 @@ def augment_to_max(net, flow, rounds=None):
             for (w, e, sgn) in adj[u]:
                 if w in parent:
                     continue
-                residual = (1.0 - f[e]) if sgn > 0 else (f[e] - lo)
+                residual = (caps[e] - f[e]) if sgn > 0 else (f[e] - lo * caps[e])
                 if residual > 1e-9:
                     parent[w] = (u, e, sgn, residual)
                     q.append(w)

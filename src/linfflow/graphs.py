@@ -90,23 +90,6 @@ class FlowNetwork:
     def m(self):
         return len(self.caps)
 
-    def with_demand(self, demand):
-        net = FlowNetwork.__new__(FlowNetwork)
-        net.n = self.n
-        net.tails = self.tails
-        net.heads = self.heads
-        net.caps = self.caps
-        net.directed = self.directed
-        net.source = self.source
-        net.sink = self.sink
-        demand = np.asarray(demand, dtype=np.float64)
-        if demand.shape != (self.n,):
-            raise InputError("demand length does not match vertex count")
-        if abs(demand.sum()) > 1e-9 * max(1.0, np.abs(demand).max()):
-            raise InputError("demand entries must sum to zero")
-        net.demand = demand
-        return net
-
     def st_demand(self, amount=1.0):
         """Demand vector routing ``amount`` units from source to sink."""
         if self.source is None or self.sink is None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import box_linf_opt, dense_to_sparse, random_sparse
+from helpers import box_linf_opt, dense_to_sparse, random_connected_graph, random_sparse
 from linfflow.cli import main
 from linfflow.core import write_matrix_file
 
@@ -264,6 +264,22 @@ class TestFlowCommands:
         assert code == 2
         assert "vertex 8 out of range for 3 vertices" in err
 
+    @pytest.mark.parametrize("solver", ["gd", "plain-cd"])
+    def test_maxflow_rejects_non_routing_solver(self, path_graph, capsys, solver):
+        code, out, err = run(capsys, "maxflow", "--input", path_graph,
+                             "--solver", solver)
+        assert code == 2
+        assert out == ""
+        assert f"solver {solver} cannot route flows" in err
+
+    @pytest.mark.parametrize("solver", ["gd", "plain-cd"])
+    def test_exact_flow_rejects_non_routing_solver(self, path_graph, capsys, solver):
+        code, out, err = run(capsys, "exact-flow", "--input", path_graph,
+                             "--solver", solver)
+        assert code == 2
+        assert out == ""
+        assert f"solver {solver} cannot route flows" in err
+
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     def test_flow_file_fields_are_numbers(self, path_graph, capsys, tmp_path, command):
         flow_out = tmp_path / "f.txt"
@@ -338,3 +354,25 @@ class TestVerify:
         assert code == 0
         assert "check column-max-cache ok" in out
         assert "check row-l1-cache ok" in out
+
+    def test_capacitated_path_checks_pass(self, tmp_path, capsys):
+        # augmenting on the unit residual graph once found 1 against Dinic's 5
+        path = tmp_path / "cap.dimacs"
+        path.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 5\na 2 3 5\n")
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert "check dinic-vs-augmenting ok" in out
+        assert "FAIL" not in out
+
+    def test_random_capacitated_graph_matches_dinic(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        net = random_connected_graph(rng, 10, extra_edges=8)
+        caps = rng.uniform(0.5, 6.0, size=net.m)
+        path = tmp_path / "rand.dimacs"
+        path.write_text(f"c undirected\np max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
+                        + "".join(f"a {u + 1} {v + 1} {float(c)!r}\n"
+                                  for u, v, c in zip(net.tails, net.heads, caps)))
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert "check dinic-vs-augmenting ok" in out
+        assert "FAIL" not in out

@@ -15,9 +15,9 @@ from helpers import (
 from linfflow import flow as flow_module
 from linfflow.errors import InputError
 from linfflow.flow import (
+    TreeApproximator,
     almost_route,
     augment_to_max,
-    build_tree_approximator,
     dinic_oracle,
     directed_reduce,
     exact_unit_maxflow,
@@ -37,7 +37,7 @@ class TestTreeApproximator:
         rng = np.random.default_rng(0)
         for _ in range(10):
             net = random_connected_graph(rng, 8, extra_edges=0)
-            approx = build_tree_approximator(net)
+            approx = TreeApproximator(net)
             d = rng.normal(size=8)
             d -= d.mean()
             opt, _ = min_congestion_opt(net, d)
@@ -47,7 +47,7 @@ class TestTreeApproximator:
 
     def test_two_edge_path_row_values(self):
         net = path_net(2, cap=2.0)
-        approx = build_tree_approximator(net)
+        approx = TreeApproximator(net)
         d = np.array([-1.0, 0.0, 1.0])
         rd = approx.apply(d)
         # each tree-edge cut is crossed only by itself: entries 1/cap
@@ -56,7 +56,7 @@ class TestTreeApproximator:
     def test_sandwich_on_cycle(self):
         net = FlowNetwork(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)],
                           source=0, sink=2)
-        approx = build_tree_approximator(net)
+        approx = TreeApproximator(net)
         d = net.st_demand(1.0)
         opt, _ = min_congestion_opt(net, d)
         rd = float(np.abs(approx.apply(d)).max())
@@ -69,7 +69,7 @@ class TestTreeApproximator:
             net = random_connected_graph(rng, 7, extra_edges=4)
             d = rng.normal(size=7)
             d -= d.mean()
-            approx = build_tree_approximator(net)
+            approx = TreeApproximator(net)
             opt, _ = min_congestion_opt(net, d)
             rd = float(np.abs(approx.apply(d)).max())
             assert rd <= opt + 1e-9
@@ -78,11 +78,55 @@ class TestTreeApproximator:
     def test_tree_route_exact(self):
         rng = np.random.default_rng(2)
         net = random_connected_graph(rng, 9, extra_edges=5)
-        approx = build_tree_approximator(net)
+        approx = TreeApproximator(net)
         d = rng.normal(size=9)
         d -= d.mean()
         f = approx.tree_route(d)
         np.testing.assert_allclose(incidence_apply(net, f), d, atol=1e-9)
+
+    def test_regression_matrix_matches_definition(self):
+        # A = 2 alpha R B U, built densely from subtree membership (walking
+        # tree_parent) and an incidence matrix, on trees deeper than 2
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(6, 13))
+            base = random_connected_graph(rng, n, extra_edges=int(rng.integers(2, 8)))
+            net = FlowNetwork(n, [(int(u), int(v), float(rng.uniform(0.5, 4.0)))
+                                  for u, v in zip(base.tails, base.heads)])
+            approx = TreeApproximator(net)
+            if approx.depth.max() <= 2:
+                continue
+            below = np.zeros((n, n))  # below[v, w] = 1 when w is in v's subtree
+            for w in range(n):
+                v = w
+                while v >= 0:
+                    below[v, w] = 1.0
+                    v = int(approx.tree_parent[v])
+            incidence = np.zeros((n, net.m))
+            incidence[net.tails, np.arange(net.m)] = -1.0
+            incidence[net.heads, np.arange(net.m)] = 1.0
+            cuts = np.array([below[max(net.tails[e], net.heads[e],
+                                       key=lambda v: approx.depth[v])]
+                             for e in approx.tree_edges])
+            cutcap = np.abs(cuts @ incidence) @ net.caps
+            tree_caps = net.caps[approx.tree_edges]
+            alpha = max(float((cutcap / tree_caps).max()), 1.0)
+            assert approx.alpha == pytest.approx(alpha, rel=1e-12)
+            expected = 2.0 * alpha * (cuts / cutcap[:, None]) @ incidence @ np.diag(net.caps)
+            d1, d2 = rng.normal(size=n), rng.normal(size=n)
+            d1 -= d1.mean()
+            d2 -= d2.mean()
+            m1, rhs1 = approx.regression_parts(d1)
+            m2, rhs2 = approx.regression_parts(d2)
+            assert m2 is m1
+            np.testing.assert_allclose(m1.to_dense(), expected, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(rhs1, 2.0 * approx.alpha * approx.apply(d1))
+            np.testing.assert_array_equal(rhs2, 2.0 * approx.alpha * approx.apply(d2))
+            checked += 1
+            if checked == 10:
+                break
+        assert checked == 10
 
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
@@ -95,9 +139,11 @@ class TestAlmostRoute:
 
     def route(self, monkeypatch, middle):
         eps = 0.1
+        probes = []  # (max |rhs|, matrix) per probe; the first is at r = 1
 
         def probe(inst, value_target, **_):
-            r = 2.0 * value_target / eps  # the probe's threshold is eps * r / 2
+            probes.append((float(np.abs(inst.b).max()), inst.matrix))
+            r = probes[0][0] / probes[-1][0]  # a probe at radius r sees rhs b / r
             verdict = "accept" if r >= 1.6 else "reject" if r < 1.3 else middle
             value, gap = {"accept": (0.0, 0.0), "reject": (2 * value_target, 0.0),
                           "undecided": (2 * value_target, 2 * value_target)}[verdict]
@@ -108,10 +154,13 @@ class TestAlmostRoute:
         # two disjoint s-t paths: the tree routes 2 units at congestion 2
         net = FlowNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)],
                           source=0, sink=3)
-        approx = build_tree_approximator(net)
+        approx = TreeApproximator(net)
         d = net.st_demand(2.0)
         rd_norm = float(np.abs(approx.apply(d)).max())
-        return almost_route(net, d, approx, eps), rd_norm
+        route = almost_route(net, d, approx, eps)
+        # every probe of the route runs on one matrix
+        assert all(matrix is probes[0][1] for _, matrix in probes)
+        return route, rd_norm
 
     def test_undecided_probes_do_not_certify(self, monkeypatch):
         certified, rd_norm = self.route(monkeypatch, "reject")
@@ -229,6 +278,21 @@ class TestAugmentToMax:
                                          extra_edges=5)
             out = augment_to_max(net, np.zeros(net.m))
             assert out.value == pytest.approx(dinic_oracle(net).value, abs=1e-9)
+
+
+    def test_capacitated_graphs_reach_exact_value(self):
+        # residual cap - f along an edge and f - lo cap against it
+        rng = np.random.default_rng(13)
+        for k in range(6):
+            base = (random_connected_graph(rng, int(rng.integers(5, 10)), extra_edges=5)
+                    if k % 2 == 0 else random_unit_digraph(rng, int(rng.integers(4, 9))))
+            net = FlowNetwork(base.n, [(int(u), int(v), float(rng.uniform(0.5, 6.0)))
+                                       for u, v in zip(base.tails, base.heads)],
+                              directed=base.directed, source=base.source,
+                              sink=base.sink)
+            out = augment_to_max(net, np.zeros(net.m))
+            assert out.value == pytest.approx(dinic_oracle(net).value, abs=1e-9)
+            assert (np.abs(out.flow) <= net.caps + 1e-9).all()
 
 
 class TestDinic:

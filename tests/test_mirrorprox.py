@@ -376,11 +376,11 @@ class TestFlowShapedPathInstance:
     def test_two_edge_path_reduction_solves_to_zero(self):
         # the regression instance induced by routing one unit along a 2-edge
         # path has optimum zero at the routing congestion
-        from linfflow.flow import build_tree_approximator
+        from linfflow.flow import TreeApproximator
         from linfflow.graphs import FlowNetwork
 
         net = FlowNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], source=0, sink=2)
-        approx = build_tree_approximator(net)
+        approx = TreeApproximator(net)
         d = net.st_demand(1.0)
         matrix, rhs = approx.regression_parts(d)
         eps = 0.1
