@@ -82,6 +82,23 @@ def _check_eps(eps):
         raise InputError("eps must lie in (0, 1)")
 
 
+def _run_baseline(inst, solver, seed):
+    """Run the ``gd`` or ``plain-cd`` baseline on the smoothed sign-doubled
+    objective; returns ``(x, value, trace)`` with x clipped to the box."""
+    matrix, eps = inst.matrix, inst.epsilon
+    m2, b2 = sign_double(matrix, inst.b)
+    alpha = eps / (2.0 * max(math.log(m2.n_rows), 1.0))
+    obj = SmoothedObjective(m2, b2, alpha)
+    budget = int(min(200_000, 16 * obj.linf_smoothness * matrix.n_cols / eps + 100))
+    if solver == "gd":
+        tr = gd_general_norm(obj, obj.linf_smoothness, budget)
+    else:
+        tr = plain_cd(obj, np.maximum(obj.coord_smoothness(), 1e-12), budget,
+                      seed=seed)
+    x = np.clip(tr.x, -1.0, 1.0)
+    return x, inst.value_at(x), tr
+
+
 def _run_regress(args):
     _check_eps(args.eps)
     matrix, b = read_matrix_file(args.input)
@@ -95,18 +112,7 @@ def _run_regress(args):
         res = solve_flow_regress(inst, seed=args.seed, collect_transcript=True)
         value, x, rows = res.value, res.x, res.transcript_csv()
     elif args.solver in ("gd", "plain-cd"):
-        m2, b2 = sign_double(matrix, b)
-        alpha = args.eps / (2.0 * max(math.log(m2.n_rows), 1.0))
-        obj = SmoothedObjective(m2, b2, alpha)
-        budget = int(min(200_000, 16 * obj.linf_smoothness * matrix.n_cols
-                         / args.eps + 100))
-        if args.solver == "gd":
-            tr = gd_general_norm(obj, obj.linf_smoothness, budget)
-        else:
-            tr = plain_cd(obj, np.maximum(obj.coord_smoothness(), 1e-12),
-                          budget, seed=args.seed)
-        x = np.clip(tr.x, -1.0, 1.0)
-        value = inst.value_at(x)
+        x, value, tr = _run_baseline(inst, args.solver, args.seed)
         rows = "step,value\n" + "\n".join(
             f"{k},{v!r}" for k, v in enumerate(tr.values)) + "\n"
     else:
@@ -185,11 +191,17 @@ def _run_bench(args):
             if args.solver == "mirror-prox":
                 res = solve_flow_regress(inst, seed=args.seed)
                 value, iters = res.value, res.sampled_coordinates
-            else:
+            elif args.solver in ("cd-l2", "cd-diag"):
                 res = solve_box_linf(
                     inst, mode="diag" if args.solver == "cd-diag" else "l2",
                     seed=args.seed)
                 value, iters = res.value, res.sampled_coordinates
+            elif args.solver in ("gd", "plain-cd"):
+                _, value, tr = _run_baseline(inst, args.solver, args.seed)
+                iters = tr.steps
+            else:
+                raise InputError(f"solver {args.solver} does not apply to "
+                                 "linf-matrix instances")
         elapsed = f"{_time.perf_counter_ns() - start}," if args.timing else ""
         rows.append(f"{eps},{iters},{elapsed}{float(value)!r}")
     table = "\n".join(rows) + "\n"

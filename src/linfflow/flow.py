@@ -238,7 +238,8 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
         inst = RegressionInstance(matrix=matrix, b=rhs / r,
                                   epsilon=max(eps / 4.0, 1e-12 / r))
         if solver == "mirror-prox":
-            res = solve_flow_regress(inst, seed=seed, value_target=target)
+            res = solve_flow_regress(inst, seed=seed, value_target=target,
+                                     lb_target=target)
         else:
             mode = "diag" if solver == "cd-diag" else "l2"
             res = solve_box_linf(inst, mode=mode, seed=seed, stream=stream,

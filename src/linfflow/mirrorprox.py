@@ -12,16 +12,24 @@ point halves per phase.  Primal coordinates are sampled from a two-branch
 mixture built on sqrt-scale smoothness surrogates and floored by uniform
 mixing, with the exact realized probability returned for debiasing.
 
+The solve stops on a weak-duality certificate, and it checks it inside a
+phase as well as at its end: ``run_phase`` forms the aggregate point at
+geometrically spaced iterations and ends the phase at the first one that
+passes the solve's stop tests, so a phase whose drawn length runs far past
+the certifying iterate stops near that iterate.  A point formed inside a
+phase is only a candidate; the next phase starts from the one at the drawn
+length, as the halving argument requires.
+
 The sampling tables depend only on (matrix, s, eps), so ``PhaseTables`` is
-built once per solve and shared by every phase.  The iterations of a phase
-run in one call of the fused kernel ``phase_iterates``, which inlines the
-draw, the exact p_j, both coordinate reads and clamps, and the dense dual
-recursion over Python lists.  On the small instances a phase can finish
-(its length grows with n), numpy's per-call overhead on 4- to 16-entry
-vectors cost more than the O(n + c) arithmetic of an iteration.  Somewhere
-between 64 and 256 sign-doubled rows the interpreted O(n) passes start to
-cost more than numpy's would (CHANGES.md).  ``phase_iterate`` is its one-step case.
-The dual point is carried as the log-weights of a ``ReferenceSimplex``, whose
+built once per solve and shared by every phase.  The iterations between two
+aggregate points run in one call of the fused kernel ``phase_iterates``,
+which inlines the draw, the exact p_j, both coordinate reads and clamps, and
+the dense dual recursion over Python lists.  On the small instances a phase
+can finish (its length grows with n), numpy's per-call overhead on 4- to
+16-entry vectors cost more than the O(n + c) arithmetic of an iteration.
+Somewhere between 64 and 256 sign-doubled rows the interpreted O(n) passes
+start to cost more than numpy's would (CHANGES.md).  ``phase_iterate`` is
+its one-step case.  The dual point is carried as the log-weights of a ``ReferenceSimplex``, whose
 ``sample``, ``prob``, ``update_half`` and ``update`` are the step-by-step
 reference the kernel is tested against (with ``sample_pj``, the reference
 draw); ``SimplexMaintainer`` answers the same queries with the paper's
@@ -371,13 +379,14 @@ def phase_iterate(phase, uniforms):
     return phase_iterates(phase, uniforms, 1)
 
 
-def run_phase(phase, t_star, uniforms):
-    """Run t_star - 1 iterations, then materialize the aggregate point.
+def aggregate_point(phase):
+    """The aggregate point of the phase's current iterate, as ``(x_out, y_out)``.
 
-    Returns (x_out, y_out): the all-coordinate half step taken from the final
-    iterate with a fresh exact dense pass over y, and the dense half-step dual.
+    x_out is the all-coordinate half step taken from the iterate with a fresh
+    exact dense pass over y, each coordinate debiased by its p_j under the
+    mixture law; y_out is the dense half-step dual.  O(nnz); it only reads
+    the state, so the phase can go on from where it stands.
     """
-    phase_iterates(phase, uniforms, t_star - 1)
     cfg, tables = phase.config, phase.tables
     matrix, kappa, s, eps = phase.matrix, cfg.kappa, cfg.s, cfg.eps
     y_exact = phase.exact_y()
@@ -391,7 +400,7 @@ def run_phase(phase, t_star, uniforms):
     pj_all = (0.5 * (tables.w_dyn * p_dyn + tables.w_static * np.array(tables.p_static))
               + 0.5 / phase.m)
     x_out = np.clip(phase.x - s * grad / (kappa * pj_all), -1.0, 1.0)
-    # dual aggregate: the dense half step from the final iterate
+    # dual aggregate: the dense half step from the current iterate
     v = phase.y.values()
     v_half = (1.0 - phase.y.c) * v - (phase.b - matrix.dot(phase.x)) / kappa
     e = np.exp(v_half - v_half.max())
@@ -399,11 +408,40 @@ def run_phase(phase, t_star, uniforms):
     return x_out, y_out
 
 
+def run_phase(phase, t_star, uniforms, stop=None):
+    """Run t_star - 1 iterations, then materialize the aggregate point.
+
+    Returns ``aggregate_point(phase)`` after the last iteration run.  With a
+    ``stop`` predicate the iterations run in chunks: the aggregate point is
+    formed after 64 iterations, then after every further ``max(64, done // 4)``
+    and at t_star, so a phase makes O(log t_star) checks and runs at most
+    max(64, 25%) past the first iterate that would pass.  ``stop(x_out,
+    y_out)`` is called on each, and the phase ends at the first where it
+    holds; ``phase.iteration`` counts the iterations run.  Chunking leaves
+    the trajectory and the random draws as one call would, so a predicate
+    that never holds changes nothing.
+    """
+    count = t_star - 1
+    if stop is None:
+        phase_iterates(phase, uniforms, count)
+        return aggregate_point(phase)
+    done = 0
+    while True:
+        chunk = min(max(64, done // 4), count - done)
+        phase_iterates(phase, uniforms, chunk)
+        done += chunk
+        x_out, y_out = aggregate_point(phase)
+        if stop(x_out, y_out) or done == count:
+            return x_out, y_out
+
+
 @dataclass
 class FlowRegressResult:
     """A mirror-prox solve; ``stop_reason`` is ``certified`` (weak-duality gap
-    at most eps), ``value_target`` (the caller's target met) or
-    ``phase_budget`` (every planned phase ran)."""
+    at most eps), ``value_target`` or ``lb_target`` (the caller's stop
+    condition met) or ``phase_budget`` (every planned phase ran).  The stop
+    is checked on the aggregate points formed inside each phase too, so the
+    last phase may end before its drawn length."""
 
     x: np.ndarray
     value: float
@@ -417,16 +455,17 @@ class FlowRegressResult:
     transcript: list = field(default_factory=list)
 
     def transcript_csv(self):
-        """One row per phase: its iterations, the aggregate point's value and
-        the phase's weak-duality lower bound, in the instance's units."""
+        """One row per phase: the iterations it ran, and the least value and
+        the largest weak-duality lower bound over the aggregate points it
+        formed, in the instance's units."""
         lines = ["phase,iterations,value,lower_bound"]
         for row in self.transcript:
             lines.append(",".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
 
 
-def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5,
-                       value_target=None, max_phases=None, collect_transcript=False):
+def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5, value_target=None,
+                       max_phases=None, collect_transcript=False, lb_target=None):
     """Approximately minimize a flow-shaped instance to additive epsilon.
 
     The instance is rescaled so the matrix and rhs sup norms are at most one,
@@ -434,7 +473,9 @@ def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5,
     exceed n^-3.  Independent runs (``ceil(log2(1/fail_prob))`` of them, on
     disjoint seed streams) are compared by direct evaluation and the best
     returned.  The doubled matrix and the sampling tables are built once and
-    shared by every run and phase.
+    shared by every run and phase.  ``value_target`` stops once the directly
+    evaluated value is at most it; ``lb_target`` stops as soon as the
+    weak-duality lower bound exceeds it (used to certify a reject early).
     """
     matrix, b = inst.matrix, inst.b
     if abs(inst.radius - 1.0) > 1e-12:
@@ -459,10 +500,13 @@ def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5,
     for r in range(runs):
         res = _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed=seed,
                                        run_index=r, value_target=value_target,
+                                       lb_target=lb_target,
                                        collect_transcript=collect_transcript)
         if best is None or res.value < best.value:
             best = res
         if value_target is not None and best.value <= value_target:
+            break
+        if res.stop_reason == "lb_target":
             break
     if float(best.x @ best.x) > 2.0 * s_val:
         import warnings
@@ -473,7 +517,7 @@ def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5,
 
 
 def _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed, run_index,
-                             value_target, collect_transcript):
+                             value_target, lb_target, collect_transcript):
     eps_s = cfg.eps
     transcript = []
 
@@ -483,9 +527,32 @@ def _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed, run_index,
     best_x = np.zeros(matrix2.n_cols)
     best_val = evaluate(best_x)
     best_lb = -math.inf
+    stop_reason = None
+
+    def fold(x, y):
+        """Fold an aggregate point into the best value and bound; True to stop.
+
+        Every aggregate point a phase forms, inside it or at its end, passes
+        here.  One formed inside a phase is only a candidate: unless the
+        solve stops there, the next phase starts from the one at t_star.
+        """
+        nonlocal best_val, best_x, best_lb, stop_reason, phase_val, phase_lb
+        val = evaluate(x)
+        if val < best_val:
+            best_val = val
+            best_x = x.copy()
+        lb = weak_duality_bound(matrix2, b2, y)
+        best_lb = max(best_lb, lb)
+        phase_val, phase_lb = min(phase_val, val), max(phase_lb, lb)
+        if best_val - best_lb <= eps_s:
+            stop_reason = "certified"
+        elif value_target is not None and best_val * scale <= value_target:
+            stop_reason = "value_target"
+        elif lb_target is not None and best_lb * scale > lb_target:
+            stop_reason = "lb_target"
+        return stop_reason is not None
+
     total_iter = 0
-    certified = False
-    stop_reason = "phase_budget"
     x_in = y_in = None
     k = 0
     for k in range(cfg.phases):
@@ -494,26 +561,17 @@ def _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed, run_index,
         rng = make_rng(seed, stream=(run_index << 20) | k)
         uniforms = BufferedUniforms(rng)
         t_star = int(rng.integers(1, cfg.t_per_phase + 1))
-        x_in, y_in = run_phase(phase, t_star, uniforms)
-        total_iter += t_star - 1
-        val = evaluate(x_in)
-        if val < best_val:
-            best_val = val
-            best_x = x_in.copy()
-        lb = weak_duality_bound(matrix2, b2, y_in)
-        best_lb = max(best_lb, lb)
+        phase_val, phase_lb = math.inf, -math.inf  # this phase's row
+        x_in, y_in = run_phase(phase, t_star, uniforms, stop=fold)
+        total_iter += phase.iteration
         if collect_transcript:
-            transcript.append((k, t_star - 1, repr(val * scale), repr(lb * scale)))
-        if best_val - best_lb <= eps_s:
-            certified = True
-            stop_reason = "certified"
-            break
-        if value_target is not None and best_val * scale <= value_target:
-            stop_reason = "value_target"
+            transcript.append((k, phase.iteration, repr(phase_val * scale),
+                               repr(phase_lb * scale)))
+        if stop_reason is not None:
             break
     return FlowRegressResult(
         x=best_x, value=best_val * scale, phases_run=k + 1,
         iterations=total_iter, sampled_coordinates=total_iter,
-        certified=certified, gap=(best_val - best_lb) * scale, seed=seed,
-        stop_reason=stop_reason, transcript=transcript,
+        certified=stop_reason == "certified", gap=(best_val - best_lb) * scale,
+        seed=seed, stop_reason=stop_reason or "phase_budget", transcript=transcript,
     )

@@ -332,6 +332,30 @@ class TestBench:
                            "--eps-grid", "2.0")
         assert code == 2
 
+    @pytest.mark.parametrize("solver", ["gd", "plain-cd"])
+    def test_baselines_run_as_in_regress(self, tmp_path, capsys, solver):
+        # one baseline solve per grid row, the same solve regress runs
+        path = str(tmp_path / "shifted.linf")
+        write_matrix_file(path, dense_to_sparse(np.eye(2)), b=np.array([0.5, -0.3]))
+        code, out, _ = run(capsys, "bench", "--input", path, "--eps-grid", "0.1",
+                           "--solver", solver)
+        assert code == 0
+        row = out.splitlines()[1]
+        code, reg, _ = run(capsys, "regress", "--input", path, "--eps", "0.1",
+                           "--solver", solver)
+        assert code == 0
+        assert reg.splitlines()[0] == f"value {row.split(',')[2]}"
+        assert int(row.split(",")[1]) > 0
+        cd_row = run(capsys, "bench", "--input", path, "--eps-grid", "0.1",
+                     "--solver", "cd-l2")[1].splitlines()[1]
+        assert row != cd_row
+
+    def test_dinic_rejected_on_matrix_input(self, identity_instance, capsys):
+        code, out, err = run(capsys, "bench", "--input", identity_instance,
+                             "--eps-grid", "0.1", "--solver", "dinic")
+        assert code == 2 and out == ""
+        assert "dinic does not apply" in err
+
 
 class TestVerify:
     def test_matrix_checks(self, identity_instance, capsys):

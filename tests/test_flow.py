@@ -214,6 +214,17 @@ class TestFlowToRegress:
             for before, after, eps_k in sol.meta["contraction"]:
                 assert after <= eps_k * before * (1 + 1e-6) + 1e-12
 
+    def test_mirror_prox_routes_near_max_flow(self):
+        # the paper's flow path end to end: tree approximator, radius search
+        # and mirror-prox probes
+        net = random_connected_graph(np.random.default_rng(6), 6)
+        d = net.st_demand(1.0)
+        eps = 0.5
+        sol = flow_to_regress(net, d, eps=eps, solver="mirror-prox", seed=0)
+        np.testing.assert_allclose(incidence_apply(net, sol.flow), d, atol=1e-9)
+        # a unit demand routed at congestion c scales to a flow of value 1/c
+        assert 1.0 / sol.max_congestion >= dinic_oracle(net).value / (1 + eps) - 1e-9
+
     def test_zero_demand(self):
         net = path_net(2)
         sol = flow_to_regress(net, np.zeros(3), eps=0.5)

@@ -1,6 +1,7 @@
 """Randomized mirror prox: sampling law, update guards, phase behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from linfflow.errors import InputError
 from linfflow.mirrorprox import (
     MirrorProxConfig,
     PhaseState,
+    aggregate_point,
     lj_dense,
     lj_tilde,
     phase_iterate,
@@ -269,6 +271,39 @@ class TestRunPhase:
         assert (y_out > 0).all()
         assert y_out.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_stop_that_never_holds_changes_nothing(self):
+        rng = np.random.default_rng(16)
+        matrix, b = flow_shaped(rng, 3, 5)
+        plain, _ = make_phase(matrix, b, eps=0.3)
+        checked, _ = make_phase(matrix, b, eps=0.3)
+        u_plain, u_checked = uniforms(16), uniforms(16)
+        checks = []
+
+        def never(x, y):
+            checks.append(checked.iteration)
+            return False
+
+        x_plain, y_plain = run_phase(plain, 1000, u_plain)
+        x_checked, y_checked = run_phase(checked, 1000, u_checked, stop=never)
+        # after 64 iterations, then every max(64, done // 4), and at t_star
+        assert checks == [64, 128, 192, 256, 320, 400, 500, 625, 781, 976, 999]
+        np.testing.assert_array_equal(x_checked, x_plain)
+        np.testing.assert_array_equal(y_checked, y_plain)
+        np.testing.assert_array_equal(checked.x, plain.x)
+        np.testing.assert_array_equal(checked.y.values(), plain.y.values())
+        assert u_checked._pos == u_plain._pos and u_checked._buf == u_plain._buf
+
+    def test_stop_ends_the_phase_at_the_first_check_that_holds(self):
+        rng = np.random.default_rng(17)
+        matrix, b = flow_shaped(rng, 3, 5)
+        phase, _ = make_phase(matrix, b, eps=0.3)
+        x_out, y_out = run_phase(phase, 1000, uniforms(17),
+                                 stop=lambda x, y: phase.iteration >= 300)
+        assert phase.iteration == 320
+        x_agg, y_agg = aggregate_point(phase)
+        np.testing.assert_array_equal(x_out, x_agg)
+        np.testing.assert_array_equal(y_out, y_agg)
+
 
 class TestRegToDiv:
     def test_regret_dominates_divergence(self):
@@ -402,9 +437,17 @@ class TestStopReason:
         res = solve_flow_regress(inst, seed=7)
         assert res.certified and res.stop_reason == "certified"
         assert res.gap <= inst.epsilon
+        # the certificate fires inside the first phase, before its drawn end
+        scale = max(inst.matrix.norm_inf, float(np.abs(inst.b).max()), 1.0)
+        matrix2, _ = sign_double(inst.matrix, inst.b, scale=scale)
+        cfg = MirrorProxConfig.for_instance(matrix2, inst.epsilon / scale, inst.s)
+        t_star = int(make_rng(7, stream=0).integers(1, cfg.t_per_phase + 1))
+        assert res.phases_run == 1 and res.iterations < t_star - 1
 
     def test_phase_budget(self, inst):
-        res = solve_flow_regress(inst, seed=7, max_phases=1)
+        # at eps = 0.15 the first phase certifies; at 0.05 it runs its drawn
+        # length without certifying
+        res = solve_flow_regress(replace(inst, epsilon=0.05), seed=7, max_phases=1)
         assert not res.certified and res.stop_reason == "phase_budget"
         assert res.phases_run == 1
 
@@ -412,6 +455,15 @@ class TestStopReason:
         res = solve_flow_regress(inst, seed=7, value_target=10.0)
         assert not res.certified and res.stop_reason == "value_target"
         assert res.phases_run == 1
+
+    def test_lb_target(self, inst):
+        # rows and rhs have sup norm below one, so the weak-duality bound of
+        # any dual point exceeds -2 and the first check, after 64
+        # iterations, stops the solve
+        res = solve_flow_regress(inst, seed=7, lb_target=-3.0)
+        assert not res.certified and res.stop_reason == "lb_target"
+        assert res.phases_run == 1 and res.iterations == 64
+        assert res.value - res.gap > -3.0
 
     def test_transcript_rows_follow_the_phases(self, inst):
         res = solve_flow_regress(inst, seed=7, collect_transcript=True)
