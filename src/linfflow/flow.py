@@ -7,6 +7,10 @@ spanning tree here, exact on trees), each solved by a certificate-driven
 bisection over the congestion radius.  The regression matrix depends only on
 the tree, so each approximator builds it once; a probe at radius r keeps that
 matrix and divides the rhs by r, since ``max|r A x - b| = r max|A x - b/r|``.
+The approximator is built over index arrays: every graph edge's tree path is
+walked at once, one tree level per pass, and the cut capacities are sums of
+positive terms only (subtracting at the LCA would cancel catastrophically when
+capacities span many orders of magnitude).
 Exact unit-capacity flows follow by scaling to feasibility, rounding the
 fractional flow with cycle cancellation, and finishing with augmenting paths.
 A Dinic blocking-flow solver serves as the in-package oracle.
@@ -27,6 +31,10 @@ from .graphs import FlowNetwork, FlowSolution, incidence_apply
 from .mirrorprox import solve_flow_regress
 
 
+# at most this many tree-path walks left: _climb finishes them in Python
+_SCALAR_CLIMB = 64
+
+
 class TreeApproximator:
     """Congestion approximator from a maximum-capacity spanning tree.
 
@@ -35,13 +43,24 @@ class TreeApproximator:
     the exact quality factor, at most m (every edge crossing a tree edge's cut
     has no larger capacity, by the cycle property of the maximum spanning
     tree).
+
+    Rows are indexed by position in ``tree_edges``: ``row_vertex[k]`` is the
+    deeper endpoint of ``tree_edges[k]`` (the cut is the subtree below it) and
+    ``cutcap[k]`` the total capacity of the graph edges whose tree path
+    crosses it.  The tree paths are walked for all edges at once (``_climb``),
+    one tree level per pass, and ``cutcap`` sums the capacities each pass
+    adds.  It sums positive terms only: the shortcut of adding ``+cap`` at
+    both endpoints and ``-2 cap`` at their LCA, then summing subtrees, cancels
+    catastrophically when capacities span many orders of magnitude (a cap-1
+    edge whose subtree holds edges of 1e20 would get cut capacity 0).
     """
 
     def __init__(self, net):
         self.net = net
         n, m = net.n, net.m
-        self.alpha = float(max(m, 1))
-        order = sorted(range(m), key=lambda e: (-net.caps[e], e))
+        tails, heads = net.tails.tolist(), net.heads.tolist()
+        # Kruskal order: decreasing capacity, ties by edge index
+        order = np.lexsort((np.arange(m), -net.caps)).tolist()
         parent = list(range(n))
 
         def find(a):
@@ -52,20 +71,19 @@ class TreeApproximator:
 
         tree_edges = []
         for e in order:
-            ra, rb = find(net.tails[e]), find(net.heads[e])
+            ra, rb = find(tails[e]), find(heads[e])
             if ra != rb:
                 parent[ra] = rb
                 tree_edges.append(e)
         if len(tree_edges) != n - 1:
             raise InputError("graph must be connected")
-        self.tree_edges = tree_edges
         adj = [[] for _ in range(n)]
         for e in tree_edges:
-            adj[net.tails[e]].append((net.heads[e], e))
-            adj[net.heads[e]].append((net.tails[e], e))
-        self.tree_parent = np.full(n, -1, dtype=np.int64)
-        self.tree_parent_edge = np.full(n, -1, dtype=np.int64)
-        self.depth = np.zeros(n, dtype=np.int64)
+            adj[tails[e]].append((heads[e], e))
+            adj[heads[e]].append((tails[e], e))
+        tree_parent = [-1] * n
+        tree_parent_edge = [-1] * n
+        depth = [0] * n
         order_v = []
         stack = [0]
         seen = [False] * n
@@ -76,106 +94,123 @@ class TreeApproximator:
             for w, e in adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    self.tree_parent[w] = u
-                    self.tree_parent_edge[w] = e
-                    self.depth[w] = self.depth[u] + 1
+                    tree_parent[w] = u
+                    tree_parent_edge[w] = e
+                    depth[w] = depth[u] + 1
                     stack.append(w)
         self.post_order = order_v[::-1]
-        # cut capacity per tree edge: total capacity of graph edges whose tree
-        # path crosses it; accumulate by walking each edge's tree path
-        cutcap = {e: 0.0 for e in tree_edges}
-        for e in range(m):
-            a, b = int(net.tails[e]), int(net.heads[e])
-            for te, _ in self._path_edges(a, b):
-                cutcap[te] += net.caps[e]
+        # (child, parent) in post order: subtree_sums' accumulation sequence
+        self._child_parent = [(u, tree_parent[u]) for u in self.post_order
+                              if tree_parent[u] >= 0]
+        self.tree_edges = np.array(tree_edges, dtype=np.int64)
+        self.tree_parent = np.array(tree_parent, dtype=np.int64)
+        self.tree_parent_edge = np.array(tree_parent_edge, dtype=np.int64)
+        self.depth = np.array(depth, dtype=np.int64)
+        t, h = net.tails[self.tree_edges], net.heads[self.tree_edges]
+        self.row_vertex = np.where(self.depth[t] > self.depth[h], t, h)
+        self._head_is_row = self.row_vertex == h
+        self.n_rows = len(tree_edges)
+        # the row of each non-root vertex's parent edge
+        self._row_of_vertex = np.full(n, -1, dtype=np.int64)
+        self._row_of_vertex[self.row_vertex] = np.arange(self.n_rows)
+        cutcap = np.zeros(self.n_rows)
+        for rows, edges, _ in self._climb():
+            cutcap += np.bincount(rows, weights=net.caps[edges],
+                                  minlength=self.n_rows)
         self.cutcap = cutcap
         # exact quality factor: tree routing congests edge e by
         # |Rd_e| * cutcap_e / u_e, so the max of that ratio bounds OPT from
         # above; it is at most m but usually far smaller
-        self.alpha = max(
-            (cutcap[e] / net.caps[e] for e in tree_edges), default=1.0
-        )
-        self.alpha = float(max(self.alpha, 1.0))
-        # rows are indexed by position in tree_edges; S_e is the subtree below
-        # the deeper endpoint of e
-        self.row_vertex = []
-        for e in tree_edges:
-            a, b = int(net.tails[e]), int(net.heads[e])
-            self.row_vertex.append(a if self.depth[a] > self.depth[b] else b)
-        self.n_rows = len(tree_edges)
+        ratios = cutcap / net.caps[self.tree_edges]
+        self.alpha = float(max(ratios.max(), 1.0)) if self.n_rows else 1.0
         self._matrix = None  # built by the first regression_parts call
 
-    def _path_edges(self, a, b):
-        """``(tree edge, chi_S(b) - chi_S(a))`` along the tree path from a to b.
+    def _climb(self):
+        """Walk every graph edge's tree path, all edges one tree level a pass.
 
-        S is the subtree below the edge, which holds exactly the endpoint it
-        was climbed from: the sign is -1 for edges climbed from a, +1 from b.
+        Yields ``(rows, edges, signs)`` per pass: graph edge ``edges[i]``
+        crosses the tree edge of row ``rows[i]`` with sign
+        ``chi_S(head) - chi_S(tail)``, where S is the subtree below that tree
+        edge.  S holds exactly the endpoint the edge was climbed from: the sign
+        is -1 from the tail, +1 from the head.  Per edge the deeper endpoint
+        moves, or both when depths are equal, until they meet at the LCA.
+
+        A pass costs a few dozen numpy calls whatever its size, so once at most
+        ``_SCALAR_CLIMB`` walks remain (a deep tree's long paths), they finish
+        one step at a time over Python lists, in one last yield.
         """
-        parent, parent_edge = self.tree_parent, self.tree_parent_edge
-        out = []
-        da, db = int(self.depth[a]), int(self.depth[b])
-        while da > db:
-            out.append((int(parent_edge[a]), -1.0))
-            a = int(parent[a])
-            da -= 1
-        while db > da:
-            out.append((int(parent_edge[b]), 1.0))
-            b = int(parent[b])
-            db -= 1
-        while a != b:
-            out.append((int(parent_edge[a]), -1.0))
-            out.append((int(parent_edge[b]), 1.0))
-            a = int(parent[a])
-            b = int(parent[b])
-        return out
+        net = self.net
+        parent, depth, row_of = self.tree_parent, self.depth, self._row_of_vertex
+        edges, a, b = np.arange(net.m), net.tails, net.heads
+        da, db = depth[a], depth[b]
+        live = a != b
+        while True:
+            edges, a, b, da, db = edges[live], a[live], b[live], da[live], db[live]
+            if len(edges) <= _SCALAR_CLIMB:
+                break
+            up_a, up_b = da >= db, db >= da
+            moved_a, moved_b = a[up_a], b[up_b]
+            yield (row_of[np.concatenate((moved_a, moved_b))],
+                   np.concatenate((edges[up_a], edges[up_b])),
+                   np.repeat((-1.0, 1.0), (len(moved_a), len(moved_b))))
+            a[up_a] = parent[moved_a]  # a and b are copies: masked above
+            b[up_b] = parent[moved_b]
+            da -= up_a
+            db -= up_b
+            live = a != b
+        if not len(edges):
+            return
+        parent, depth, row_of = parent.tolist(), depth.tolist(), row_of.tolist()
+        rows, cols, signs = [], [], []
+        for e, u, v in zip(edges.tolist(), a.tolist(), b.tolist()):
+            while u != v:
+                du, dv = depth[u], depth[v]
+                if du >= dv:
+                    rows.append(row_of[u])
+                    signs.append(-1.0)
+                    u = parent[u]
+                if dv >= du:
+                    rows.append(row_of[v])
+                    signs.append(1.0)
+                    v = parent[v]
+            cols.extend([e] * (len(rows) - len(cols)))
+        yield np.array(rows), np.array(cols), np.array(signs)
 
     def subtree_sums(self, d):
         """Net demand inside the subtree below each vertex, in O(n)."""
-        s = np.asarray(d, dtype=np.float64).copy()
-        for u in self.post_order:
-            p = self.tree_parent[u]
-            if p >= 0:
-                s[p] += s[u]
-        return s
+        s = np.asarray(d, dtype=np.float64).tolist()
+        for u, p in self._child_parent:
+            s[p] += s[u]
+        return np.array(s)
 
     def apply(self, d):
         """R @ d: per tree edge, the subtree demand over the cut capacity."""
-        s = self.subtree_sums(d)
-        out = np.empty(self.n_rows)
-        for k, e in enumerate(self.tree_edges):
-            out[k] = s[self.row_vertex[k]] / self.cutcap[e]
-        return out
+        return self.subtree_sums(d)[self.row_vertex] / self.cutcap
 
     def tree_route(self, d):
         """Exact routing of d on the spanning tree; O(n)."""
-        s = self.subtree_sums(d)
+        # net flow that must enter the subtree below each row's vertex
+        need = self.subtree_sums(d)[self.row_vertex]
         f = np.zeros(self.net.m)
-        for k, e in enumerate(self.tree_edges):
-            v = self.row_vertex[k]
-            need = s[v]  # net flow that must enter the subtree below v
-            if int(self.net.heads[e]) == v:
-                f[e] = need
-            else:
-                f[e] = -need
+        f[self.tree_edges] = np.where(self._head_is_row, need, -need)
         return f
 
     def regression_parts(self, d):
         """(A, b) with A = 2 alpha R B U and b = 2 alpha R d.
 
         A depends on the tree alone: the first call builds it, and every call
-        returns that same matrix object.
+        returns that same matrix object.  Column f touches exactly the tree
+        edges on f's endpoints' tree path, with the signs of ``_climb``.
         """
         scale = 2.0 * self.alpha
         if self._matrix is None:
-            net = self.net
-            row_of = {e: k for k, e in enumerate(self.tree_edges)}
-            # column f touches exactly the tree edges on f's endpoints' tree path
-            triplets = [
-                (row_of[te], f, scale * sign * net.caps[f] / self.cutcap[te])
-                for f in range(net.m)
-                for te, sign in self._path_edges(int(net.tails[f]), int(net.heads[f]))
-            ]
-            self._matrix = SparseMatrix.from_triplets(triplets, self.n_rows, net.m)
+            empty = np.zeros(0, dtype=np.int64)
+            passes = [(empty, empty, np.zeros(0)), *self._climb()]
+            rows, cols, signs = (np.concatenate(p) for p in zip(*passes))
+            vals = scale * signs * self.net.caps[cols] / self.cutcap[rows]
+            self._matrix = SparseMatrix.from_triplets(
+                zip(rows.tolist(), cols.tolist(), vals.tolist()),
+                self.n_rows, self.net.m)
         return self._matrix, scale * self.apply(d)
 
 
@@ -376,18 +411,20 @@ def round_to_integral(net, f, value=None, tol=1e-6):
     fval = float(achieved[net.sink]) if value is None else float(value)
 
     m = net.m
+    tails, heads = net.tails.tolist(), net.heads.tolist()
     # adjacency over edges incl. the virtual return edge index m (t -> s)
     def frac(v):
         return abs(v - round(v)) > 1e-9
 
     ret = fval
     for _ in range(m + 2):
-        frac_edges = [e for e in range(m) if frac(f[e])]
+        # np.round rounds half to even, as round does in frac
+        frac_edges = np.flatnonzero(np.abs(f - np.round(f)) > 1e-9).tolist()
         if not frac_edges and not frac(ret):
             break
         adj = [[] for _ in range(net.n)]
         for e in frac_edges:
-            u, v = int(net.tails[e]), int(net.heads[e])
+            u, v = tails[e], heads[e]
             adj[u].append((v, e, 1.0))   # traverse along orientation
             adj[v].append((u, e, -1.0))  # traverse against orientation
         if frac(ret):
@@ -476,12 +513,11 @@ def augment_to_max(net, flow, rounds=None):
     """
     if net.source is None or net.sink is None:
         raise InputError("augmenting needs designated source and sink")
-    f = np.asarray(flow, dtype=np.float64).copy()
-    caps = net.caps
+    f = np.asarray(flow, dtype=np.float64).tolist()
+    caps = net.caps.tolist()
     lo = 0.0 if net.directed else -1.0
     adj = [[] for _ in range(net.n)]
-    for e in range(net.m):
-        u, v = int(net.tails[e]), int(net.heads[e])
+    for e, (u, v) in enumerate(zip(net.tails.tolist(), net.heads.tolist())):
         adj[u].append((v, e, 1.0))
         adj[v].append((u, e, -1.0))
     done = 0
@@ -512,7 +548,7 @@ def augment_to_max(net, flow, rounds=None):
             f[e] += sgn * bottleneck
             w = u
         done += 1
-    out = FlowSolution.from_flow(net, f)
+    out = FlowSolution.from_flow(net, np.array(f))
     out.value = float(out.achieved_demand[net.sink])
     return out
 
@@ -541,8 +577,8 @@ def dinic_oracle(net):
         caps.append(0.0)
         orig.append(None)
 
-    for e in range(net.m):
-        u, v, c = int(net.tails[e]), int(net.heads[e]), float(net.caps[e])
+    for e, (u, v, c) in enumerate(zip(net.tails.tolist(), net.heads.tolist(),
+                                      net.caps.tolist())):
         add_arc(u, v, c, (e, 1.0))
         if not net.directed:
             add_arc(v, u, c, (e, -1.0))
@@ -590,12 +626,12 @@ def dinic_oracle(net):
                 flow_arc[a] += pushed
                 flow_arc[a ^ 1] -= pushed
             total += pushed
-    f = np.zeros(net.m)
+    f = [0.0] * net.m
     for a in range(0, len(heads), 2):
         if orig[a] is not None:
             e, sgn = orig[a]
             f[e] += sgn * flow_arc[a]
-    out = FlowSolution.from_flow(net, f)
+    out = FlowSolution.from_flow(net, np.array(f))
     out.value = total
     return out
 

@@ -14,6 +14,52 @@ from .errors import InputError
 _MIN_CAP = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
+# from this many edges on, FlowNetwork checks them with numpy: below it, the
+# fixed cost of numpy's calls exceeds a loop over the edges
+_BULK_EDGES = 64
+
+
+def _edge_arrays(n, edges, directed):
+    """(tails, heads, caps) arrays of ``edges``, undirected ones as ``u < v``.
+
+    Raises InputError for the first bad edge, checking its endpoints' range,
+    then a self loop, then its capacity.  Many edges are first checked all at
+    once; only a graph that fails there is walked edge by edge for the error.
+    """
+    if len(edges) >= _BULK_EDGES:
+        us = np.array([u for u, _, _ in edges], dtype=np.float64)
+        vs = np.array([v for _, v, _ in edges], dtype=np.float64)
+        caps = np.array([cap for _, _, cap in edges], dtype=np.float64)
+        # int(u) lies in [0, n) iff -1 < u < n; every comparison fails on nan.
+        # Beyond 2**53 the floats are inexact, so such a graph takes the loop.
+        limit = min(n, 2 ** 53)
+        if ((us > -1) & (us < limit) & (vs > -1) & (vs < limit)
+                & (caps >= _MIN_CAP) & (caps < math.inf)).all():
+            tails, heads = us.astype(np.int64), vs.astype(np.int64)  # as int()
+            if not (tails == heads).any():
+                if not directed:
+                    tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
+                return tails, heads, caps
+    tails, heads, caps = [], [], []
+    for k, (u, v, cap) in enumerate(edges):
+        u, v, cap = int(u), int(v), float(cap)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {k}: endpoint out of range")
+        if u == v:
+            raise InputError(f"edge {k}: self loop at {u}")
+        if not _MIN_CAP <= cap < math.inf:  # also false for nan
+            raise InputError(
+                f"edge {k}: capacity {cap!r} must be finite and at least "
+                f"{_MIN_CAP!r}, so that its reciprocal is finite")
+        if not directed and u > v:
+            u, v = v, u
+        tails.append(u)
+        heads.append(v)
+        caps.append(cap)
+    return (np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64),
+            np.array(caps, dtype=np.float64))
+
+
 class FlowNetwork:
     """Capacitated graph with a fixed edge orientation and a demand vector.
 
@@ -29,28 +75,12 @@ class FlowNetwork:
 
     def __init__(self, n, edges, directed=False, demand=None, source=None, sink=None):
         self.n = int(n)
-        tails, heads, caps = [], [], []
-        min_cap = _MIN_CAP
-        for k, (u, v, cap) in enumerate(edges):
-            u, v, cap = int(u), int(v), float(cap)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge {k}: endpoint out of range")
-            if u == v:
-                raise InputError(f"edge {k}: self loop at {u}")
-            if not min_cap <= cap < math.inf:  # also false for nan
-                raise InputError(
-                    f"edge {k}: capacity {cap!r} must be finite and at least "
-                    f"{_MIN_CAP!r}, so that its reciprocal is finite")
-            if not directed and u > v:
-                u, v = v, u
-            tails.append(u)
-            heads.append(v)
-            caps.append(cap)
+        tails, heads, caps = _edge_arrays(self.n, list(edges), directed)
         if len(caps) < self.n - 1:  # before any O(n) allocation
             raise InputError("underlying graph must be connected")
-        self.tails = np.array(tails, dtype=np.int64)
-        self.heads = np.array(heads, dtype=np.int64)
-        self.caps = np.array(caps, dtype=np.float64)
+        self.tails = tails
+        self.heads = heads
+        self.caps = caps
         self.directed = bool(directed)
         for role, vertex in (("source", source), ("sink", sink)):
             if vertex is not None and not 0 <= vertex < self.n:
@@ -72,10 +102,10 @@ class FlowNetwork:
 
     def _connected(self):
         adj = [[] for _ in range(self.n)]
-        for u, v in zip(self.tails, self.heads):
+        for u, v in zip(self.tails.tolist(), self.heads.tolist()):
             adj[u].append(v)
             adj[v].append(u)
-        seen = np.zeros(self.n, dtype=bool)
+        seen = [False] * self.n
         stack = [0]
         seen[0] = True
         while stack:
@@ -84,7 +114,7 @@ class FlowNetwork:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        return bool(seen.all())
+        return all(seen)
 
     @property
     def m(self):
@@ -195,6 +225,7 @@ def read_dimacs(path):
 def write_flow_file(path, net, solution):
     """Write ``e <u> <v> <flow>`` lines plus the summary line."""
     with open(path, "w") as fh:
-        for u, v, f in zip(net.tails, net.heads, solution.flow):
-            fh.write(f"e {u + 1} {v + 1} {float(f)!r}\n")
+        flow = np.asarray(solution.flow, dtype=np.float64).tolist()
+        for u, v, f in zip(net.tails.tolist(), net.heads.tolist(), flow):
+            fh.write(f"e {u + 1} {v + 1} {f!r}\n")
         fh.write(f"value {solution.value!r} congestion {solution.max_congestion!r}\n")

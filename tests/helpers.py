@@ -266,3 +266,132 @@ def ford_fulkerson_value(net):
             flow[(w, u)] = flow.get((w, u), 0.0) - bott
             w = u
         total += bott
+
+
+class ReferenceTree:
+    """The maximum-spanning-tree approximator built one edge at a time.
+
+    Reference for ``linfflow.flow.TreeApproximator``: Kruskal by
+    ``sorted(key=(-cap, e))``, the same stack DFS from vertex 0, and every
+    graph edge's tree path walked vertex by vertex (``path_edges``), with the
+    cut capacities summed edge by edge in edge order.  Rows are indexed by
+    position in ``tree_edges``, as in the approximator.
+    """
+
+    def __init__(self, net):
+        self.net = net
+        n, m = net.n, net.m
+        order = sorted(range(m), key=lambda e: (-net.caps[e], e))
+        uf = list(range(n))
+
+        def find(a):
+            while uf[a] != a:
+                uf[a] = uf[uf[a]]
+                a = uf[a]
+            return a
+
+        self.tree_edges = []
+        for e in order:
+            ra, rb = find(int(net.tails[e])), find(int(net.heads[e]))
+            if ra != rb:
+                uf[ra] = rb
+                self.tree_edges.append(e)
+        adj = [[] for _ in range(n)]
+        for e in self.tree_edges:
+            u, v = int(net.tails[e]), int(net.heads[e])
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        self.tree_parent = [-1] * n
+        self.tree_parent_edge = [-1] * n
+        self.depth = [0] * n
+        order_v, stack, seen = [], [0], [False] * n
+        seen[0] = True
+        while stack:
+            u = stack.pop()
+            order_v.append(u)
+            for w, e in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    self.tree_parent[w] = u
+                    self.tree_parent_edge[w] = e
+                    self.depth[w] = self.depth[u] + 1
+                    stack.append(w)
+        self.post_order = order_v[::-1]
+        self.row_vertex = []
+        for e in self.tree_edges:
+            a, b = int(net.tails[e]), int(net.heads[e])
+            self.row_vertex.append(a if self.depth[a] > self.depth[b] else b)
+        row_of = {e: k for k, e in enumerate(self.tree_edges)}
+        self.cutcap = np.zeros(len(self.tree_edges))
+        for e in range(m):
+            for te, _ in self.path_edges(int(net.tails[e]), int(net.heads[e])):
+                self.cutcap[row_of[te]] += net.caps[e]
+
+    def path_edges(self, a, b):
+        """``(tree edge, chi_S(b) - chi_S(a))`` along the tree path from a to b.
+
+        S is the subtree below the edge, which holds exactly the endpoint it
+        was climbed from: the sign is -1 for edges climbed from a, +1 from b.
+        """
+        parent, parent_edge, depth = self.tree_parent, self.tree_parent_edge, self.depth
+        out = []
+        while depth[a] > depth[b]:
+            out.append((parent_edge[a], -1.0))
+            a = parent[a]
+        while depth[b] > depth[a]:
+            out.append((parent_edge[b], 1.0))
+            b = parent[b]
+        while a != b:
+            out.append((parent_edge[a], -1.0))
+            out.append((parent_edge[b], 1.0))
+            a, b = parent[a], parent[b]
+        return out
+
+    def subtree_sums(self, d):
+        s = np.asarray(d, dtype=np.float64).copy()
+        for u in self.post_order:
+            p = self.tree_parent[u]
+            if p >= 0:
+                s[p] += s[u]
+        return s
+
+    def apply(self, d):
+        s = self.subtree_sums(d)
+        return np.array([s[v] / c for v, c in zip(self.row_vertex, self.cutcap)])
+
+    def tree_route(self, d):
+        s = self.subtree_sums(d)
+        f = np.zeros(self.net.m)
+        for e, v in zip(self.tree_edges, self.row_vertex):
+            f[e] = s[v] if int(self.net.heads[e]) == v else -s[v]
+        return f
+
+    def regression_dense(self, alpha):
+        """Dense 2 alpha R B U, one column per graph edge's signed tree path."""
+        net = self.net
+        row_of = {e: k for k, e in enumerate(self.tree_edges)}
+        out = np.zeros((len(self.tree_edges), net.m))
+        for f in range(net.m):
+            for te, sign in self.path_edges(int(net.tails[f]), int(net.heads[f])):
+                k = row_of[te]
+                out[k, f] = 2.0 * alpha * sign * net.caps[f] / self.cutcap[k]
+        return out
+
+
+def flow_network_edge_error(n, edges, directed=False):
+    """The first bad edge's message, checking edges one at a time in order.
+
+    Reference for the edge checks of ``FlowNetwork``: per edge the range,
+    then the self loop, then the capacity; None when every edge passes.
+    """
+    min_cap = float(np.finfo(np.float64).tiny)
+    for k, (u, v, cap) in enumerate(edges):
+        u, v, cap = int(u), int(v), float(cap)
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {k}: endpoint out of range"
+        if u == v:
+            return f"edge {k}: self loop at {u}"
+        if not min_cap <= cap < math.inf:
+            return (f"edge {k}: capacity {cap!r} must be finite and at least "
+                    f"{min_cap!r}, so that its reciprocal is finite")
+    return None

@@ -204,6 +204,17 @@ class TestFlowCommands:
         assert code == 0
         assert float(out.splitlines()[0].split()[1]) == 1.0
 
+    @pytest.mark.parametrize("command", ["maxflow", "exact-flow", "verify"])
+    def test_two_vertex_graph(self, tmp_path, capsys, command):
+        # one tree edge, no non-tree edge: the smallest approximator
+        path = tmp_path / "two.dimacs"
+        path.write_text("c undirected\np max 2 1\nn 1 s\nn 2 t\na 1 2 1\n")
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 0, err
+        assert "Traceback" not in err
+        if command != "verify":
+            assert float(out.splitlines()[0].split()[1]) == 1.0
+
     def test_dinic_long_path(self, tmp_path, capsys):
         n = 3000
         path = tmp_path / "long.dimacs"

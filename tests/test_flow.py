@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ReferenceTree,
+    flow_network_edge_error,
     ford_fulkerson_value,
     min_congestion_opt,
     random_connected_graph,
     random_unit_digraph,
 )
 from linfflow import flow as flow_module
+from linfflow import graphs as graphs_module
 from linfflow.errors import InputError
 from linfflow.flow import (
     TreeApproximator,
@@ -131,6 +134,173 @@ class TestTreeApproximator:
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
             FlowNetwork(4, [(0, 1, 1.0), (2, 3, 1.0)])
+
+
+def lognormal_graph(rng, n, extra_edges):
+    base = random_connected_graph(rng, n, extra_edges=extra_edges)
+    caps = rng.lognormal(0.0, 3.0, size=base.m)
+    return FlowNetwork(n, list(zip(base.tails.tolist(), base.heads.tolist(),
+                                   caps.tolist())))
+
+
+def deep_tree_graph(rng, n=400, chords=40, integral=True):
+    """A path 0-1-...-(n-1) plus random chords: the spanning tree is deep."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(chords, 2)) if u != v]
+    caps = (rng.integers(1, 6, size=len(edges)).astype(float) if integral
+            else rng.lognormal(0.0, 3.0, size=len(edges)))
+    return FlowNetwork(n, [(u, v, c) for (u, v), c in zip(edges, caps.tolist())],
+                       source=0, sink=n - 1)
+
+
+class TestTreeMatchesPathWalk:
+    """TreeApproximator against the vertex-by-vertex path walk of ReferenceTree.
+
+    ``scalar_climb`` moves the point where the level-synchronous climb hands
+    its last walks to Python: 0 keeps every pass in numpy, 10**9 walks every
+    edge in Python.
+    """
+
+    @pytest.fixture(params=[0, None, 10**9], ids=["numpy", "default", "python"])
+    def scalar_climb(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(flow_module, "_SCALAR_CLIMB", request.param)
+
+    def graphs(self):
+        rng = np.random.default_rng(21)
+        for n, extra in ((2, 0), (9, 6), (40, 80), (150, 300)):
+            yield lognormal_graph(rng, n, extra), False
+            yield random_connected_graph(rng, n, extra_edges=extra, unit=False), True
+        yield deep_tree_graph(rng), True
+        yield deep_tree_graph(rng, integral=False), False
+
+    def test_same_tree_cuts_and_operators(self, scalar_climb):
+        rng = np.random.default_rng(22)
+        for net, integral in self.graphs():
+            approx, ref = TreeApproximator(net), ReferenceTree(net)
+            np.testing.assert_array_equal(approx.tree_edges, ref.tree_edges)
+            np.testing.assert_array_equal(approx.tree_parent, ref.tree_parent)
+            np.testing.assert_array_equal(approx.depth, ref.depth)
+            np.testing.assert_array_equal(approx.post_order, ref.post_order)
+            np.testing.assert_array_equal(approx.row_vertex, ref.row_vertex)
+            if integral:
+                np.testing.assert_array_equal(approx.cutcap, ref.cutcap)
+            else:
+                np.testing.assert_allclose(approx.cutcap, ref.cutcap, rtol=1e-14, atol=0)
+            d = rng.normal(size=net.n)
+            d -= d.mean()
+            np.testing.assert_array_equal(approx.subtree_sums(d), ref.subtree_sums(d))
+            np.testing.assert_array_equal(approx.tree_route(d), ref.tree_route(d))
+            if integral:
+                np.testing.assert_array_equal(approx.apply(d), ref.apply(d))
+            else:
+                np.testing.assert_allclose(approx.apply(d), ref.apply(d), rtol=1e-14, atol=0)
+
+    def test_regression_matrix_matches_path_walk(self, scalar_climb):
+        rng = np.random.default_rng(23)
+        for net, integral in self.graphs():
+            approx, ref = TreeApproximator(net), ReferenceTree(net)
+            matrix, _ = approx.regression_parts(np.zeros(net.n))
+            expected = ref.regression_dense(approx.alpha)
+            if integral:
+                np.testing.assert_array_equal(matrix.to_dense(), expected)
+            else:
+                np.testing.assert_allclose(matrix.to_dense(), expected, rtol=1e-13, atol=0)
+            assert matrix.nnz == np.count_nonzero(expected)
+
+    def test_cut_capacity_sums_positive_terms_only(self, scalar_climb):
+        # the only edge leaving {1, 2, 3} has capacity 1, inside it 1e20: an
+        # endpoint-minus-LCA subtree sum would round the cut to 0 (alpha inf)
+        net = FlowNetwork(4, [(1, 2, 1e20), (2, 3, 1e20), (1, 3, 1e20), (0, 1, 1.0)],
+                          source=0, sink=3)
+        approx = TreeApproximator(net)
+        k = approx.tree_edges.tolist().index(3)
+        assert approx.cutcap[k] == 1.0
+        assert approx.alpha == 2.0  # each 1e20 tree edge is crossed by 2e20
+        np.testing.assert_array_equal(approx.cutcap, ReferenceTree(net).cutcap)
+
+    def test_two_vertex_graph(self):
+        net = FlowNetwork(2, [(0, 1, 3.0)], source=0, sink=1)
+        approx = TreeApproximator(net)
+        d = net.st_demand(1.0)
+        assert approx.alpha == 1.0
+        np.testing.assert_array_equal(approx.apply(d), [1.0 / 3.0])
+        np.testing.assert_array_equal(approx.tree_route(d), [1.0])
+        matrix, rhs = approx.regression_parts(d)
+        np.testing.assert_array_equal(matrix.to_dense(), [[2.0]])
+        np.testing.assert_array_equal(rhs, [2.0 / 3.0])
+
+
+class TestFlowNetworkEdgeChecks:
+    """Bad edges after valid ones: the first bad edge's index and message.
+
+    n = 4 builds a 4-edge cycle, below the size from which FlowNetwork checks
+    edges in bulk; n = 100 builds a 100-edge cycle, above it.
+    """
+
+    @staticmethod
+    def cycle(n):
+        return [(k, (k + 1) % n, 1.0 + k % 3) for k in range(n)]
+
+    @staticmethod
+    def bad_edges(n):
+        return [(0, n, 1.0), (-1, 2, 1.0), (2, -1, 1.0), (2, 2, 1.0), (1, 2, float("nan")),
+                (1, 2, float("inf")), (1, 2, 1e-320), (1, 2, 0.0), (1, 2, -1.0),
+                (3, 3, float("nan")), (n, n, float("nan")), (2 ** 70, 1, 1.0)]
+
+    @pytest.mark.parametrize("n", [4, 100], ids=["loop", "bulk"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_first_bad_edge_reported(self, n, directed):
+        valid = self.cycle(n)
+        for bad in self.bad_edges(n):
+            for pos in (1, n // 2 + 1, n):
+                for later in (None, (2, 2, 1.0), (0, n + 5, 1.0)):
+                    edges = valid[:pos] + [bad] + valid[pos:]
+                    if later is not None:
+                        edges.append(later)
+                    expected = flow_network_edge_error(n, edges)
+                    assert expected.startswith(f"edge {pos}: ")
+                    with pytest.raises(InputError) as info:
+                        FlowNetwork(n, edges, directed=directed)
+                    assert str(info.value) == expected
+
+    @pytest.mark.parametrize("n", [4, 100], ids=["loop", "bulk"])
+    def test_messages(self, n):
+        cap_message = ("capacity {} must be finite and at least "
+                       "2.2250738585072014e-308, so that its reciprocal is finite")
+        cases = [((0, n, 1.0), "endpoint out of range"),
+                 ((2, 2, 1.0), "self loop at 2"),
+                 ((1, 2, float("nan")), cap_message.format("nan")),
+                 ((1, 2, 1e-320), cap_message.format("1e-320"))]
+        for bad, message in cases:
+            with pytest.raises(InputError) as info:
+                FlowNetwork(n, self.cycle(n) + [bad])
+            assert str(info.value) == f"edge {n}: {message}"
+
+    def test_valid_edges_kept_in_order(self):
+        net = FlowNetwork(4, [(1, 0, 2.0), (2, 1, 1.0), (3, 2, 4.0)])
+        assert net.tails.tolist() == [0, 1, 2]
+        assert net.heads.tolist() == [1, 2, 3]
+        assert net.caps.tolist() == [2.0, 1.0, 4.0]
+        digraph = FlowNetwork(4, [(1, 0, 2.0), (2, 1, 1.0), (3, 2, 4.0)], directed=True)
+        assert digraph.tails.tolist() == [1, 2, 3]
+        assert digraph.heads.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_bulk_check_builds_what_the_loop_builds(self, monkeypatch, directed):
+        rng = np.random.default_rng(24)
+        base = random_connected_graph(rng, 60, extra_edges=140)
+        # numpy and float endpoints, int capacities: converted as int() / float()
+        edges = [(u, float(v), int(c)) for u, v, c in zip(
+            base.heads, base.tails, rng.integers(1, 9, size=base.m))]
+        assert len(edges) >= graphs_module._BULK_EDGES
+        bulk = FlowNetwork(60, edges, directed=directed)
+        monkeypatch.setattr(graphs_module, "_BULK_EDGES", 10 ** 9)
+        loop = FlowNetwork(60, edges, directed=directed)
+        for name in ("tails", "heads", "caps"):
+            a, b = getattr(bulk, name), getattr(loop, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAlmostRoute:
@@ -304,6 +474,14 @@ class TestAugmentToMax:
             out = augment_to_max(net, np.zeros(net.m))
             assert out.value == pytest.approx(dinic_oracle(net).value, abs=1e-9)
             assert (np.abs(out.flow) <= net.caps + 1e-9).all()
+
+    def test_capacitated_flow_against_orientation(self):
+        # undirected edges are stored as u < v: from source 2 to sink 0 the
+        # flow runs against both, down to -cap
+        net = FlowNetwork(3, [(0, 1, 5.0), (1, 2, 4.0)], source=2, sink=0)
+        out = augment_to_max(net, np.zeros(2))
+        assert out.value == 4.0
+        np.testing.assert_array_equal(out.flow, [-4.0, -4.0])
 
 
 class TestDinic:
