@@ -58,7 +58,6 @@ from .mirrorprox import (
     MirrorProxConfig,
     PhaseState,
     PhaseTables,
-    lj_tilde,
     phase_iterate,
     phase_iterates,
     run_phase,
@@ -78,8 +77,6 @@ from .smoothing import (
     SoftmaxState,
     grad_coord,
     local_smoothness,
-    smax_eval,
-    softmax_distribution,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

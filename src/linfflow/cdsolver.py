@@ -26,7 +26,7 @@ one-step case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .smoothing import (
     REBUILD_DRIFT,
     LocalSmoothnessParams,
     SoftmaxState,
-    objective_value,
     sum_smoothness_bound,
 )
 
@@ -210,7 +209,6 @@ class SubproblemResult:
     certified: bool
     iterations: int
     final_w: np.ndarray
-    objective: float
 
 
 class SubproblemSolver:
@@ -302,7 +300,6 @@ class SubproblemSolver:
             certified=certified,
             iterations=done,
             final_w=state.w_array(),
-            objective=objective_value(state, center, self.params),
         )
 
 
@@ -335,7 +332,6 @@ class ProxOuterState:
     eps_iter: float
     fail_prob: float
     solver: SubproblemSolver
-    inner_iterations: list = field(default_factory=list)
 
     def delta_x_threshold(self):
         """Per-iteration sup-norm accuracy required of the subproblem solution."""
@@ -370,7 +366,6 @@ def prox_outer_iterate(outer, uniforms, stop_check=None):
     )
     outer.x = res.x
     outer.logp = _log_normalize(res.final_w)
-    outer.inner_iterations.append(res.iterations)
     return res
 
 
@@ -404,7 +399,7 @@ class RegressionResult:
 
 
 def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
-                   max_outer=None, value_target=None, rng=None, x0=None,
+                   max_outer=None, value_target=None, x0=None,
                    lb_target=None):
     """Solve one unit-box instance to additive epsilon with high probability.
 
@@ -429,7 +424,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     eps = inst.epsilon
     s = inst.s
     norm_a = matrix.norm_inf
-    uniforms = BufferedUniforms(rng if rng is not None else make_rng(seed, stream))
+    uniforms = BufferedUniforms(make_rng(seed, stream))
     transcript = []
 
     if norm_a == 0.0:
@@ -439,9 +434,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
                                 transcript=transcript, seed=seed,
                                 stop_reason="certified", timed=timing)
 
-    if inst.alpha_override is not None:
-        alpha = inst.alpha_override
-    elif mode == "l2":
+    if mode == "l2":
         alpha = max(eps, math.sqrt(s / m) * norm_a)
     else:
         alpha = max(eps, math.sqrt(n2 / m) * norm_a)

@@ -19,7 +19,6 @@ from .cdsolver import solve_box_linf
 from .core import (
     RegressionInstance,
     read_matrix_file,
-    reduce_to_unit_box,
     sign_double,
 )
 from .errors import InfeasibleError, InputError, SolverFault
@@ -160,8 +159,7 @@ def _run_maxflow(args):
 
 def _run_exact_flow(args):
     net = _flow_common(args)
-    sol = exact_unit_maxflow(net, solver=args.solver if args.solver != "dinic"
-                             else "cd-l2", seed=args.seed)
+    sol = exact_unit_maxflow(net, solver=args.solver, seed=args.seed)
     if args.output:
         write_flow_file(args.output, net, sol)
     print(f"value {sol.value!r}")

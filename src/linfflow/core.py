@@ -5,9 +5,13 @@ max-abs residual ``max_i |(A x - b)_i|`` over ``x`` in ``[-1, 1]^m``.  That is
 the maximum entry of the sign-doubled system ``[A; -A] x - [b; -b]``
 (``sign_double``): the mirror-prox solver and the baselines build it, while
 the coordinate descent path keeps it folded, one weight pair per row of
-``A``.  This module holds the immutable matrix type (column and row views
-both materialized), the instance record, and the affine change of variables
-that maps general boxes onto the unit box.
+``A``.  This module holds the immutable matrix type, the instance record,
+and the affine change of variables that maps general boxes onto the unit box.
+
+``SparseMatrix`` stores its entries as flat column-major and row-major arrays
+with index pointers (CSC and CSR), read-only, and is the only module that
+knows that layout: the solvers read columns, rows and the entry arrays
+through its methods.
 """
 
 from __future__ import annotations
@@ -22,23 +26,31 @@ from .errors import InputError
 
 
 class SparseMatrix:
-    """Immutable sparse matrix with both column-major and row-major views.
+    """Immutable sparse matrix stored column-major (CSC) and row-major (CSR).
 
-    Column access drives per-coordinate solver steps; row access drives
-    residual updates.  Per-column max-abs values and per-row l1 norms are
-    cached at construction and never change.
+    The entries are held twice, as flat arrays: sorted by (col, row) with the
+    column pointer ``col_ptr``, and sorted by (row, col) with ``row_ptr``, so
+    column j is entries ``col_ptr[j]:col_ptr[j + 1]`` of the first and row i
+    entries ``row_ptr[i]:row_ptr[i + 1]`` of the second.  Column access drives
+    per-coordinate solver steps; row access builds the samplers' per-row
+    tables.  Every stored array is read-only, and ``col``, ``row``,
+    ``flat_entries`` and ``row_entries`` return views of them.  Per-column
+    max-abs values and per-row l1 norms are cached at construction; each
+    row's l1 norm is summed on its own slice rather than by one
+    ``np.add.reduceat``, whose sequential order would move ``norm_inf`` (and
+    with it alpha and every step constant) in the last bits.
     """
 
     __slots__ = (
         "n_rows",
         "n_cols",
-        "_col_rows",
-        "_col_vals",
-        "_row_cols",
-        "_row_vals",
         "_rows_flat",
         "_cols_flat",
         "_vals_flat",
+        "col_ptr",
+        "_csr_cols",
+        "_csr_vals",
+        "row_ptr",
         "col_maxabs",
         "row_l1",
         "col_nnz",
@@ -55,38 +67,40 @@ class SparseMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
+        self.nnz = len(vals)
 
         order = np.lexsort((rows, cols))
         self._rows_flat = rows[order]
         self._cols_flat = cols[order]
         self._vals_flat = vals[order]
-        self.nnz = len(vals)
+        self.col_nnz = np.bincount(cols, minlength=self.n_cols)
+        self.col_ptr = np.concatenate([[0], np.cumsum(self.col_nnz)])
 
-        self._col_rows = []
-        self._col_vals = []
-        start = np.searchsorted(self._cols_flat, np.arange(self.n_cols), side="left")
-        stop = np.searchsorted(self._cols_flat, np.arange(self.n_cols), side="right")
-        for j in range(self.n_cols):
-            self._col_rows.append(self._rows_flat[start[j]:stop[j]].copy())
-            self._col_vals.append(self._vals_flat[start[j]:stop[j]].copy())
+        order = np.lexsort((cols, rows))
+        self._csr_cols = cols[order]
+        self._csr_vals = vals[order]
+        row_nnz = np.bincount(rows, minlength=self.n_rows)
+        self.row_ptr = np.concatenate([[0], np.cumsum(row_nnz)])
 
-        order_r = np.lexsort((cols, rows))
-        rr, cc, vv = rows[order_r], cols[order_r], vals[order_r]
-        self._row_cols = []
-        self._row_vals = []
-        start = np.searchsorted(rr, np.arange(self.n_rows), side="left")
-        stop = np.searchsorted(rr, np.arange(self.n_rows), side="right")
-        for i in range(self.n_rows):
-            self._row_cols.append(cc[start[i]:stop[i]].copy())
-            self._row_vals.append(vv[start[i]:stop[i]].copy())
+        # reduceat gives a[i] for an empty segment, so only the non-empty
+        # columns start one; a max is exact in any order
+        self.col_maxabs = np.zeros(self.n_cols)
+        full = np.flatnonzero(self.col_nnz)
+        if len(full):
+            self.col_maxabs[full] = np.maximum.reduceat(
+                np.abs(self._vals_flat), self.col_ptr[full])
+        # np.add.reduceat adds in sequence while .sum() adds pairwise, so each
+        # row is summed on its own: norm_inf must not move with the layout
+        self.row_l1 = np.zeros(self.n_rows)
+        abs_row = np.abs(self._csr_vals)
+        ptr = self.row_ptr.tolist()
+        for i in np.flatnonzero(row_nnz).tolist():
+            self.row_l1[i] = abs_row[ptr[i]:ptr[i + 1]].sum()
 
-        self.col_maxabs = np.array(
-            [np.abs(v).max() if len(v) else 0.0 for v in self._col_vals]
-        )
-        self.row_l1 = np.array(
-            [np.abs(v).sum() if len(v) else 0.0 for v in self._row_vals]
-        )
-        self.col_nnz = np.array([len(v) for v in self._col_vals], dtype=np.int64)
+        for arr in (self._rows_flat, self._cols_flat, self._vals_flat, self.col_ptr,
+                    self._csr_cols, self._csr_vals, self.row_ptr, self.col_maxabs,
+                    self.row_l1, self.col_nnz):
+            arr.setflags(write=False)
         self._py_cols = None  # lazy Python-scalar column caches (py_columns)
         self._py_abs = None
 
@@ -129,12 +143,14 @@ class SparseMatrix:
         return int(self.col_nnz.max()) if self.n_cols else 0
 
     def col(self, j):
-        """(row indices, values) of column j."""
-        return self._col_rows[j], self._col_vals[j]
+        """(row indices, values) of column j; read-only views."""
+        a, b = self.col_ptr[j], self.col_ptr[j + 1]
+        return self._rows_flat[a:b], self._vals_flat[a:b]
 
     def row(self, i):
-        """(col indices, values) of row i."""
-        return self._row_cols[i], self._row_vals[i]
+        """(col indices, values) of row i; read-only views."""
+        a, b = self.row_ptr[i], self.row_ptr[i + 1]
+        return self._csr_cols[a:b], self._csr_vals[a:b]
 
     def py_columns(self):
         """Column caches of Python scalars for the coordinate-step loops, built once.
@@ -145,13 +161,14 @@ class SparseMatrix:
         overhead by an order of magnitude.
         """
         if self._py_cols is None:
-            cols, abs_cols = [], []
-            for rows, vals in zip(self._col_rows, self._col_vals):
-                vals = tuple(vals.tolist())
-                abs_vals = tuple(abs(v) for v in vals)
-                cols.append((tuple(rows.tolist()), vals))
-                abs_cols.append((abs_vals, max(abs_vals, default=0.0)))
-            self._py_cols, self._py_abs = cols, abs_cols
+            ptr = self.col_ptr.tolist()
+            bounds = list(zip(ptr, ptr[1:]))
+            rows = self._rows_flat.tolist()
+            vals = self._vals_flat.tolist()
+            abs_vals = np.abs(self._vals_flat).tolist()
+            self._py_cols = [(tuple(rows[a:b]), tuple(vals[a:b])) for a, b in bounds]
+            self._py_abs = [(tuple(abs_vals[a:b]), cm)
+                            for (a, b), cm in zip(bounds, self.col_maxabs.tolist())]
         return self._py_cols, self._py_abs
 
     def dot(self, x):
@@ -168,11 +185,8 @@ class SparseMatrix:
 
     def triplets(self):
         """Sorted (row, col, value) list; canonical order for hashing and tests."""
-        order = np.lexsort((self._cols_flat, self._rows_flat))
-        return [
-            (int(self._rows_flat[k]), int(self._cols_flat[k]), float(self._vals_flat[k]))
-            for k in order
-        ]
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
+        return list(zip(rows.tolist(), self._csr_cols.tolist(), self._csr_vals.tolist()))
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
@@ -180,8 +194,16 @@ class SparseMatrix:
         return out
 
     def flat_entries(self):
-        """Column-sorted (rows, cols, vals) arrays; read-only views."""
+        """Column-sorted (rows, cols, vals) arrays; read-only views.
+
+        Column j is entries ``col_ptr[j]:col_ptr[j + 1]``."""
         return self._rows_flat, self._cols_flat, self._vals_flat
+
+    def row_entries(self):
+        """Row-sorted (cols, vals) arrays; read-only views.
+
+        Row i is entries ``row_ptr[i]:row_ptr[i + 1]``."""
+        return self._csr_cols, self._csr_vals
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -231,7 +253,6 @@ class RegressionInstance:
     radius: float = 1.0
     epsilon: float = 1e-2
     s: float | None = None
-    alpha_override: float | None = None
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64)
@@ -257,8 +278,6 @@ class RegressionInstance:
         if not 0 < s <= self.matrix.n_cols:
             raise InputError(f"s must lie in (0, m]; got {s}")
         object.__setattr__(self, "s", float(s))
-        if self.alpha_override is not None and self.alpha_override <= 0:
-            raise InputError("alpha_override must be positive")
 
     def value_at(self, x):
         """Max-abs residual of x, evaluated directly."""
@@ -309,8 +328,9 @@ def reduce_to_unit_box(inst, x0=None):
 
 
 MATRIX_HEADER = "linf-matrix v1"
-# SparseMatrix builds Python-level caches per row and per column, so a header
-# declaring far more rows or columns than entries would stall the reader
+# the solvers allocate dense vectors over the rows and columns and build a
+# Python tuple per column (py_columns), so a header declaring far more rows or
+# columns than entries would stall them
 MAX_MATRIX_DIM = 1_000_000
 # the step-size constants square the row l1 norms; with entries within 1e140
 # and at most MAX_MATRIX_DIM of them per row, the squares stay finite

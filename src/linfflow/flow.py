@@ -735,6 +735,7 @@ def exact_unit_maxflow(net, eps=None, solver="cd-l2", seed=0):
     Approximate route, scale to feasibility, round, then augmenting paths.
     Directed inputs go through the undirected reduction first.
     """
+    _check_routing_solver(solver)
     if not np.allclose(net.caps, 1.0):
         raise InputError("exact pipeline expects unit capacities")
     if net.source is None or net.sink is None:

@@ -75,6 +75,8 @@ class FlowNetwork:
 
     def __init__(self, n, edges, directed=False, demand=None, source=None, sink=None):
         self.n = int(n)
+        if self.n < 1:
+            raise InputError(f"a flow network needs at least one vertex; got {self.n}")
         tails, heads, caps = _edge_arrays(self.n, list(edges), directed)
         if len(caps) < self.n - 1:  # before any O(n) allocation
             raise InputError("underlying graph must be connected")

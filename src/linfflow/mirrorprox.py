@@ -52,29 +52,6 @@ from .sampling import BufferedUniforms, StaticAlias, make_rng
 from .simplexmaint import ReferenceSimplex
 
 
-def lj_dense(matrix, y, s, eps):
-    """Per-column curvature surrogates s*cm_j*<|a_j|, y> + eps*cm_j."""
-    rows, cols, vals = matrix.flat_entries()
-    ay = np.bincount(cols, weights=np.abs(vals) * y[rows], minlength=matrix.n_cols)
-    return s * matrix.col_maxabs * ay + eps * matrix.col_maxabs
-
-
-def lj_tilde(matrix, y, s, eps, j=None):
-    """Square-rooted surrogate (sum_i sqrt(s cm_j |A_ij| y_i) + sqrt(eps cm_j))^2.
-
-    Sandwiched between the plain surrogate and (c + 1) times it.
-    """
-    def one(jj):
-        rows, vals = matrix.col(jj)
-        cm = matrix.col_maxabs[jj]
-        inner = float(np.sqrt(s * cm * np.abs(vals) * y[rows]).sum()) if len(rows) else 0.0
-        return (inner + math.sqrt(eps * cm)) ** 2
-
-    if j is not None:
-        return one(j)
-    return np.array([one(jj) for jj in range(matrix.n_cols)])
-
-
 @dataclass
 class MirrorProxConfig:
     """Phase sizing: kappa governs step size and per-phase iteration count."""
@@ -85,11 +62,9 @@ class MirrorProxConfig:
     t_per_phase: int
     phases: int
     c_sqrt: float
-    seed: int = 0
-    fail_prob: float = 0.5
 
     @classmethod
-    def for_instance(cls, matrix2, eps, s, seed=0, fail_prob=0.5):
+    def for_instance(cls, matrix2, eps, s):
         """Sizes from the sign-doubled matrix: kappa, T, and the phase count."""
         n2, m = matrix2.n_rows, matrix2.n_cols
         c_sqrt = math.sqrt(max(matrix2.max_col_nnz, 1))
@@ -100,7 +75,7 @@ class MirrorProxConfig:
         theta0 = 1.0 + math.log(n2)
         phases = max(1, math.ceil(math.log2(16.0 * s * theta0 / (eps * eps))))
         return cls(eps=eps, s=s, kappa=kappa, t_per_phase=t_per_phase,
-                   phases=phases, c_sqrt=c_sqrt, seed=seed, fail_prob=fail_prob)
+                   phases=phases, c_sqrt=c_sqrt)
 
 
 class PhaseTables:
@@ -110,6 +85,8 @@ class PhaseTables:
     draws a row i by sqrt(y_i), then j from ``row_alias[i] = (cols, alias)``,
     a Walker table over sqrt(s cm_j |A_ij|); ``qij[j] = (rows, q)`` holds the
     conditional law q_ij of j given each row of column j, normalized per row.
+    The weights are computed for every entry at once, over the matrix's
+    row-major arrays; a row's table and its total ``row_w`` are slices of them.
     The static branch draws j from ``static_alias`` with law ``p_static``
     proportional to sqrt(eps cm_j).  ``w_dyn`` / ``w_static`` weigh the two
     branches.  ``q_rows``, ``q_cols`` and ``q`` are the q_ij as flat arrays,
@@ -120,23 +97,26 @@ class PhaseTables:
         n2, m = matrix2.n_rows, matrix2.n_cols
         s, eps = config.s, config.eps
         cm = matrix2.col_maxabs
+        cols, vals = matrix2.row_entries()
+        wij = np.sqrt(s * cm[cols] * np.abs(vals))  # row-major, like cols
+        ptr = matrix2.row_ptr.tolist()
+        cols = cols.tolist()
         row_w = np.zeros(n2)
         self.row_alias = []
         for i in range(n2):
-            cols, vals = matrix2.row(i)
-            if len(cols) == 0:
+            a, b = ptr[i], ptr[i + 1]
+            if a == b:
                 raise InputError(
                     f"row {i % (n2 // 2)} of the instance is empty; drop constant "
                     "rows before solving"
                 )
-            wij = np.sqrt(s * cm[cols] * np.abs(vals))
-            row_w[i] = wij.sum()
+            row_w[i] = wij[a:b].sum()
             if not row_w[i] > 0:
                 raise InputError(
                     f"row {i % (n2 // 2)} of the instance is too small to sample: "
                     "its weights sqrt(s * colmax_j * |A_ij|) underflow to 0"
                 )
-            self.row_alias.append((cols.tolist(), StaticAlias(wij)))
+            self.row_alias.append((cols[a:b], StaticAlias(wij[a:b])))
         # every row has a column whose weight did not underflow, so neither
         # does the static total
         static_w = np.sqrt(eps * cm)
@@ -145,9 +125,9 @@ class PhaseTables:
         rows, cols, vals = matrix2.flat_entries()  # column-major, rows ascending
         q = np.sqrt(s * cm[cols] * np.abs(vals)) / row_w[rows]
         self.q_rows, self.q_cols, self.q = rows, cols, q
-        bounds = np.concatenate([[0], np.cumsum(matrix2.col_nnz)]).tolist()
+        ptr = matrix2.col_ptr.tolist()
         rows_l, q_l = rows.tolist(), q.tolist()
-        self.qij = [(rows_l[a:b], q_l[a:b]) for a, b in zip(bounds, bounds[1:])]
+        self.qij = [(rows_l[a:b], q_l[a:b]) for a, b in zip(ptr, ptr[1:])]
         self.cols = matrix2.py_columns()[0]
         mass_dyn = config.c_sqrt * math.sqrt(n2 * s)
         mass_static = math.sqrt(m * n2 * eps)
@@ -183,10 +163,6 @@ class PhaseState:
         e = np.exp(v - v.max())
         return e / e.sum()
 
-    def sqrt_y_prob(self, i):
-        """P(i) under the sqrt(y) law, consistent with the dual's sampler."""
-        return self.y.prob(i, 0.5)
-
 
 def sample_pj(phase, uniforms):
     """Draw a column j and return (j, exact probability of the realized law).
@@ -218,7 +194,7 @@ def sample_pj(phase, uniforms):
     p_dyn = 0.0
     for r, qk in zip(rows, q):
         if qk > 0.0:
-            p_dyn += phase.sqrt_y_prob(r) * qk
+            p_dyn += phase.y.prob(r, 0.5) * qk
     pj = 0.5 * (tables.w_dyn * p_dyn + tables.w_static * tables.p_static[j]) + 0.5 / m
     return j, pj
 
@@ -464,7 +440,7 @@ class FlowRegressResult:
         return "\n".join(lines) + "\n"
 
 
-def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5, value_target=None,
+def solve_flow_regress(inst, seed=0, fail_prob=0.5, value_target=None,
                        max_phases=None, collect_transcript=False, lb_target=None):
     """Approximately minimize a flow-shaped instance to additive epsilon.
 
@@ -490,8 +466,7 @@ def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5, value_target=None,
         raise InputError(
             f"epsilon {inst.epsilon} below the n^-3 resolution of this method"
         )
-    s_val = float(s if s is not None else inst.s)
-    cfg = MirrorProxConfig.for_instance(matrix2, eps_s, s_val, seed=seed)
+    cfg = MirrorProxConfig.for_instance(matrix2, eps_s, inst.s)
     if max_phases is not None:
         cfg = replace(cfg, phases=min(cfg.phases, max_phases))
     tables = PhaseTables(matrix2, cfg)
@@ -508,7 +483,7 @@ def solve_flow_regress(inst, seed=0, s=None, fail_prob=0.5, value_target=None,
             break
         if res.stop_reason == "lb_target":
             break
-    if float(best.x @ best.x) > 2.0 * s_val:
+    if float(best.x @ best.x) > 2.0 * inst.s:
         import warnings
 
         warnings.warn("returned point has squared l2 norm above 2s; the given "

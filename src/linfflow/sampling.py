@@ -181,36 +181,38 @@ class CoordSampler:
     table; the dynamic summand routes through a row tree and a per-row alias
     over the ``w_ij``.  A row of A and its mirrored row share their column
     pattern and their |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) *
-    row_mass_i``.  The sampler stays in sync with its SoftmaxState by being the
-    single mutation path (``step``); sampling with a stale state raises.
+    row_mass_i``.  The ``w_ij`` are computed for every entry at once, over the
+    matrix's row-major arrays, and each row's alias table and ``row_mass`` are
+    built from its slice.  The sampler stays in sync with its SoftmaxState by
+    being the single mutation path (``step``); sampling with a stale state
+    raises.
     """
 
     def __init__(self, state, params):
         self.state = state
         self.params = params
         matrix = state.matrix
-        n, m = matrix.n_rows, matrix.n_cols
+        n = matrix.n_rows
         self.static_alias = StaticAlias(params.sample_static)
         self.static_mass = float(params.sample_static.sum())
         self.dyn_coeff = 8.0 / state.alpha
+        # per entry of the row-major arrays: |A_ij| * cm_j (l2), or that over
+        # d_j and 0 where d_j <= 0 (diag)
+        cols, vals = matrix.row_entries()
+        w = np.abs(vals) * matrix.col_maxabs[cols]
+        if params.mode != "l2":
+            d = params.d[cols]
+            w = np.where(d > 0, w / np.where(d > 0, d, 1.0), 0.0)
+        ptr = matrix.row_ptr.tolist()
+        cols = cols.tolist()
         self.row_alias = []  # per row: (column ids as a list, alias over them)
         self.row_mass = np.zeros(n)
         for i in range(n):
-            cols, vals = matrix.row(i)
-            if len(cols) == 0:
-                self.row_alias.append(None)
-                continue
-            w = np.empty(len(cols))
-            for k, (j, v) in enumerate(zip(cols, vals)):
-                cm = matrix.col_maxabs[j]
-                if params.mode == "l2":
-                    w[k] = abs(v) * cm
-                else:
-                    dj = params.d[j]
-                    w[k] = abs(v) * cm / dj if dj > 0 else 0.0
-            self.row_mass[i] = w.sum()
+            a, b = ptr[i], ptr[i + 1]
+            if a < b:
+                self.row_mass[i] = w[a:b].sum()
             self.row_alias.append(
-                (cols.tolist(), StaticAlias(w)) if self.row_mass[i] > 0 else None
+                (cols[a:b], StaticAlias(w[a:b])) if self.row_mass[i] > 0 else None
             )
         # Python-list copies for the fused step loop (cdsolver.lcd_steps)
         self._row_mass = self.row_mass.tolist()

@@ -88,7 +88,7 @@ class _Bucket:
 class SimplexMaintainer:
     """Near-constant-time coordinate queries and exact sampling for y ~ exp(v)."""
 
-    def __init__(self, v0, eps, kappa, tau=1e-6, delta0=None):
+    def __init__(self, v0, eps, kappa, tau=1e-6):
         v0 = np.asarray(v0, dtype=np.float64)
         if v0.ndim != 1 or len(v0) < 1:
             raise InputError("v0 must be a nonempty vector")
@@ -134,15 +134,9 @@ class SimplexMaintainer:
         self.restarts = 0
         self.forced_restarts = 0
         self.work = 0
-        self.reject_overflows = 0
-        self.rank_creation_log = []  # (rank, kind, deletions_at_creation)
         self.merge_log = []  # type-2 merges: (rank created, size, deletions so far)
-        self._last_rank_creation = {}
 
-        self._delta_state = (np.zeros(self.n) if delta0 is None
-                             else np.asarray(delta0, dtype=np.float64).copy())
-        if self._delta_state.shape != (self.n,):
-            raise InputError("delta0 length mismatch")
+        self._delta_state = np.zeros(self.n)
         self._zeta_prev = {}
         self._bid_next = 0
         self._init_from(v0)
@@ -168,7 +162,6 @@ class SimplexMaintainer:
         self.coord2bucket = np.full(self.n, -1, dtype=np.int64)
         self._half_delta = None
         self._cache = {}
-        self._last_rank_creation = {}
         self._create_bucket(np.arange(self.n), kind="init")
         self._needs_restart = False
 
@@ -182,14 +175,6 @@ class SimplexMaintainer:
 
     def values(self):
         return self._values_at(np.arange(self.n))
-
-    def rep_triple(self):
-        """(v_t, v_{t-1/2}, v_{t-1}) as represented; debug and tests only."""
-        cols = []
-        for k in range(3):
-            a = self._mt[:, k]
-            cols.append(self._q * a[0] + self._r * a[1] + self._s * a[2])
-        return tuple(cols)
 
     def _reanchor(self, i, value):
         """Rewrite (q, r, s) at i so the represented v_t equals ``value``.
@@ -266,8 +251,6 @@ class SimplexMaintainer:
         self.buckets[b.bid] = b
         self.by_rank.setdefault(b.rank, []).append(b.bid)
         self.coord2bucket[coords] = b.bid
-        self.rank_creation_log.append((b.rank, kind, self.deletions))
-        self._last_rank_creation[b.rank] = self.deletions
         self._cache.clear()
         if kind != "init" and merge_type is not None:
             self._maybe_merge(b.rank, merge_type)
@@ -475,7 +458,6 @@ class SimplexMaintainer:
         self.buckets[b.bid] = b
         self.by_rank.setdefault(0, []).append(b.bid)
         self.coord2bucket[i] = b.bid
-        self._last_rank_creation[0] = self.deletions
 
     def _evict(self, i, db_value):
         """Move i into a fresh singleton anchored at its current exact value."""
@@ -640,22 +622,10 @@ class SimplexMaintainer:
             slot = self._draw_slot(b, power, uniforms)
             x = self._drift_at(b, slot)
             p_accept = math.exp(power * (x - ACCEPT_MARGIN))
-            if p_accept > 1.0:
-                self.reject_overflows += 1
-                p_accept = 1.0
             if uniforms.next() < p_accept:
                 i = int(b.coords[slot])
                 return i, self.prob(i, power)
         raise SolverFault("rejection sampling exceeded 64 rounds; drift invariant breached")
-
-    def debug_dump(self):
-        lines = [f"t={self.t} window={self.window} buckets={len(self.buckets)}"]
-        for b in sorted(self.buckets.values(), key=lambda x: x.bid):
-            lines.append(
-                f"  bucket {b.bid}: rank={b.rank} size={b.alive_count} "
-                f"credits={b.credits} sigma={b.sigma:.3e} t0={b.t0} kind={b.creation_kind}"
-            )
-        return "\n".join(lines)
 
 
 class ReferenceSimplex:
@@ -668,7 +638,7 @@ class ReferenceSimplex:
     update.
     """
 
-    def __init__(self, v0, eps, kappa, delta0=None):
+    def __init__(self, v0, eps, kappa):
         self.v = np.asarray(v0, dtype=np.float64).copy()
         self.v -= self.v.max()
         self.n = len(self.v)

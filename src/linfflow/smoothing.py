@@ -77,7 +77,10 @@ class SoftmaxState:
         self.rebuild_count += 1
 
     def smax(self):
-        """alpha * log sum exp of every smoothed row, in shifted form."""
+        """alpha * log sum exp of every smoothed row, in shifted form.
+
+        It lies between the largest smoothed row value and that plus
+        alpha * log n, with n the number of smoothed rows."""
         return self.alpha * (self.wref + math.log(self.z))
 
     def distribution(self):
@@ -196,17 +199,6 @@ class LocalSmoothnessParams:
     def mu(self):
         """Strong convexity of the regularized objective in its own norm."""
         return self.alpha / self.scale
-
-
-def smax_eval(state):
-    """Smoothed max of the residual.  Always within [max, max + alpha*log n],
-    with n the number of smoothed rows."""
-    return float(state.smax())
-
-
-def softmax_distribution(state):
-    """Gradient of smax_eval with respect to A x (p - p_neg; p when one-sided)."""
-    return state.distribution()
 
 
 def grad_coord(state, j, center, params):

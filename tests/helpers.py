@@ -7,6 +7,7 @@ classical textbook routines.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -395,3 +396,113 @@ def flow_network_edge_error(n, edges, directed=False):
             return (f"edge {k}: capacity {cap!r} must be finite and at least "
                     f"{min_cap!r}, so that its reciprocal is finite")
     return None
+
+
+class ReferenceSparse:
+    """The sparse matrix built one column and one row at a time.
+
+    Reference for ``linfflow.core.SparseMatrix``: per-column and per-row
+    copies cut by ``searchsorted``, and the caches reduced over those copies
+    one slice at a time.  Takes the arguments of the private constructor.
+    """
+
+    def __init__(self, n_rows, n_cols, rows, cols, vals):
+        self.n_rows, self.n_cols = int(n_rows), int(n_cols)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        order = np.lexsort((rows, cols))
+        self.rows_flat, self.cols_flat, self.vals_flat = (rows[order], cols[order],
+                                                          vals[order])
+        self.col_rows, self.col_vals = [], []
+        start = np.searchsorted(self.cols_flat, np.arange(self.n_cols), side="left")
+        stop = np.searchsorted(self.cols_flat, np.arange(self.n_cols), side="right")
+        for j in range(self.n_cols):
+            self.col_rows.append(self.rows_flat[start[j]:stop[j]].copy())
+            self.col_vals.append(self.vals_flat[start[j]:stop[j]].copy())
+        order_r = np.lexsort((cols, rows))
+        rr, cc, vv = rows[order_r], cols[order_r], vals[order_r]
+        self.row_cols, self.row_vals = [], []
+        start = np.searchsorted(rr, np.arange(self.n_rows), side="left")
+        stop = np.searchsorted(rr, np.arange(self.n_rows), side="right")
+        for i in range(self.n_rows):
+            self.row_cols.append(cc[start[i]:stop[i]].copy())
+            self.row_vals.append(vv[start[i]:stop[i]].copy())
+        self.col_maxabs = np.array(
+            [np.abs(v).max() if len(v) else 0.0 for v in self.col_vals])
+        self.row_l1 = np.array(
+            [np.abs(v).sum() if len(v) else 0.0 for v in self.row_vals])
+        self.col_nnz = np.array([len(v) for v in self.col_vals], dtype=np.int64)
+
+    def col(self, j):
+        return self.col_rows[j], self.col_vals[j]
+
+    def row(self, i):
+        return self.row_cols[i], self.row_vals[i]
+
+    def flat_entries(self):
+        return self.rows_flat, self.cols_flat, self.vals_flat
+
+    def py_columns(self):
+        cols, abs_cols = [], []
+        for rows, vals in zip(self.col_rows, self.col_vals):
+            vals = tuple(vals.tolist())
+            abs_vals = tuple(abs(v) for v in vals)
+            cols.append((tuple(rows.tolist()), vals))
+            abs_cols.append((abs_vals, max(abs_vals, default=0.0)))
+        return cols, abs_cols
+
+    def triplets(self):
+        order = np.lexsort((self.cols_flat, self.rows_flat))
+        return [(int(self.rows_flat[k]), int(self.cols_flat[k]), float(self.vals_flat[k]))
+                for k in order]
+
+    def content_hash(self):
+        h = hashlib.sha256()
+        h.update(f"{self.n_rows},{self.n_cols};".encode())
+        for i, j, v in self.triplets():
+            h.update(f"{i},{j},{v!r};".encode())
+        return h.hexdigest()[:16]
+
+
+def lj_dense(matrix, y, s, eps):
+    """Per-column curvature surrogates s*cm_j*<|a_j|, y> + eps*cm_j."""
+    rows, cols, vals = matrix.flat_entries()
+    ay = np.bincount(cols, weights=np.abs(vals) * y[rows], minlength=matrix.n_cols)
+    return s * matrix.col_maxabs * ay + eps * matrix.col_maxabs
+
+
+def lj_tilde(matrix, y, s, eps, j=None):
+    """Square-rooted surrogate (sum_i sqrt(s cm_j |A_ij| y_i) + sqrt(eps cm_j))^2.
+
+    Sandwiched between the plain surrogate and (c + 1) times it.
+    """
+    def one(jj):
+        rows, vals = matrix.col(jj)
+        cm = matrix.col_maxabs[jj]
+        inner = float(np.sqrt(s * cm * np.abs(vals) * y[rows]).sum()) if len(rows) else 0.0
+        return (inner + math.sqrt(eps * cm)) ** 2
+
+    if j is not None:
+        return one(j)
+    return np.array([one(jj) for jj in range(matrix.n_cols)])
+
+
+def rep_triple(maint):
+    """(v_t, v_{t-1/2}, v_{t-1}) as a ``SimplexMaintainer`` represents them."""
+    cols = []
+    for k in range(3):
+        a = maint._mt[:, k]
+        cols.append(maint._q * a[0] + maint._r * a[1] + maint._s * a[2])
+    return tuple(cols)
+
+
+def debug_dump(maint):
+    """One line per bucket of a ``SimplexMaintainer``."""
+    lines = [f"t={maint.t} window={maint.window} buckets={len(maint.buckets)}"]
+    for b in sorted(maint.buckets.values(), key=lambda x: x.bid):
+        lines.append(
+            f"  bucket {b.bid}: rank={b.rank} size={b.alive_count} "
+            f"credits={b.credits} sigma={b.sigma:.3e} t0={b.t0} kind={b.creation_kind}"
+        )
+    return "\n".join(lines)

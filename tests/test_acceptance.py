@@ -219,7 +219,7 @@ def _fixed_scaling_instance():
 
 
 def _mirror_prox_count(matrix2, b2, m_cols, opt, eps, seed, check=25):
-    cfg = MirrorProxConfig.for_instance(matrix2, eps, float(m_cols), seed=seed)
+    cfg = MirrorProxConfig.for_instance(matrix2, eps, float(m_cols))
     phase = PhaseState(matrix2, b2, cfg)
     u = BufferedUniforms(make_rng(seed, stream=0))
     target = opt + eps

@@ -291,6 +291,14 @@ class TestFlowCommands:
         assert out == ""
         assert f"solver {solver} cannot route flows" in err
 
+    def test_exact_flow_rejects_dinic(self, path_graph, capsys):
+        # the exact pipeline routes with a regression solver; dinic is not one
+        code, out, err = run(capsys, "exact-flow", "--input", path_graph,
+                             "--solver", "dinic")
+        assert code == 2
+        assert out == ""
+        assert "solver dinic cannot route flows" in err
+
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     def test_flow_file_fields_are_numbers(self, path_graph, capsys, tmp_path, command):
         flow_out = tmp_path / "f.txt"

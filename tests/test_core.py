@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_linf_opt, dense_to_sparse, grid_search_min, random_sparse
+from helpers import (
+    ReferenceSparse,
+    box_linf_opt,
+    dense_to_sparse,
+    grid_search_min,
+    random_sparse,
+)
 from linfflow.core import (
     RegressionInstance,
     SparseMatrix,
@@ -90,6 +96,103 @@ class TestSparseMatrix:
         assert m.norm_inf == pytest.approx(np.abs(dense).sum(axis=1).max())
 
 
+def _layout_case(rng, n_rows, n_cols, nnz, lo=-300.0, hi=140.0):
+    """Unique random positions with magnitudes 10**U(lo, hi) and random signs."""
+    idx = rng.choice(n_rows * n_cols, size=nnz, replace=False)
+    vals = rng.choice([-1.0, 1.0], size=nnz) * 10.0 ** rng.uniform(lo, hi, size=nnz)
+    return n_rows, n_cols, [(int(k // n_cols), int(k % n_cols), float(v))
+                            for k, v in zip(idx, vals)]
+
+
+def _assert_same_layout(n_rows, n_cols, trips):
+    m = SparseMatrix.from_triplets(trips, n_rows, n_cols)
+    rows, cols, vals = (np.array([t[k] for t in trips]) for k in range(3))
+    ref = ReferenceSparse(n_rows, n_cols, rows.astype(np.int64), cols.astype(np.int64),
+                          vals.astype(np.float64))
+    for name in ("col_maxabs", "row_l1", "col_nnz"):
+        got, want = getattr(m, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+    for j in range(n_cols):
+        for got, want in zip(m.col(j), ref.col(j)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for i in range(n_rows):
+        for got, want in zip(m.row(i), ref.row(i)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in zip(m.flat_entries(), ref.flat_entries()):
+        assert np.array_equal(got, want)
+    assert m.triplets() == ref.triplets()
+    assert m.py_columns() == ref.py_columns()
+    assert m.content_hash() == ref.content_hash()
+    assert m.norm_inf == (float(ref.row_l1.max()) if n_rows else 0.0)
+    return m
+
+
+class TestSparseLayout:
+    """The flat CSC/CSR storage against the per-column and per-row copies."""
+
+    def test_one_by_one(self):
+        _assert_same_layout(1, 1, [(0, 0, -2.5)])
+        _assert_same_layout(1, 1, [])
+
+    def test_empty_rows_and_columns(self):
+        m = _assert_same_layout(5, 6, [(1, 4, 2.0), (1, 0, -1.0), (3, 4, 0.5)])
+        assert m.col_nnz.tolist() == [1, 0, 0, 0, 2, 0]
+        assert m.row_l1.tolist() == [0.0, 3.0, 0.0, 0.5, 0.0]
+        assert m.col(1)[0].size == 0 and m.row(4)[1].size == 0
+
+    def test_random_shapes_and_magnitudes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n_rows, n_cols = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            nnz = int(rng.integers(0, n_rows * n_cols + 1))
+            _assert_same_layout(*_layout_case(rng, n_rows, n_cols, nnz))
+
+    def test_rows_of_one_to_sixty_entries(self):
+        # row i holds i + 1 entries, so every length that pairwise summation
+        # handles differently from a running sum is covered
+        rng = np.random.default_rng(13)
+        trips = []
+        for i in range(60):
+            for j in rng.choice(64, size=i + 1, replace=False):
+                trips.append((i, int(j), float(rng.choice([-1.0, 1.0])
+                                               * 10.0 ** rng.uniform(-300, 140))))
+        _assert_same_layout(60, 64, trips)
+        # entries of one scale, where the order of the additions shows in the
+        # last bits of row_l1; given in shuffled order
+        trips = [(i, j, float(rng.normal())) for i, j, _ in trips]
+        rng.shuffle(trips)
+        _assert_same_layout(60, 64, trips)
+
+    def test_sign_doubled_matches_reference(self):
+        rng = np.random.default_rng(14)
+        m = random_sparse(rng, 12, 9, per_col=4)
+        d, _ = sign_double(m, np.zeros(12), scale=3.0)
+        ref = ReferenceSparse(d.n_rows, d.n_cols, *d.flat_entries())
+        for name in ("col_maxabs", "row_l1", "col_nnz"):
+            assert np.array_equal(getattr(d, name), getattr(ref, name))
+        assert d.py_columns() == ref.py_columns()
+
+    def test_views_are_read_only(self):
+        m = SparseMatrix.from_triplets([(0, 1, 2.0), (1, 0, -1.0)], 2, 2)
+        arrays = [*m.col(1), *m.row(0), *m.flat_entries(), *m.row_entries(),
+                  m.col_ptr, m.row_ptr, m.col_maxabs, m.row_l1, m.col_nnz]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert m.triplets() == [(0, 1, 2.0), (1, 0, -1.0)]
+
+    @pytest.mark.parametrize("size", [10**5, 10**6])
+    def test_huge_dimensions_few_entries(self, size):
+        trips = [(0, size - 1, 3.0), (size - 1, 0, -4.0), (size // 2, size // 2, 0.5)]
+        m = SparseMatrix.from_triplets(trips, size, size)
+        assert m.norm_inf == 4.0 and m.max_col_nnz == 1
+        assert m.triplets() == sorted(trips)
+        assert m.col(size - 1)[0].tolist() == [0]
+        assert m.row(size - 1)[0].tolist() == [0]
+        assert int(m.col_nnz.sum()) == 3 and len(m.row_ptr) == size + 1
+
+
 class TestSignDouble:
     def test_scalar_case(self):
         m = SparseMatrix.from_triplets([(0, 0, 2.0)], 1, 1)
@@ -172,6 +275,11 @@ class TestReduceToUnitBox:
 
 
 class TestFlowNetwork:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices_rejected(self, n):
+        with pytest.raises(InputError, match="at least one vertex"):
+            FlowNetwork(n, [])
+
     def test_single_edge_incidence(self):
         net = FlowNetwork(2, [(0, 1, 1.0)], source=0, sink=1)
         np.testing.assert_allclose(incidence_apply(net, np.array([1.0])), [-1.0, 1.0])

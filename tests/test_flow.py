@@ -538,6 +538,12 @@ class TestDirectedReduce:
 
 
 class TestExactPipeline:
+    @pytest.mark.parametrize("solver", ["dinic", "gd", "plain-cd"])
+    def test_rejects_non_routing_solver(self, solver):
+        net = FlowNetwork(2, [(0, 1, 1.0)], source=0, sink=1)
+        with pytest.raises(InputError, match=f"solver {solver} cannot route flows"):
+            exact_unit_maxflow(net, solver=solver)
+
     def test_star_variants(self):
         net = FlowNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True,
                           source=0, sink=2)

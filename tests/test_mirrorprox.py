@@ -7,21 +7,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import box_linf_opt, dense_to_sparse, random_sparse
+from helpers import (
+    ReferenceSparse,
+    box_linf_opt,
+    dense_to_sparse,
+    lj_dense,
+    lj_tilde,
+    random_sparse,
+)
 from linfflow.core import RegressionInstance, SparseMatrix, sign_double
 from linfflow.errors import InputError
 from linfflow.mirrorprox import (
     MirrorProxConfig,
     PhaseState,
+    PhaseTables,
     aggregate_point,
-    lj_dense,
-    lj_tilde,
     phase_iterate,
     run_phase,
     sample_pj,
     solve_flow_regress,
 )
-from linfflow.sampling import BufferedUniforms, make_rng
+from linfflow.sampling import BufferedUniforms, StaticAlias, make_rng
 
 
 def uniforms(seed=0, stream=0):
@@ -41,11 +47,48 @@ def flow_shaped(rng, n, m, per_col=2):
     return matrix, b
 
 
-def make_phase(matrix, b, eps=0.25, s=None, seed=0):
+def make_phase(matrix, b, eps=0.25, s=None):
     matrix2, b2 = sign_double(matrix, b)
     s = float(s if s is not None else matrix.n_cols)
-    cfg = MirrorProxConfig.for_instance(matrix2, eps, s, seed=seed)
+    cfg = MirrorProxConfig.for_instance(matrix2, eps, s)
     return PhaseState(matrix2, b2, cfg), cfg
+
+
+class TestPhaseTablesRows:
+    """The sampling tables, computed over the row-major arrays, against a
+    row-by-row and column-by-column construction."""
+
+    def test_tables_match_per_row_reference(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            n = int(rng.integers(2, 12))
+            m = n + int(rng.integers(0, 6))
+            matrix, b = flow_shaped(rng, n, m, per_col=int(rng.integers(2, 5)))
+            matrix2, _ = sign_double(matrix, b)
+            s, eps = float(rng.uniform(0.5, m)), float(rng.uniform(0.05, 0.5))
+            tables = PhaseTables(matrix2, MirrorProxConfig.for_instance(matrix2, eps, s))
+            ref = ReferenceSparse(matrix2.n_rows, m, *matrix2.flat_entries())
+            cm = ref.col_maxabs
+            row_w = np.zeros(matrix2.n_rows)
+            for i in range(matrix2.n_rows):
+                cols, vals = ref.row(i)
+                wij = np.sqrt(s * cm[cols] * np.abs(vals))
+                row_w[i] = wij.sum()
+                want = StaticAlias(wij)
+                got_cols, got = tables.row_alias[i]
+                assert got_cols == cols.tolist()
+                assert (got.prob, got.alias, got.total) == (want.prob, want.alias,
+                                                            want.total)
+            for j in range(m):
+                rows, vals = ref.col(j)
+                q = np.sqrt(s * cm[j] * np.abs(vals)) / row_w[rows]
+                assert tables.qij[j] == (rows.tolist(), q.tolist())
+
+    def test_empty_row_named(self):
+        matrix = SparseMatrix.from_triplets([(0, 0, 0.5), (2, 1, -0.5)], 3, 2)
+        matrix2, _ = sign_double(matrix, np.zeros(3))
+        with pytest.raises(InputError, match="row 1 of the instance is empty"):
+            PhaseTables(matrix2, MirrorProxConfig.for_instance(matrix2, 0.3, 2.0))
 
 
 class TestLjTilde:
@@ -401,8 +444,6 @@ class TestSqrtSmoothnessSum:
             phase_iterate(phase, u)
             if k % 10 == 0:
                 y = phase.exact_y()
-                from linfflow.mirrorprox import lj_tilde
-
                 total = float(np.sqrt(lj_tilde(m2, y, cfg.s, cfg.eps)).sum())
                 assert total <= bound + 1e-9
 

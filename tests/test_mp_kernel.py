@@ -96,7 +96,7 @@ def instance(n, m, seed):
 def twin_phases(n, m, seed, x0=None, y0=None):
     """Builder of identical (phase, uniforms) pairs over one shared table set."""
     matrix2, b2, _ = instance(n, m, seed)
-    cfg = MirrorProxConfig.for_instance(matrix2, 0.3, float(matrix2.n_cols), seed=seed)
+    cfg = MirrorProxConfig.for_instance(matrix2, 0.3, float(matrix2.n_cols))
     tables = PhaseTables(matrix2, cfg)
 
     def build():

@@ -1,12 +1,13 @@
 """Sum tree, alias table, and the smoothness-weight mixture sampler."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import random_sparse
+from helpers import ReferenceSparse, random_sparse
 from linfflow.errors import InputError, SolverFault
 from linfflow.sampling import (
     BufferedUniforms,
@@ -201,6 +202,71 @@ class TestMixtureSampler:
             before = sampler.tree.touched_nodes
             sampler.step(j, float(rng.normal() * 0.05))
             assert sampler.tree.touched_nodes - before <= cap
+
+
+def reference_row_tables(matrix, params):
+    """The per-row alias tables and row masses, built entry by entry over the
+    per-row copies of ``ReferenceSparse``."""
+    ref = ReferenceSparse(matrix.n_rows, matrix.n_cols, *matrix.flat_entries())
+    tables, mass = [], np.zeros(matrix.n_rows)
+    for i in range(matrix.n_rows):
+        cols, vals = ref.row(i)
+        if len(cols) == 0:
+            tables.append(None)
+            continue
+        w = np.empty(len(cols))
+        for k, (j, v) in enumerate(zip(cols, vals)):
+            cm = ref.col_maxabs[j]
+            if params.mode == "l2":
+                w[k] = abs(v) * cm
+            else:
+                dj = params.d[j]
+                w[k] = abs(v) * cm / dj if dj > 0 else 0.0
+        mass[i] = w.sum()
+        tables.append((cols.tolist(), StaticAlias(w)) if mass[i] > 0 else None)
+    return tables, mass
+
+
+def assert_same_row_tables(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g[0] == w[0]
+        assert (g[1].prob, g[1].alias, g[1].total) == (w[1].prob, w[1].alias, w[1].total)
+
+
+class TestRowTables:
+    """CoordSampler's per-row tables, computed over the row-major arrays,
+    against the entry-by-entry construction."""
+
+    def cases(self):
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            n, m = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+            matrix = random_sparse(rng, n, m, per_col=int(rng.integers(1, 8)),
+                                   scale=float(10.0 ** rng.uniform(-3, 3)))
+            yield rng, matrix, SoftmaxState(matrix, rng.normal(size=n), 0.5)
+
+    def test_l2(self):
+        for _, matrix, state in self.cases():
+            params = LocalSmoothnessParams.l2(matrix, 0.5, float(matrix.n_cols))
+            sampler = CoordSampler(state, params)
+            tables, mass = reference_row_tables(matrix, params)
+            assert np.array_equal(sampler.row_mass, mass)
+            assert_same_row_tables(sampler.row_alias, tables)
+
+    def test_diag_with_zero_d_floor(self):
+        for rng, matrix, state in self.cases():
+            params = LocalSmoothnessParams.diag(matrix, 0.5, d_floor=0.0)
+            # zero d_j on some columns that hold entries: their weights are 0
+            d = np.where(rng.random(matrix.n_cols) < 0.3, 0.0, params.d)
+            for p in (params, replace(params, d=d)):
+                sampler = CoordSampler(state, p)
+                tables, mass = reference_row_tables(matrix, p)
+                assert np.array_equal(sampler.row_mass, mass)
+                assert_same_row_tables(sampler.row_alias, tables)
 
 
 def test_make_rng_streams_differ_and_reproduce():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import debug_dump, rep_triple
 from linfflow.errors import InputError, SolverFault
 from linfflow.sampling import BufferedUniforms, make_rng
 from linfflow.simplexmaint import ReferenceSimplex, SimplexMaintainer, taylor_degree
@@ -120,7 +121,7 @@ class TestRepInvariant:
             half_hist.append(vh.copy())
             hist.append(vnew.copy())
             naive_v = vnew
-        rep_v, rep_vh, rep_vm1 = m.rep_triple()
+        rep_v, rep_vh, rep_vm1 = rep_triple(m)
         np.testing.assert_allclose(rep_v, hist[-1], atol=1e-8)
         np.testing.assert_allclose(rep_vh, half_hist[-1], atol=1e-8)
         np.testing.assert_allclose(rep_vm1, hist[-2], atol=1e-8)
@@ -382,7 +383,7 @@ class TestHeapDiscipline:
             m.update(delta, zeta)
             # at most one bucket per rank
             for rank, ids in m.by_rank.items():
-                assert len(ids) <= 1, m.debug_dump()
+                assert len(ids) <= 1, debug_dump(m)
             # membership is a partition of the coordinates
             seen = set()
             for b in m.buckets.values():

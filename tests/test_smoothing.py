@@ -16,9 +16,7 @@ from linfflow.smoothing import (
     hessian_diag_upper,
     local_smoothness,
     objective_value,
-    smax_eval,
     smax_hessian_diag,
-    softmax_distribution,
     sum_smoothness_bound,
 )
 
@@ -32,21 +30,21 @@ class TestSmaxEval:
     def test_symmetric_pair(self):
         # residual (0, 0) at alpha = 1 sits exactly alpha*log(2) above the max
         st_ = state_for(np.eye(2), [0.0, 0.0], 1.0)
-        assert smax_eval(st_) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert st_.smax() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_single_row_is_exact(self):
         for alpha in (0.1, 1.0, 7.0):
             st_ = state_for([[1.0]], [-2.5], alpha, x=np.array([0.0]))
-            assert smax_eval(st_) == pytest.approx(2.5, abs=1e-12)
+            assert st_.smax() == pytest.approx(2.5, abs=1e-12)
 
     def test_one_zero_pair(self):
         # frozen from the defining formula evaluated in extended precision
         st_ = state_for(np.eye(2), [-1.0, 0.0], 1.0)
-        assert smax_eval(st_) == pytest.approx(1.3132616875182228, abs=1e-12)
+        assert st_.smax() == pytest.approx(1.3132616875182228, abs=1e-12)
 
     def test_no_overflow_for_tiny_alpha(self):
         st_ = state_for(np.eye(2), [-1000.0, 1000.0], 1e-3)
-        v = smax_eval(st_)
+        v = st_.smax()
         assert np.isfinite(v)
         assert v == pytest.approx(1000.0, abs=1e-9)
 
@@ -56,7 +54,7 @@ class TestSmaxEval:
     def test_sandwich(self, resid, alpha):
         n = len(resid)
         st_ = state_for(np.eye(n), [-r for r in resid], alpha)
-        v = smax_eval(st_)
+        v = st_.smax()
         mx = max(resid)
         assert mx - 1e-12 <= v <= mx + alpha * math.log(n) + 1e-12
 
@@ -64,11 +62,11 @@ class TestSmaxEval:
 class TestDistribution:
     def test_uniform_on_equal_residuals(self):
         st_ = state_for(np.eye(3), np.zeros(3), 1.0)
-        np.testing.assert_allclose(softmax_distribution(st_), 1.0 / 3.0)
+        np.testing.assert_allclose(st_.distribution(), 1.0 / 3.0)
 
     def test_dominant_entry(self):
         st_ = state_for(np.eye(2), [-40.0, 0.0], 1.0)
-        p = softmax_distribution(st_)
+        p = st_.distribution()
         assert p[0] == pytest.approx(1.0, abs=1e-12)
         assert p[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -78,9 +76,9 @@ class TestDistribution:
 
         def smax_of(r):
             s = state_for(np.eye(6), -r, 0.7)
-            return smax_eval(s)
+            return s.smax()
 
-        p = softmax_distribution(state_for(np.eye(6), -resid, 0.7))
+        p = state_for(np.eye(6), -resid, 0.7).distribution()
         g = central_diff_grad(smax_of, resid)
         np.testing.assert_allclose(p, g, rtol=1e-6)
 
@@ -88,7 +86,7 @@ class TestDistribution:
         rng = np.random.default_rng(1)
         st_ = state_for(rng.normal(size=(5, 4)), rng.normal(size=5), 0.3,
                         x=rng.uniform(-1, 1, 4))
-        p = softmax_distribution(st_)
+        p = st_.distribution()
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert (p >= 0).all()
 
@@ -236,7 +234,7 @@ class TestApplyCoordUpdate:
             st_.apply_coord_update(j, delta)
         fresh = SoftmaxState(m, b, 0.3, x0=st_.x)
         np.testing.assert_allclose(
-            softmax_distribution(st_), softmax_distribution(fresh), rtol=1e-8
+            st_.distribution(), fresh.distribution(), rtol=1e-8
         )
 
     def test_incremental_w_drift_bound(self):
