@@ -9,6 +9,7 @@ only under --timing, so repeated runs without it are byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -37,7 +38,10 @@ from .simplexmaint import SimplexMaintainer
 SOLVERS = ("cd-l2", "cd-diag", "mirror-prox", "gd", "plain-cd", "dinic")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and reused by every
+    ``main`` call: ``parse_args`` keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="linfflow",
         description="Box-constrained max-residual regression and max-flow solvers",

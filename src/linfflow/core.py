@@ -240,6 +240,44 @@ def weak_duality_bound(matrix, b, q):
     return -float(np.abs(matrix.t_dot(q)).sum()) - float(q @ b)
 
 
+# softmax temperatures eps * 2^-k, k = 0 .. RESIDUAL_DUAL_LEVELS - 1
+RESIDUAL_DUAL_LEVELS = 11
+
+
+def residual_dual_bounds(matrix, b, r, eps):
+    """Weak-duality bounds at the softmax duals of the residual ``r = A x - b``.
+
+    The candidates are the softmax of the sign-doubled residuals ``[r; -r]``
+    at temperatures ``eps * 2^-k`` for ``k = 0 .. RESIDUAL_DUAL_LEVELS - 1``
+    (the smoothed-max dual points of x), then the hard max, the signed one-hot
+    on the largest ``|r_i|``.  Each is folded to ``q = p[:n] - p[n:]``, so
+    ``||q||_1 <= 1``, and entry k of the returned array is
+    ``weak_duality_bound(matrix, b, q_k)``; the largest lower-bounds the
+    max-abs residual over the unit box.  All candidates share one pass over
+    the entries: one ``bincount`` over ``k * m + col``.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    n, m = matrix.n_rows, matrix.n_cols
+    levels = RESIDUAL_DUAL_LEVELS
+    q = np.zeros((levels + 1, n))
+    abs_r = np.abs(r)
+    i = int(np.argmax(abs_r))
+    top = float(abs_r[i])
+    # 1/t; the floor on eps keeps it finite (0 * inf would be NaN), and any
+    # temperature gives a valid dual point
+    inv_t = np.exp2(np.arange(levels)) / max(eps, 2.0 ** -1000)
+    # e^{(+-r_i - top)/t} <= 1: the doubled weights, shifted by their max
+    pos = np.exp((r - top) * inv_t[:, None])
+    neg = np.exp((-r - top) * inv_t[:, None])
+    q[:levels] = (pos - neg) / (pos.sum(axis=1) + neg.sum(axis=1))[:, None]
+    q[levels, i] = 1.0 if r[i] >= 0 else -1.0
+    rows, cols, vals = matrix.flat_entries()
+    keys = (np.arange(levels + 1) * m)[:, None] + cols
+    at_q = np.bincount(keys.ravel(), weights=(q[:, rows] * vals).ravel(),
+                       minlength=(levels + 1) * m).reshape(levels + 1, m)
+    return -np.abs(at_q).sum(axis=1) - q @ b
+
+
 @dataclass(frozen=True)
 class RegressionInstance:
     """One box-constrained max-abs-residual solve.

@@ -392,6 +392,40 @@ class TestRateProperties:
             assert res.outer_iterations <= cap
 
 
+class TestResidualDualCertificate:
+    """The softmax duals of the residual certify a primal that is already
+    eps-optimal, long before the outer dual catches up."""
+
+    # outer iterations when only the outer dual fed the lower bound
+    OUTER_DUAL_ONLY = {"l2": 23, "diag": 31}
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        # 120x120, 4 entries per column at distinct rows, N(0, 1) values,
+        # b ~ N(0, 9) scaled toward an LP optimum of 6.0, eps = 0.5
+        rng = np.random.default_rng(1)
+        n = 120
+        rows = np.concatenate([rng.choice(n, size=4, replace=False) for _ in range(n)])
+        cols = np.repeat(np.arange(n), 4)
+        matrix = SparseMatrix.from_triplets(zip(rows, cols, rng.normal(size=4 * n)),
+                                            n, n)
+        b = 3.0 * rng.normal(size=n)
+        for _ in range(3):
+            b = b * (6.0 / box_linf_opt(matrix.to_dense(), b)[0])
+        opt, _ = box_linf_opt(matrix.to_dense(), b)
+        return RegressionInstance(matrix=matrix, b=b, epsilon=0.5), opt
+
+    @pytest.mark.parametrize("mode", ["l2", "diag"])
+    def test_certified_in_half_the_outers(self, inst, mode):
+        inst, opt = inst
+        res = solve_box_linf(inst, mode=mode, seed=0)
+        assert res.stop_reason == "certified" and res.certified
+        assert res.gap <= inst.epsilon
+        assert opt - 1e-9 <= res.value <= opt + inst.epsilon
+        assert res.value - res.gap <= opt + 1e-9
+        assert res.outer_iterations <= self.OUTER_DUAL_ONLY[mode] // 2
+
+
 class TestStopReason:
     @pytest.fixture
     def inst(self):
@@ -409,7 +443,8 @@ class TestStopReason:
         assert res.outer_iterations == 1
 
     def test_lb_target(self, inst):
-        # the first bound, at the uniform dual, is 0 > -1
+        # every weak-duality bound is at least the one at the uniform dual,
+        # q = 0, which is 0 > -1: the solve stops before its first outer
         res = solve_box_linf(inst, seed=2, lb_target=-1.0)
         assert res.stop_reason == "lb_target" and res.outer_iterations == 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import box_linf_opt, dense_to_sparse, random_connected_graph, random_sparse
-from linfflow.cli import main
+from linfflow.cli import build_parser, main
 from linfflow.core import write_matrix_file
 
 
@@ -180,6 +180,24 @@ class TestRegress:
             assert code == 0
             outs.append((out, trace.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        # one parser serves every call; no option of one call reaches the next
+        rng = np.random.default_rng(2)
+        path = tmp_path / "m.linf"
+        write_matrix_file(path, dense_to_sparse(rng.normal(size=(3, 3)) * 0.3),
+                          b=rng.normal(size=3))
+        plain = ["regress", "--input", str(path), "--eps", "0.1"]
+        code, first, _ = run(capsys, *plain)
+        assert code == 0 and "seed 0" in first
+        with pytest.raises(SystemExit) as exc:
+            main(plain + ["--solver", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        code, other, _ = run(capsys, *plain, "--solver", "gd", "--seed", "5")
+        assert code == 0 and other != first and "seed 5" in other
+        assert run(capsys, *plain) == (0, first, "")
+        assert build_parser() is build_parser()
 
 
 class TestFlowCommands:

@@ -13,11 +13,14 @@ from helpers import (
     random_sparse,
 )
 from linfflow.core import (
+    RESIDUAL_DUAL_LEVELS,
     RegressionInstance,
     SparseMatrix,
     read_matrix_file,
     reduce_to_unit_box,
+    residual_dual_bounds,
     sign_double,
+    weak_duality_bound,
     write_matrix_file,
 )
 from linfflow.errors import InputError
@@ -218,6 +221,61 @@ class TestSignDouble:
             lhs = (d.dot(x) - b2).max()
             rhs = np.abs(m.dot(x) - b).max()
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestResidualDualBounds:
+    """The softmax duals of a residual, each a weak-duality bound."""
+
+    def test_never_exceeds_lp_optimum(self):
+        rng = np.random.default_rng(12)
+        for _ in range(24):
+            n, m = int(rng.integers(2, 14)), int(rng.integers(1, 14))
+            matrix = random_sparse(rng, n, m, per_col=3)
+            b = rng.normal(size=n) * float(rng.choice([0.2, 1.0, 5.0]))
+            opt, x_star = box_linf_opt(matrix.to_dense(), b)
+            eps = float(rng.choice([1e-3, 0.1, 1.0]))
+            for x in (np.zeros(m), rng.uniform(-1, 1, m), np.clip(x_star, -1, 1)):
+                bounds = residual_dual_bounds(matrix, b, matrix.dot(x) - b, eps)
+                assert bounds.shape == (RESIDUAL_DUAL_LEVELS + 1,)
+                assert bounds.max() <= opt + 1e-9
+
+    def test_hard_max_is_the_signed_one_hot(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            matrix = random_sparse(rng, n, m, per_col=3)
+            b = rng.normal(size=n)
+            r = matrix.dot(rng.uniform(-1, 1, m)) - b
+            i = int(np.argmax(np.abs(r)))
+            q = np.zeros(n)
+            q[i] = 1.0 if r[i] >= 0 else -1.0
+            bounds = residual_dual_bounds(matrix, b, r, 0.1)
+            assert bounds[-1] == weak_duality_bound(matrix, b, q)
+
+    def test_softmax_candidates_are_folded_duals(self):
+        matrix = dense_to_sparse([[1.0, -2.0], [0.5, 0.0], [0.0, 3.0]])
+        b = np.array([0.3, -1.0, 2.0])
+        r = matrix.dot(np.array([0.4, -0.7])) - b
+        bounds = residual_dual_bounds(matrix, b, r, 0.5)
+        v = np.concatenate([r, -r])
+        for k in range(RESIDUAL_DUAL_LEVELS):
+            w = np.exp((v - v.max()) / (0.5 * 2.0 ** -k))
+            p = w / w.sum()
+            want = weak_duality_bound(matrix, b, p[:3] - p[3:])
+            assert bounds[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [[2.0, -2.0, 2.0], [0.0, 0.0, 0.0],
+                                   [1e300, -1e300, 0.0]])
+    @pytest.mark.parametrize("eps", [5e-324, 1e-3, 1.0, 1e300])
+    def test_ties_and_zero_residuals_finite(self, r, eps):
+        matrix = dense_to_sparse([[1.0, 0.5], [0.5, -1.0], [0.0, 1.0]])
+        b = np.array([0.2, -0.4, 0.1])
+        with np.errstate(over="ignore"):
+            bounds = residual_dual_bounds(matrix, b, np.array(r), eps)
+        assert np.isfinite(bounds).all()
+        if not any(r):
+            # the softmax of a zero residual is uniform and folds to q = 0
+            assert (bounds[:-1] == 0.0).all()
 
 
 class TestReduceToUnitBox:

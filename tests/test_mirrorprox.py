@@ -35,11 +35,16 @@ def uniforms(seed=0, stream=0):
 
 
 def flow_shaped(rng, n, m, per_col=2):
-    """Random instance with sup norms at most one and no empty rows."""
-    while True:
+    """Random instance with sup norms at most one and no empty rows.
+
+    Raises ValueError when 1000 draws in a row each leave a row empty, as
+    they must when the shape cannot fill every row."""
+    for _ in range(1000):
         matrix = random_sparse(rng, n, m, per_col=per_col, scale=0.4)
         if (matrix.row_l1 > 0).all():
             break
+    else:
+        raise ValueError(f"1000 draws of {n}x{m} each left a row empty")
     scale = max(matrix.norm_inf, 1.0)
     trip = [(i, j, v / scale) for i, j, v in matrix.triplets()]
     matrix = SparseMatrix.from_triplets(trip, n, m)
@@ -52,6 +57,15 @@ def make_phase(matrix, b, eps=0.25, s=None):
     s = float(s if s is not None else matrix.n_cols)
     cfg = MirrorProxConfig.for_instance(matrix2, eps, s)
     return PhaseState(matrix2, b2, cfg), cfg
+
+
+class TestFlowShaped:
+    # 2 single-entry columns cannot fill 11 rows; 20 cover 20 rows with
+    # probability 20!/20^20
+    @pytest.mark.parametrize("n, m", [(11, 2), (20, 20)])
+    def test_unfillable_shape_raises(self, n, m):
+        with pytest.raises(ValueError, match="1000 draws"):
+            flow_shaped(np.random.default_rng(0), n, m, per_col=1)
 
 
 class TestPhaseTablesRows:
