@@ -11,9 +11,9 @@ sup-norm accuracy with randomized coordinate descent (sampling j
 proportionally to its current curvature bound), then takes the closed-form
 dual response.  Early exit in both loops is certificate-driven: the inner
 loop stops when a projected-gradient bound certifies the required objective
-gap, the outer loop when the primal value meets a weak-duality lower bound
-within epsilon.  The worst-case iteration budgets are kept as fallbacks so a
-run always terminates.
+gap, the outer loop when its ``core.Certificate`` ledger stops the solve.
+The worst-case iteration budgets are kept as fallbacks so a run always
+terminates.
 
 Two kinds of weak-duality bound feed that lower bound, and no other bound
 does: the outer dual ``exp(logp)`` folded onto the rows of A, before every
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import residual_dual_bounds, weak_duality_bound
+from .core import Certificate, residual_dual_bounds, weak_duality_bound
 from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, CoordSampler, make_rng
 from .smoothing import (
@@ -378,14 +378,14 @@ def prox_outer_iterate(outer, uniforms, stop_check=None):
 
 @dataclass
 class RegressionResult:
-    """A prox-CD solve.  ``stop_reason`` is ``certified`` (weak-duality gap at
-    most eps), ``value_target`` or ``lb_target`` (the caller's stop condition
-    met) or ``outer_budget`` (every planned outer iteration ran).  ``gap`` is
-    ``value`` minus the best lower bound found, the larger of the outer-dual
-    bounds and the residual-softmax bounds (``residual_dual_bounds``) at the
-    start point and every outer iterate; each is a weak-duality bound, so
-    ``value - gap`` never exceeds the optimum.  Transcript rows carry
-    ``elapsed_ns`` only when the solve was timed."""
+    """A prox-CD solve.  ``stop_reason`` is its ``Certificate``'s:
+    ``certified``, ``value_target`` or ``lb_target``, or ``outer_budget``
+    (every planned outer iteration ran).  ``gap`` is ``value`` minus the best
+    lower bound found, the larger of the outer-dual bounds and the
+    residual-softmax bounds (``residual_dual_bounds``) at the start point and
+    every outer iterate; each is a weak-duality bound, so ``value - gap``
+    never exceeds the optimum.  Transcript rows carry ``elapsed_ns`` only
+    when the solve was timed."""
 
     x: np.ndarray
     value: float
@@ -423,11 +423,13 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     stops as soon as the weak-duality lower bound exceeds it (used to certify
     infeasibility early); ``x0`` warm-starts the primal iterate.
 
-    The lower bound is the best of two weak-duality bounds, and only these
-    feed ``certified``, ``lb_target`` and ``gap``: the outer dual, checked
-    before every outer iteration, and the best residual-softmax dual
-    (``residual_dual_bounds``) of the start point and of every outer iterate,
-    formed from the residual the value evaluation computes anyway.
+    One ``Certificate`` keeps the best point and bound and decides the stop.
+    It is offered the start point, the outer dual before every outer
+    iteration, every outer iterate and the averaged iterate.  Only two kinds
+    of weak-duality bound reach it: the outer dual, and the best
+    residual-softmax dual (``residual_dual_bounds``) of the start point and
+    of every outer iterate, formed from the residual the value evaluation
+    computes anyway.
     """
     if abs(inst.radius - 1.0) > 1e-12:
         raise InputError("instance must be reduced to the unit box first")
@@ -480,74 +482,52 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         return (float(np.abs(r).max()),
                 float(residual_dual_bounds(matrix, b, r, eps).max()))
 
-    best_x = outer.x.copy()
-    best_val, best_lb = value_and_bound(best_x)
+    val, lb = value_and_bound(outer.x)
+    cert = Certificate(outer.x, val, eps, value_target=value_target,
+                       lb_target=lb_target)
+    stop_check = None
+    if value_target is not None:
+        stop_check = lambda xv: cert.meets_value_target(evaluate(xv))
     x_sum = np.zeros(m)
-    certified = best_val - best_lb <= eps
-    stop_reason = "outer_budget"
     t_done = 0
     start = _time.perf_counter_ns()
-    if value_target is not None and best_val <= value_target:
-        t_planned = 0  # warm start already meets the caller's target
-        stop_reason = "value_target"
+    if cert.offer(bound=lb):
+        t_planned = 0  # the start point already stops the solve
     for t in range(t_planned):
         p = np.exp(outer.logp)
         q = p[:n] - p[n:]  # the doubled rows' dual, folded onto the rows of A
-        lb = weak_duality_bound(matrix, b, q)
-        best_lb = max(best_lb, lb)
-        if best_val - best_lb <= eps:
-            certified = True
-            stop_reason = "certified"
-            break
-        if lb_target is not None and best_lb > lb_target:
-            stop_reason = "lb_target"
+        if cert.offer(bound=weak_duality_bound(matrix, b, q)):
             break
         # adaptive slack: while the certified gap is far above eps, the
         # per-iteration subproblem accuracy tracks the gap instead of the
         # final tolerance; a halving-every-8-outers envelope forces descent to
         # the eps/2 rule regardless, and every return stays certificate-gated
-        gap_now = best_val - best_lb
-        envelope = (abs(best_val) + 1.0) * 0.917 ** t
-        outer.eps_iter = max(eps / 2.0, min(gap_now / 8.0, envelope))
-        stop_check = None
-        if value_target is not None:
-            stop_check = lambda xv: evaluate(xv) <= value_target
+        envelope = (abs(cert.value) + 1.0) * 0.917 ** t
+        outer.eps_iter = max(eps / 2.0, min(cert.gap / 8.0, envelope))
         res = prox_outer_iterate(outer, uniforms, stop_check=stop_check)
         t_done = t + 1
         x_sum += outer.x
         val, lb = value_and_bound(outer.x)
-        best_lb = max(best_lb, lb)
-        if val < best_val:
-            best_val = val
-            best_x = outer.x.copy()
         row = (t_done, res.iterations, repr(val))
         if timing:
             row += (_time.perf_counter_ns() - start,)
         transcript.append(row + (seed,))
-        if best_val - best_lb <= eps:
-            certified = True
-            stop_reason = "certified"
-            break
-        if value_target is not None and best_val <= value_target:
-            stop_reason = "value_target"
+        if cert.offer(outer.x, val, lb):
             break
 
     if t_done > 0:
         x_avg = x_sum / t_done
-        avg_val = evaluate(x_avg)
-        if avg_val < best_val:
-            best_val = avg_val
-            best_x = x_avg
+        cert.offer(x_avg, evaluate(x_avg))
     return RegressionResult(
-        x=best_x,
-        value=best_val,
-        certified=certified,
-        gap=best_val - best_lb,
+        x=cert.x,
+        value=cert.value,
+        certified=cert.stop_reason == "certified",
+        gap=cert.gap,
         outer_iterations=t_done,
         sampled_coordinates=solver.total_steps,
         transcript=transcript,
         seed=seed,
-        stop_reason=stop_reason,
+        stop_reason=cert.stop_reason or "outer_budget",
         moving_steps=solver.moving_steps,
         timed=timing,
     )

@@ -102,27 +102,33 @@ def _run_baseline(inst, solver, seed):
     return x, inst.value_at(x), tr
 
 
+def _solve_matrix(inst, solver, seed, timing):
+    """Solve a linf-matrix instance; returns ``(x, value, steps, trace_csv)``,
+    where ``trace_csv()`` gives the solver's trace as CSV text."""
+    if solver in ("cd-l2", "cd-diag"):
+        res = solve_box_linf(inst, mode="l2" if solver == "cd-l2" else "diag",
+                             seed=seed, timing=timing)
+    elif solver == "mirror-prox":
+        res = solve_flow_regress(inst, seed=seed)
+    elif solver in ("gd", "plain-cd"):
+        x, value, tr = _run_baseline(inst, solver, seed)
+        return x, value, tr.steps, lambda: "step,value\n" + "\n".join(
+            f"{k},{v!r}" for k, v in enumerate(tr.values)) + "\n"
+    else:
+        raise InputError(f"solver {solver} does not apply to linf-matrix instances")
+    return res.x, res.value, res.sampled_coordinates, res.transcript_csv
+
+
 def _run_regress(args):
     _check_eps(args.eps)
     matrix, b = read_matrix_file(args.input)
     inst = RegressionInstance(matrix=matrix, b=b, epsilon=args.eps,
                               s=args.sparsity_s)
-    if args.solver in ("cd-l2", "cd-diag"):
-        res = solve_box_linf(inst, mode="l2" if args.solver == "cd-l2" else "diag",
-                             seed=args.seed, timing=args.timing)
-        value, x, rows = res.value, res.x, res.transcript_csv()
-    elif args.solver == "mirror-prox":
-        res = solve_flow_regress(inst, seed=args.seed, collect_transcript=True)
-        value, x, rows = res.value, res.x, res.transcript_csv()
-    elif args.solver in ("gd", "plain-cd"):
-        x, value, tr = _run_baseline(inst, args.solver, args.seed)
-        rows = "step,value\n" + "\n".join(
-            f"{k},{v!r}" for k, v in enumerate(tr.values)) + "\n"
-    else:
-        raise InputError(f"solver {args.solver} does not apply to regress")
+    x, value, _, trace_csv = _solve_matrix(inst, args.solver, args.seed,
+                                           args.timing)
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(rows)
+            fh.write(trace_csv())
     if args.output:
         with open(args.output, "w") as fh:
             for v in x:
@@ -190,20 +196,8 @@ def _run_bench(args):
             matrix, b = read_matrix_file(args.input)
             inst = RegressionInstance(matrix=matrix, b=b, epsilon=eps,
                                       s=args.sparsity_s)
-            if args.solver == "mirror-prox":
-                res = solve_flow_regress(inst, seed=args.seed)
-                value, iters = res.value, res.sampled_coordinates
-            elif args.solver in ("cd-l2", "cd-diag"):
-                res = solve_box_linf(
-                    inst, mode="diag" if args.solver == "cd-diag" else "l2",
-                    seed=args.seed)
-                value, iters = res.value, res.sampled_coordinates
-            elif args.solver in ("gd", "plain-cd"):
-                _, value, tr = _run_baseline(inst, args.solver, args.seed)
-                iters = tr.steps
-            else:
-                raise InputError(f"solver {args.solver} does not apply to "
-                                 "linf-matrix instances")
+            _, value, iters, _ = _solve_matrix(inst, args.solver, args.seed,
+                                               args.timing)
         elapsed = f"{_time.perf_counter_ns() - start}," if args.timing else ""
         rows.append(f"{eps},{iters},{elapsed}{float(value)!r}")
     table = "\n".join(rows) + "\n"

@@ -6,7 +6,8 @@ the maximum entry of the sign-doubled system ``[A; -A] x - [b; -b]``
 (``sign_double``): the mirror-prox solver and the baselines build it, while
 the coordinate descent path keeps it folded, one weight pair per row of
 ``A``.  This module holds the immutable matrix type, the instance record,
-and the affine change of variables that maps general boxes onto the unit box.
+the affine change of variables that maps general boxes onto the unit box,
+and the weak-duality bounds and stop ledger (``Certificate``) of the solvers.
 
 ``SparseMatrix`` stores its entries as flat column-major and row-major arrays
 with index pointers (CSC and CSR), read-only, and is the only module that
@@ -276,6 +277,48 @@ def residual_dual_bounds(matrix, b, r, eps):
     at_q = np.bincount(keys.ravel(), weights=(q[:, rows] * vals).ravel(),
                        minlength=(levels + 1) * m).reshape(levels + 1, m)
     return -np.abs(at_q).sum(axis=1) - q @ b
+
+
+class Certificate:
+    """A solve's best point, its value and its best weak-duality lower bound.
+
+    The one stop policy of both regression solvers.  It is seeded with the
+    start point, untested; ``offer`` folds in a point with its value, a
+    bound, or both, then tests ``certified`` (gap at most ``eps``),
+    ``value_target`` (best value at most it) and ``lb_target`` (best bound
+    above it), in that order, and keeps the first reason that holds.  Values,
+    bounds and ``eps`` are in solver units; ``scale`` maps the value and the
+    bound to the targets' units.
+    """
+
+    def __init__(self, x, value, eps, scale=1.0, value_target=None, lb_target=None):
+        self.x = np.array(x, dtype=np.float64)
+        self.value, self.bound = value, -math.inf
+        self.eps, self.scale = eps, scale
+        self.value_target, self.lb_target = value_target, lb_target
+        self.stop_reason = None
+
+    @property
+    def gap(self):
+        return self.value - self.bound
+
+    def meets_value_target(self, value):
+        return self.value_target is not None and value * self.scale <= self.value_target
+
+    def offer(self, x=None, value=math.inf, bound=-math.inf):
+        """Fold in a candidate, copying x when it is the new best; True to stop."""
+        if value < self.value:
+            self.value, self.x = value, np.array(x, dtype=np.float64)
+        if bound > self.bound:
+            self.bound = bound
+        if self.stop_reason is None:
+            if self.gap <= self.eps:
+                self.stop_reason = "certified"
+            elif self.meets_value_target(self.value):
+                self.stop_reason = "value_target"
+            elif self.lb_target is not None and self.bound * self.scale > self.lb_target:
+                self.stop_reason = "lb_target"
+        return self.stop_reason is not None
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ mixing, with the exact realized probability returned for debiasing.
 
 The solve stops on a weak-duality certificate, and it checks it inside a
 phase as well as at its end: ``run_phase`` forms the aggregate point at
-geometrically spaced iterations and ends the phase at the first one that
-passes the solve's stop tests, so a phase whose drawn length runs far past
-the certifying iterate stops near that iterate.  A point formed inside a
-phase is only a candidate; the next phase starts from the one at the drawn
-length, as the halving argument requires.
+geometrically spaced iterations and offers each to the solve's
+``core.Certificate``, and the phase ends at the first after which the ledger
+stops the solve.  A point formed inside a phase is only a candidate; the
+next phase starts from the one at the drawn length, as the halving argument
+requires.
 
 The sampling tables depend only on (matrix, s, eps), so ``PhaseTables`` is
 built once per solve and shared by every phase.  The iterations between two
@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .core import sign_double, weak_duality_bound
+from .core import Certificate, sign_double, weak_duality_bound
 from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, StaticAlias, make_rng
 from .simplexmaint import ReferenceSimplex
@@ -413,11 +413,11 @@ def run_phase(phase, t_star, uniforms, stop=None):
 
 @dataclass
 class FlowRegressResult:
-    """A mirror-prox solve; ``stop_reason`` is ``certified`` (weak-duality gap
-    at most eps), ``value_target`` or ``lb_target`` (the caller's stop
-    condition met) or ``phase_budget`` (every planned phase ran).  The stop
-    is checked on the aggregate points formed inside each phase too, so the
-    last phase may end before its drawn length."""
+    """A mirror-prox solve.  ``stop_reason`` is its ``Certificate``'s:
+    ``certified``, ``value_target`` or ``lb_target``, or ``phase_budget``
+    (every planned phase ran).  The aggregate points formed inside each
+    phase are offered too, so the last phase may end before its drawn
+    length."""
 
     x: np.ndarray
     value: float
@@ -428,7 +428,7 @@ class FlowRegressResult:
     gap: float
     seed: int
     stop_reason: str
-    transcript: list = field(default_factory=list)
+    transcript: list
 
     def transcript_csv(self):
         """One row per phase: the iterations it ran, and the least value and
@@ -440,18 +440,16 @@ class FlowRegressResult:
         return "\n".join(lines) + "\n"
 
 
-def solve_flow_regress(inst, seed=0, fail_prob=0.5, value_target=None,
-                       max_phases=None, collect_transcript=False, lb_target=None):
+def solve_flow_regress(inst, seed=0, value_target=None, max_phases=None,
+                       lb_target=None):
     """Approximately minimize a flow-shaped instance to additive epsilon.
 
     The instance is rescaled so the matrix and rhs sup norms are at most one,
-    sign-doubled, and solved by phases; requires the (rescaled) epsilon to
-    exceed n^-3.  Independent runs (``ceil(log2(1/fail_prob))`` of them, on
-    disjoint seed streams) are compared by direct evaluation and the best
-    returned.  The doubled matrix and the sampling tables are built once and
-    shared by every run and phase.  ``value_target`` stops once the directly
-    evaluated value is at most it; ``lb_target`` stops as soon as the
-    weak-duality lower bound exceeds it (used to certify a reject early).
+    sign-doubled, and solved by phases, phase k on seed stream k; requires
+    the (rescaled) epsilon to exceed n^-3.  The doubled matrix and the
+    sampling tables are built once and shared by every phase.  Every
+    aggregate point is offered to one ``Certificate`` seeded with x = 0;
+    ``value_target`` and ``lb_target`` are in the instance's units.
     """
     matrix, b = inst.matrix, inst.b
     if abs(inst.radius - 1.0) > 1e-12:
@@ -470,62 +468,24 @@ def solve_flow_regress(inst, seed=0, fail_prob=0.5, value_target=None,
     if max_phases is not None:
         cfg = replace(cfg, phases=min(cfg.phases, max_phases))
     tables = PhaseTables(matrix2, cfg)
-    runs = max(1, math.ceil(math.log2(1.0 / fail_prob)))
-    best = None
-    for r in range(runs):
-        res = _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed=seed,
-                                       run_index=r, value_target=value_target,
-                                       lb_target=lb_target,
-                                       collect_transcript=collect_transcript)
-        if best is None or res.value < best.value:
-            best = res
-        if value_target is not None and best.value <= value_target:
-            break
-        if res.stop_reason == "lb_target":
-            break
-    if float(best.x @ best.x) > 2.0 * inst.s:
-        import warnings
-
-        warnings.warn("returned point has squared l2 norm above 2s; the given "
-                      "sparsity estimate was too small", stacklevel=2)
-    return best
-
-
-def _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed, run_index,
-                             value_target, lb_target, collect_transcript):
-    eps_s = cfg.eps
-    transcript = []
 
     def evaluate(x):
         return float((matrix2.dot(x) - b2).max())
 
-    best_x = np.zeros(matrix2.n_cols)
-    best_val = evaluate(best_x)
-    best_lb = -math.inf
-    stop_reason = None
+    x0 = np.zeros(matrix2.n_cols)
+    cert = Certificate(x0, evaluate(x0), eps_s, scale=scale,
+                       value_target=value_target, lb_target=lb_target)
+    transcript = []
 
     def fold(x, y):
-        """Fold an aggregate point into the best value and bound; True to stop.
+        """Offer an aggregate point and its dual to the ledger; True to stop.
 
         Every aggregate point a phase forms, inside it or at its end, passes
-        here.  One formed inside a phase is only a candidate: unless the
-        solve stops there, the next phase starts from the one at t_star.
-        """
-        nonlocal best_val, best_x, best_lb, stop_reason, phase_val, phase_lb
-        val = evaluate(x)
-        if val < best_val:
-            best_val = val
-            best_x = x.copy()
-        lb = weak_duality_bound(matrix2, b2, y)
-        best_lb = max(best_lb, lb)
+        here."""
+        nonlocal phase_val, phase_lb
+        val, lb = evaluate(x), weak_duality_bound(matrix2, b2, y)
         phase_val, phase_lb = min(phase_val, val), max(phase_lb, lb)
-        if best_val - best_lb <= eps_s:
-            stop_reason = "certified"
-        elif value_target is not None and best_val * scale <= value_target:
-            stop_reason = "value_target"
-        elif lb_target is not None and best_lb * scale > lb_target:
-            stop_reason = "lb_target"
-        return stop_reason is not None
+        return cert.offer(x, val, lb)
 
     total_iter = 0
     x_in = y_in = None
@@ -533,20 +493,25 @@ def _solve_flow_regress_once(matrix2, b2, cfg, tables, scale, seed, run_index,
     for k in range(cfg.phases):
         # each phase starts from the previous phase's aggregate point
         phase = PhaseState(matrix2, b2, cfg, x0=x_in, y0=y_in, tables=tables)
-        rng = make_rng(seed, stream=(run_index << 20) | k)
+        rng = make_rng(seed, stream=k)
         uniforms = BufferedUniforms(rng)
         t_star = int(rng.integers(1, cfg.t_per_phase + 1))
         phase_val, phase_lb = math.inf, -math.inf  # this phase's row
         x_in, y_in = run_phase(phase, t_star, uniforms, stop=fold)
         total_iter += phase.iteration
-        if collect_transcript:
-            transcript.append((k, phase.iteration, repr(phase_val * scale),
-                               repr(phase_lb * scale)))
-        if stop_reason is not None:
+        transcript.append((k, phase.iteration, repr(phase_val * scale),
+                           repr(phase_lb * scale)))
+        if cert.stop_reason is not None:
             break
+    if float(cert.x @ cert.x) > 2.0 * inst.s:
+        import warnings
+
+        warnings.warn("returned point has squared l2 norm above 2s; the given "
+                      "sparsity estimate was too small", stacklevel=2)
     return FlowRegressResult(
-        x=best_x, value=best_val * scale, phases_run=k + 1,
+        x=cert.x, value=cert.value * scale, phases_run=k + 1,
         iterations=total_iter, sampled_coordinates=total_iter,
-        certified=stop_reason == "certified", gap=(best_val - best_lb) * scale,
-        seed=seed, stop_reason=stop_reason or "phase_budget", transcript=transcript,
+        certified=cert.stop_reason == "certified", gap=cert.gap * scale,
+        seed=seed, stop_reason=cert.stop_reason or "phase_budget",
+        transcript=transcript,
     )

@@ -115,24 +115,21 @@ def golden_section(f, lo, hi, tol=1e-10):
 
 
 def grid_search_min(f, dims, lo=-1.0, hi=1.0, resolution=1e-3):
-    """Brute-force minimizer over a uniform grid on [lo, hi]^dims."""
+    """Brute-force minimizer over a uniform grid on [lo, hi]^dims.
+
+    ``f`` takes every grid point at once, as the rows of a ``(points, dims)``
+    array in row-major grid order, and returns their values; the first
+    minimum in that order wins.
+    """
+    if dims not in (1, 2):
+        raise ValueError("grid oracle supports 1 or 2 dims")
     steps = int(round((hi - lo) / resolution)) + 1
     axis = np.linspace(lo, hi, steps)
-    best_v, best_x = math.inf, None
-    if dims == 1:
-        for x0 in axis:
-            v = f(np.array([x0]))
-            if v < best_v:
-                best_v, best_x = v, np.array([x0])
-        return best_v, best_x
-    if dims == 2:
-        for x0 in axis:
-            for x1 in axis:
-                v = f(np.array([x0, x1]))
-                if v < best_v:
-                    best_v, best_x = v, np.array([x0, x1])
-        return best_v, best_x
-    raise ValueError("grid oracle supports 1 or 2 dims")
+    grids = np.meshgrid(*([axis] * dims), indexing="ij")
+    points = np.stack(grids, axis=-1).reshape(-1, dims)
+    values = np.asarray(f(points))
+    k = int(np.argmin(values))
+    return float(values[k]), points[k].copy()
 
 
 def random_connected_graph(rng, n, extra_edges=None, unit=True):

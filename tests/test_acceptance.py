@@ -459,8 +459,8 @@ def test_criterion_12_determinism():
         if (fm.row_l1 > 0).all():
             break
     fi = RegressionInstance(matrix=fm, b=rng.uniform(-0.5, 0.5, 3), epsilon=0.2)
-    m1 = solve_flow_regress(fi, seed=11, collect_transcript=True)
-    m2 = solve_flow_regress(fi, seed=11, collect_transcript=True)
+    m1 = solve_flow_regress(fi, seed=11)
+    m2 = solve_flow_regress(fi, seed=11)
     assert m1.transcript_csv().encode() == m2.transcript_csv().encode()
     np.testing.assert_array_equal(m1.x, m2.x)
 

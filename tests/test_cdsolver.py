@@ -10,7 +10,6 @@ from helpers import (
     box_linf_opt,
     dense_to_sparse,
     golden_section,
-    grid_search_min,
     random_instance,
     random_sparse,
 )

@@ -1,5 +1,7 @@
 """CLI: commands, exit statuses, determinism of emitted artifacts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -437,3 +439,83 @@ class TestVerify:
         assert code == 0
         assert "check dinic-vs-augmenting ok" in out
         assert "FAIL" not in out
+
+
+def golden_operations(tmp_path):
+    """Small fixed-seed CLI operations and their inputs, written under tmp_path.
+
+    Returns ``{name: (argv, written)}``, where ``written`` lists the files the
+    operation writes: its solution and, for a regression, its trace.
+    """
+    rng = np.random.default_rng(31)
+    while True:
+        matrix = random_sparse(rng, 6, 8, per_col=2, scale=0.5)
+        if (matrix.row_l1 > 0).all():
+            break
+    sparse = tmp_path / "sparse.linf"
+    write_matrix_file(sparse, matrix, b=rng.uniform(-1.0, 1.0, 6))
+    while True:
+        matrix = random_sparse(rng, 3, 5, per_col=2, scale=0.4)
+        if (matrix.row_l1 > 0).all():
+            break
+    small = tmp_path / "small.linf"
+    write_matrix_file(small, matrix, b=rng.uniform(-0.8, 0.8, 3))
+    graph = tmp_path / "graph.dimacs"
+    net = random_connected_graph(np.random.default_rng(33), 8, extra_edges=6)
+    graph.write_text(f"c undirected\np max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
+                     + "".join(f"a {u + 1} {v + 1} 1\n"
+                               for u, v in zip(net.tails, net.heads)))
+    ops = {}
+    for name, path, solver, eps in (("cd-l2", sparse, "cd-l2", "0.05"),
+                                    ("cd-diag", sparse, "cd-diag", "0.05"),
+                                    ("mirror-prox", small, "mirror-prox", "0.1")):
+        out, trace = tmp_path / f"{name}.x", tmp_path / f"{name}.csv"
+        ops[f"regress-{name}"] = (["regress", "--input", str(path), "--solver", solver,
+                                   "--eps", eps, "--seed", "3", "--output", str(out),
+                                   "--trace", str(trace)], [out, trace])
+    for solver in ("cd-l2", "cd-diag"):
+        out = tmp_path / f"maxflow-{solver}.flow"
+        ops[f"maxflow-{solver}"] = (["maxflow", "--input", str(graph), "--solver",
+                                     solver, "--eps", "0.2", "--seed", "5",
+                                     "--output", str(out)], [out])
+    return ops
+
+
+# sha256 of stdout, then of each file written, of every golden operation,
+# recorded before ``core.Certificate`` took over both solvers' stop logic; a
+# refactor that keeps the CLI's output byte-identical keeps them
+GOLDEN = {
+    "maxflow-cd-diag": [
+        "1b4e0c706e5b52f6122a2a247819de589e8abf62e3b48d94595a962dd215e87b",
+        "f17ee94ff7a15abe89bad87c5524b01a6588fe8a5187a67b41f5ebb7b77efee9",
+    ],
+    "maxflow-cd-l2": [
+        "88f221f7d698877ac80cc4237e4a178808b88fcbabf32183ba7506a94e364031",
+        "e6f982634a6fefc14ca05b404d845479a52c78dde9030985746f46b582d7819f",
+    ],
+    "regress-cd-diag": [
+        "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
+        "2b8a538261630f1311706879b647b3825b646891dbaabc3597b093f0a6a93a3e",
+        "6f143fc63e3e0a11b25f91bb4890ba306dcfbcde438f62999938c0b03d3da09e",
+    ],
+    "regress-cd-l2": [
+        "fd7be23780f1d1b6902a25bab146397d143b80b8ba6f3be7511bb718378e01d5",
+        "3cf2498309c6ebce9cc75caeafda8cbc772b01cdb36243b093d923f1e8903762",
+        "40ea965c12fa57b9d1c1d4fd8428c3290ea267cc3d1389a12a2e69d67f22eb0b",
+    ],
+    "regress-mirror-prox": [
+        "0c90656074233802b37de3e9f73633c8c40a64043c0bae1eaee59e989b16577a",
+        "d07d353655d4fa52eb7d0aed07cd8b78648ecbea179a3aa9c52972cd005ac6d8",
+        "e7891203e39e419d057a7944a490897de9309d3018b7401d91804c419936d7af",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, capsys, name):
+    argv, written = golden_operations(tmp_path)[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    digests = [hashlib.sha256(out.encode()).hexdigest()]
+    digests += [hashlib.sha256(path.read_bytes()).hexdigest() for path in written]
+    assert digests == GOLDEN[name]

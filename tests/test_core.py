@@ -14,6 +14,7 @@ from helpers import (
 )
 from linfflow.core import (
     RESIDUAL_DUAL_LEVELS,
+    Certificate,
     RegressionInstance,
     SparseMatrix,
     read_matrix_file,
@@ -278,6 +279,68 @@ class TestResidualDualBounds:
             assert (bounds[:-1] == 0.0).all()
 
 
+class TestCertificate:
+    def test_stop_order(self):
+        # the offer below meets all three tests at once: certified wins
+        both = dict(value_target=10.0, lb_target=-10.0)
+        cert = Certificate(np.zeros(2), 5.0, eps=0.5, **both)
+        assert cert.stop_reason is None
+        assert cert.offer(np.ones(2), 1.0, 0.75)
+        assert cert.stop_reason == "certified"
+        # value_target before lb_target
+        cert = Certificate(np.zeros(2), 5.0, eps=0.5, **both)
+        assert cert.offer(bound=0.0) and cert.stop_reason == "value_target"
+        cert = Certificate(np.zeros(2), 50.0, eps=0.5, **both)
+        assert cert.offer(bound=0.0) and cert.stop_reason == "lb_target"
+        # no target set and a wide gap: no reason
+        cert = Certificate(np.zeros(2), 50.0, eps=0.5)
+        assert not cert.offer(np.ones(2), 40.0, 0.0)
+        assert cert.stop_reason is None
+
+    def test_the_start_point_is_not_tested(self):
+        cert = Certificate(np.zeros(2), 1.0, eps=0.5, value_target=10.0)
+        assert cert.stop_reason is None and cert.bound == -np.inf
+
+    def test_first_reason_is_kept(self):
+        cert = Certificate(np.zeros(2), 50.0, eps=0.5, value_target=10.0,
+                           lb_target=5.0)
+        assert cert.offer(bound=6.0) and cert.stop_reason == "lb_target"
+        assert cert.offer(np.ones(2), 6.25, 6.0)  # now certified and on target
+        assert cert.stop_reason == "lb_target"
+        assert cert.value == 6.25
+
+    def test_gap_is_value_minus_best_bound(self):
+        cert = Certificate(np.zeros(3), 4.0, eps=1e-3)
+        cert.offer(np.ones(3), 3.0, 1.0)
+        cert.offer(np.full(3, 2.0), 3.5, 0.5)  # worse point, worse bound
+        assert (cert.value, cert.bound) == (3.0, 1.0)
+        assert cert.gap == cert.value - cert.bound == 2.0
+        np.testing.assert_array_equal(cert.x, np.ones(3))
+
+    def test_stored_point_is_a_copy(self):
+        x0, x1 = np.zeros(2), np.ones(2)
+        cert = Certificate(x0, 4.0, eps=1e-3)
+        x0[0] = 7.0
+        assert cert.x[0] == 0.0
+        cert.offer(x1, 2.0)
+        x1[:] = 9.0
+        np.testing.assert_array_equal(cert.x, [1.0, 1.0])
+
+    def test_targets_compare_in_scaled_units(self):
+        # the ledger holds solver units; the targets are in instance units
+        cert = Certificate(np.zeros(1), 0.3, eps=1e-3, scale=4.0, value_target=1.0)
+        assert not cert.meets_value_target(0.3)
+        assert cert.meets_value_target(0.25)
+        assert not cert.offer(bound=0.0)
+        assert cert.offer(np.ones(1), 0.25) and cert.stop_reason == "value_target"
+        cert = Certificate(np.zeros(1), 5.0, eps=1e-3, scale=4.0, lb_target=2.0)
+        assert not cert.offer(bound=0.5)  # 2.0 is not above 2.0
+        assert cert.offer(bound=0.5000001) and cert.stop_reason == "lb_target"
+        # eps is in solver units: no scaling
+        cert = Certificate(np.zeros(1), 1.0, eps=0.5, scale=4.0)
+        assert cert.offer(bound=0.5) and cert.stop_reason == "certified"
+
+
 class TestReduceToUnitBox:
     def test_identity_when_already_unit(self):
         m = dense_to_sparse(np.eye(2))
@@ -311,11 +374,12 @@ class TestReduceToUnitBox:
         # minimize the reduced problem by grid search, map back, compare with
         # a grid search on the original box around x0
         val_u, x_u = grid_search_min(
-            lambda z: np.abs(a @ z - unit.b).max(), dims=2, resolution=2e-3
+            lambda z: np.abs(z @ a.T - unit.b).max(axis=1), dims=2, resolution=2e-3
         )
         x_back = box.back(x_u)
         val_orig, _ = grid_search_min(
-            lambda z: np.abs(a @ (x0 + r * z) - b).max(), dims=2, resolution=2e-3
+            lambda z: np.abs((x0 + r * z) @ a.T - b).max(axis=1), dims=2,
+            resolution=2e-3
         )
         assert inst.value_at(x_back) <= val_orig * r / r + 1e-2
 

@@ -397,7 +397,7 @@ class TestSolveFlowRegress:
             matrix, b = flow_shaped(rng, 3, 4 + k)
             inst = RegressionInstance(matrix=matrix, b=b, epsilon=0.1)
             opt, _ = box_linf_opt(matrix.to_dense(), b)
-            res = solve_flow_regress(inst, seed=k, fail_prob=0.25)
+            res = solve_flow_regress(inst, seed=k)
             assert res.value <= opt + inst.epsilon + 1e-9
 
     def test_epsilon_floor_rejected(self):
@@ -410,8 +410,8 @@ class TestSolveFlowRegress:
         rng = np.random.default_rng(14)
         matrix, b = flow_shaped(rng, 3, 4)
         inst = RegressionInstance(matrix=matrix, b=b, epsilon=0.15)
-        r1 = solve_flow_regress(inst, seed=7, collect_transcript=True)
-        r2 = solve_flow_regress(inst, seed=7, collect_transcript=True)
+        r1 = solve_flow_regress(inst, seed=7)
+        r2 = solve_flow_regress(inst, seed=7)
         np.testing.assert_array_equal(r1.x, r2.x)
         assert r1.transcript_csv() == r2.transcript_csv()
 
@@ -521,7 +521,7 @@ class TestStopReason:
         assert res.value - res.gap > -3.0
 
     def test_transcript_rows_follow_the_phases(self, inst):
-        res = solve_flow_regress(inst, seed=7, collect_transcript=True)
+        res = solve_flow_regress(inst, seed=7)
         assert len(res.transcript) == res.phases_run
         assert sum(row[1] for row in res.transcript) == res.iterations
         assert min(float(row[2]) for row in res.transcript) >= res.value
