@@ -6,14 +6,21 @@ sign-doubled rows ``[A; -A]``).  The doubled matrix is never built: a row and
 its mirror share their column pattern and |A_ij|, so the smoothing state, the
 sampler tree and every column scan work over the n rows of A with one weight
 pair per row.  Each outer iteration shifts the rhs by ``-alpha * log p``,
-solves the resulting smoothed strongly convex subproblem to a prescribed
-sup-norm accuracy with randomized coordinate descent (sampling j
-proportionally to its current curvature bound), then takes the closed-form
-dual response.  Early exit in both loops is certificate-driven: the inner
-loop stops when a projected-gradient bound certifies the required objective
-gap, the outer loop when its ``core.Certificate`` ledger stops the solve.
-The worst-case iteration budgets are kept as fallbacks so a run always
-terminates.
+solves the resulting smoothed strongly convex subproblem with randomized
+coordinate descent (sampling j proportionally to its current curvature
+bound), then takes the closed-form dual response.  Early exit in both loops
+is certificate-driven: the outer loop stops when its ``core.Certificate``
+ledger stops the solve, and the inner loop when the projected-gradient bound
+on the subproblem's objective gap falls to ``eps_iter / INNER_GAP_DIVISOR``,
+the outer iteration's accuracy target over 16.  That rule holds because an
+inexact proximal step needs its subproblem solved only to an additive
+accuracy proportional to the outer target (Rockafellar 1976; Nemirovski
+2004), and because every return is still gated by a weak-duality
+certificate, so the inner target sets the work per outer iteration and never
+the guarantee.  The divisor was measured: 8 or less sends near-threshold flow
+probes through many more outer iterations, and larger divisors spend more
+steps per outer iteration on the regression instances.  The worst-case
+iteration budgets are kept as fallbacks so a run always terminates.
 
 Two kinds of weak-duality bound feed that lower bound, and no other bound
 does: the outer dual ``exp(logp)`` folded onto the rows of A, before every
@@ -46,6 +53,9 @@ from .smoothing import (
     SoftmaxState,
     sum_smoothness_bound,
 )
+
+# each subproblem stops at an objective gap of eps_iter over this divisor
+INNER_GAP_DIVISOR = 16
 
 
 def lcd_steps(state, sampler, center, uniforms, count):
@@ -246,17 +256,7 @@ class SubproblemSolver:
             reg_range = self.alpha * float(p.d.sum()) / (2.0 * p.scale)
         return self.alpha * math.log(max(n, 2)) + 2.0 * self.norm_a + reg_range
 
-    def gap_target(self, delta_x):
-        p = self.params
-        if p.mode == "l2":
-            return 0.5 * p.mu * delta_x * delta_x
-        d_min = float(p.d.min())
-        if d_min <= 0:
-            raise InputError("diag mode requires a positive d floor")
-        return 0.5 * (p.alpha / p.scale) * d_min * delta_x * delta_x
-
-    def budget(self, delta_x, fail_prob):
-        gap = self.gap_target(delta_x)
+    def budget(self, gap, fail_prob):
         ratio = max(self.range_bound() / (gap * fail_prob), 2.0)
         return max(1, math.ceil(2.0 * self.s_bound / self.params.mu * math.log(ratio)))
 
@@ -268,9 +268,10 @@ class SubproblemSolver:
         t = np.clip(state.x - g / c, -1.0, 1.0) - state.x
         return float(-(g * t + 0.5 * c * t * t).sum())
 
-    def solve(self, b_t, center, x_start, delta_x, fail_prob, uniforms,
+    def solve(self, b_t, center, x_start, gap, fail_prob, uniforms,
               budget_override=None, stop_check=None, b_neg=None):
-        """Drive the iterate to within delta_x of the subproblem optimum (sup norm).
+        """Drive the iterate until the projected-gradient certificate bounds
+        its objective gap to the subproblem optimum by ``gap``.
 
         ``b_neg``, when given, is the rhs of the mirrored rows ``-A x - b_neg``
         and ``final_w`` then covers both halves.  The returned flag is False
@@ -286,20 +287,19 @@ class SubproblemSolver:
         else:
             self._sampler.rebind(state)
         sampler = self._sampler
-        gap_target = self.gap_target(delta_x)
         budget = budget_override if budget_override is not None else self.budget(
-            delta_x, fail_prob)
+            gap, fail_prob)
         check_every = min(512, max(16, self.matrix.n_cols))
         center_list = np.asarray(center, dtype=np.float64).tolist()
         done = moving = 0
-        certified = self._certificate(state, center) <= gap_target
+        certified = self._certificate(state, center) <= gap
         while not certified and done < budget:
             if stop_check is not None and stop_check(state.x):
                 break
             chunk = min(check_every, budget - done)
             moving += lcd_steps(state, sampler, center_list, uniforms, chunk)[0]
             done += chunk
-            certified = self._certificate(state, center) <= gap_target
+            certified = self._certificate(state, center) <= gap
         self.total_steps += done
         self.moving_steps += moving
         return SubproblemResult(
@@ -333,24 +333,11 @@ class ProxOuterState:
     matrix: object
     b: np.ndarray
     alpha: float
-    params: LocalSmoothnessParams
     x: np.ndarray
     logp: np.ndarray
     eps_iter: float
     fail_prob: float
     solver: SubproblemSolver
-
-    def delta_x_threshold(self):
-        """Per-iteration sup-norm accuracy required of the subproblem solution."""
-        norm_a = self.matrix.norm_inf
-        m = self.matrix.n_cols
-        eps = self.eps_iter
-        if self.params.mode == "l2":
-            mid = eps * self.params.scale / (8.0 * self.alpha * m)
-        else:
-            mid = eps * self.params.rows / (8.0 * self.alpha * m)
-        return min(eps / (16.0 * norm_a), mid,
-                   eps * self.alpha / (64.0 * norm_a * norm_a))
 
 
 def prox_outer_iterate(outer, uniforms, stop_check=None):
@@ -366,7 +353,7 @@ def prox_outer_iterate(outer, uniforms, stop_check=None):
         b_neg=-outer.b - shift[n:],
         center=outer.x,
         x_start=outer.x,
-        delta_x=outer.delta_x_threshold(),
+        gap=outer.eps_iter / INNER_GAP_DIVISOR,
         fail_prob=outer.fail_prob,
         uniforms=uniforms,
         stop_check=stop_check,
@@ -470,7 +457,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     solver = SubproblemSolver(matrix, alpha, params)
     x_init = np.zeros(m) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1, 1)
     outer = ProxOuterState(
-        matrix=matrix, b=b, alpha=alpha, params=params,
+        matrix=matrix, b=b, alpha=alpha,
         x=x_init, logp=np.full(n2, -math.log(n2)),
         eps_iter=eps / 2.0, fail_prob=fail_prob, solver=solver,
     )

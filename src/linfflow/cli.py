@@ -181,19 +181,21 @@ def _run_bench(args):
     for eps in grid:
         _check_eps(eps)
     fmt = _sniff_format(args.input, args.format)
+    if fmt == "dimacs":
+        net = _flow_common(args)
+    else:
+        matrix, b = read_matrix_file(args.input)
     rows = ["eps,iterations,elapsed_ns,value" if args.timing else "eps,iterations,value"]
     import time as _time
 
     for eps in grid:
         start = _time.perf_counter_ns()
         if fmt == "dimacs":
-            net = _flow_common(args)
             routed = flow_to_regress(net, net.st_demand(1.0), eps,
                                      solver=args.solver, seed=args.seed)
             value = 1.0 / max(routed.max_congestion, 1e-30)
             iters = routed.meta.get("iterations", 0)
         else:
-            matrix, b = read_matrix_file(args.input)
             inst = RegressionInstance(matrix=matrix, b=b, epsilon=eps,
                                       s=args.sparsity_s)
             _, value, iters, _ = _solve_matrix(inst, args.solver, args.seed,

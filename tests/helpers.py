@@ -63,6 +63,22 @@ def box_linf_opt(a_dense, b, radius=1.0):
     return float(res.fun), np.array(res.x[:m])
 
 
+def sup_norm_gap(params, delta_x):
+    """The subproblem objective gap that puts its point within ``delta_x`` of
+    the optimum in the sup norm.
+
+    The subproblem is strongly convex with modulus mu (l2 mode) or
+    (alpha / scale) * min d (diag mode), so a gap of at most half the modulus
+    times delta_x squared bounds the l2 distance, and so the sup-norm
+    distance, by delta_x.
+    """
+    if params.mode == "l2":
+        return 0.5 * params.mu * delta_x * delta_x
+    d_min = float(params.d.min())
+    assert d_min > 0, "diag mode needs a positive d floor"
+    return 0.5 * (params.alpha / params.scale) * d_min * delta_x * delta_x
+
+
 def min_congestion_opt(net, d=None):
     """Exact min congestion routing of demand d via LP (variables f, t)."""
     d = net.demand if d is None else np.asarray(d, dtype=np.float64)

@@ -12,6 +12,7 @@ from helpers import (
     golden_section,
     random_instance,
     random_sparse,
+    sup_norm_gap,
 )
 from linfflow.cdsolver import (
     ProxOuterState,
@@ -131,7 +132,8 @@ class TestSolveSubproblem:
         alpha = 10.0
         params = LocalSmoothnessParams.l2(d, alpha, 3.0)
         solver = SubproblemSolver(d, alpha, params)
-        res = solver.solve(b_t=b2, center=x_bar, x_start=x_bar, delta_x=1e-4,
+        res = solver.solve(b_t=b2, center=x_bar, x_start=x_bar,
+                           gap=sup_norm_gap(params, 1e-4),
                            fail_prob=1e-3, uniforms=uniforms(6))
         assert res.certified
         np.testing.assert_allclose(res.x, x_bar, atol=1e-4)
@@ -146,7 +148,8 @@ class TestSolveSubproblem:
         params = LocalSmoothnessParams.l2(d, alpha, s)
         solver = SubproblemSolver(d, alpha, params)
         center = np.zeros(2)
-        res = solver.solve(b_t=b2, center=center, x_start=center, delta_x=1e-4,
+        res = solver.solve(b_t=b2, center=center, x_start=center,
+                           gap=sup_norm_gap(params, 1e-4),
                            fail_prob=1e-3, uniforms=uniforms(7))
 
         # dense vectorized grid evaluation of the regularized objective
@@ -167,7 +170,8 @@ class TestSolveSubproblem:
         params = LocalSmoothnessParams.l2(m, 1.0, 2.0)
         solver = SubproblemSolver(m, 1.0, params)
         res = solver.solve(b_t=np.zeros(2), center=center,
-                           x_start=np.array([0.0, -0.8]), delta_x=1e-6,
+                           x_start=np.array([0.0, -0.8]),
+                           gap=sup_norm_gap(params, 1e-6),
                            fail_prob=1e-3, uniforms=uniforms(8))
         assert res.x[1] == pytest.approx(0.25, abs=1e-5)
 
@@ -179,10 +183,29 @@ class TestSolveSubproblem:
         params = LocalSmoothnessParams.l2(d, 0.05, 4.0)
         solver = SubproblemSolver(d, 0.05, params)
         res = solver.solve(b_t=b2, center=np.zeros(4), x_start=np.zeros(4),
-                           delta_x=1e-9, fail_prob=1e-6, uniforms=uniforms(9),
-                           budget_override=3)
+                           gap=sup_norm_gap(params, 1e-9), fail_prob=1e-6,
+                           uniforms=uniforms(9), budget_override=3)
         assert not res.certified
         assert res.iterations == 3
+
+    @pytest.mark.parametrize("mode", ["l2", "diag"])
+    def test_certified_result_meets_its_gap(self, mode):
+        rng = np.random.default_rng(4)
+        m = random_sparse(rng, 6, 5, per_col=2)
+        d, b2 = sign_double(m, rng.normal(size=6))
+        alpha = 0.5
+        if mode == "l2":
+            params = LocalSmoothnessParams.l2(d, alpha, 5.0)
+        else:
+            params = LocalSmoothnessParams.diag(d, alpha, d_floor=0.02)
+        solver = SubproblemSolver(d, alpha, params)
+        center = rng.uniform(-0.5, 0.5, 5)
+        gap = sup_norm_gap(params, 1e-3)
+        res = solver.solve(b_t=b2, center=center, x_start=np.zeros(5), gap=gap,
+                           fail_prob=1e-3, uniforms=uniforms(10))
+        assert res.certified and res.iterations > 0
+        # the certificate recomputed from a fresh state at the returned point
+        assert solver._certificate(SoftmaxState(d, b2, alpha, x0=res.x), center) <= gap
 
 
 class TestDualResponse:
@@ -229,7 +252,7 @@ class TestProxOuter:
         params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
         solver = SubproblemSolver(matrix, alpha, params)
         return ProxOuterState(
-            matrix=matrix, b=b, alpha=alpha, params=params,
+            matrix=matrix, b=b, alpha=alpha,
             x=np.zeros(matrix.n_cols),
             logp=np.full(n2, -math.log(n2)),
             eps_iter=eps / 2, fail_prob=1e-4, solver=solver,
@@ -423,6 +446,18 @@ class TestResidualDualCertificate:
         assert opt - 1e-9 <= res.value <= opt + inst.epsilon
         assert res.value - res.gap <= opt + 1e-9
         assert res.outer_iterations <= self.OUTER_DUAL_ONLY[mode] // 2
+
+    # coordinate steps at seed 0 when each subproblem had to reach the
+    # sup-norm radius's objective gap (half mu times its square)
+    SUP_NORM_TARGET_STEPS = {"l2": 17_040, "diag": 16_200}
+
+    @pytest.mark.parametrize("mode", ["l2", "diag"])
+    def test_inner_gap_target_cuts_the_steps(self, inst, mode):
+        inst, opt = inst
+        res = solve_box_linf(inst, mode=mode, seed=0)
+        assert res.stop_reason == "certified"
+        assert opt - 1e-9 <= res.value <= opt + inst.epsilon
+        assert res.sampled_coordinates <= self.SUP_NORM_TARGET_STEPS[mode] // 3
 
 
 class TestStopReason:

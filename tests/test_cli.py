@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import box_linf_opt, dense_to_sparse, random_connected_graph, random_sparse
+from linfflow import cli
 from linfflow.cli import build_parser, main
-from linfflow.core import write_matrix_file
+from linfflow.core import read_matrix_file, write_matrix_file
+from linfflow.flow import dinic_oracle
+from linfflow.graphs import read_dimacs
 
 
 @pytest.fixture
@@ -366,6 +369,23 @@ class TestBench:
         assert code == 0
         assert int(out.splitlines()[1].split(",")[1]) > 0
 
+    @pytest.mark.parametrize("reader", ["read_dimacs", "read_matrix_file"])
+    def test_input_read_once_per_grid(self, identity_instance, tmp_path, capsys,
+                                      monkeypatch, reader):
+        if reader == "read_dimacs":
+            path = tmp_path / "cycle.dimacs"
+            path.write_text("c undirected\np max 4 4\nn 1 s\nn 3 t\n"
+                            "a 1 2 1\na 2 3 1\na 3 4 1\na 4 1 1\n")
+        else:
+            path = identity_instance
+        calls = []
+        real = getattr(cli, reader)
+        monkeypatch.setattr(cli, reader, lambda *a: calls.append(a) or real(*a))
+        code, out, _ = run(capsys, "bench", "--input", str(path),
+                           "--eps-grid", "0.5,0.3,0.2")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert len(calls) == 1
+
     def test_bad_eps_rejected(self, identity_instance, capsys):
         code, _, err = run(capsys, "bench", "--input", identity_instance,
                            "--eps-grid", "2.0")
@@ -481,27 +501,28 @@ def golden_operations(tmp_path):
     return ops
 
 
-# sha256 of stdout, then of each file written, of every golden operation,
-# recorded before ``core.Certificate`` took over both solvers' stop logic; a
-# refactor that keeps the CLI's output byte-identical keeps them
+# sha256 of stdout, then of each file written, of every golden operation; a
+# refactor that keeps the CLI's output byte-identical keeps them.  The prox-CD
+# hashes were recorded when each subproblem began to stop at an objective gap
+# of eps_iter / 16, and the mirror-prox hashes before ``core.Certificate``
 GOLDEN = {
     "maxflow-cd-diag": [
-        "1b4e0c706e5b52f6122a2a247819de589e8abf62e3b48d94595a962dd215e87b",
-        "f17ee94ff7a15abe89bad87c5524b01a6588fe8a5187a67b41f5ebb7b77efee9",
+        "bc35dd121ccd0a142bdabc7ae3a0da92821071b8b4c59db968630bc9b040fea7",
+        "1085761a83a15986f9054c50ed055c67e1c644917423ea7fd24c9fd03b2b1e2e",
     ],
     "maxflow-cd-l2": [
-        "88f221f7d698877ac80cc4237e4a178808b88fcbabf32183ba7506a94e364031",
-        "e6f982634a6fefc14ca05b404d845479a52c78dde9030985746f46b582d7819f",
+        "0fd82bc2c2893a4c137f88adc7ecb771883ce49e24252775bf5aeda5c3b51a2b",
+        "30adce953f250d2aa05ea4290684a19a1ec6189d2592872c44bb79ccb04ec6fc",
     ],
     "regress-cd-diag": [
         "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
-        "2b8a538261630f1311706879b647b3825b646891dbaabc3597b093f0a6a93a3e",
-        "6f143fc63e3e0a11b25f91bb4890ba306dcfbcde438f62999938c0b03d3da09e",
+        "2c308798d1b00ff1f020d39bba078efe9cfe316439f8c1328adf802f178c6a65",
+        "55b0d3dba113a8fa550212b57fb6327319bb8a878aa55e65d0862884e70f97c7",
     ],
     "regress-cd-l2": [
-        "fd7be23780f1d1b6902a25bab146397d143b80b8ba6f3be7511bb718378e01d5",
-        "3cf2498309c6ebce9cc75caeafda8cbc772b01cdb36243b093d923f1e8903762",
-        "40ea965c12fa57b9d1c1d4fd8428c3290ea267cc3d1389a12a2e69d67f22eb0b",
+        "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
+        "0e58604fa794afda3bb1f37e177099ab2bdfcee5c5fb61f100bbdaa573f6925c",
+        "9d75727fa7bf5030d86ffe2198e6e0fb1e8025235173c03e4cb0c04af6a05e64",
     ],
     "regress-mirror-prox": [
         "0c90656074233802b37de3e9f73633c8c40a64043c0bae1eaee59e989b16577a",
@@ -519,3 +540,14 @@ def test_golden_outputs(tmp_path, capsys, name):
     digests = [hashlib.sha256(out.encode()).hexdigest()]
     digests += [hashlib.sha256(path.read_bytes()).hexdigest() for path in written]
     assert digests == GOLDEN[name]
+    # the recorded value passes its oracle: a regression value lies within eps
+    # above the LP optimum, a flow value within a factor (1 - eps) of Dinic's
+    path, eps = argv[argv.index("--input") + 1], float(argv[argv.index("--eps") + 1])
+    value = float(out.splitlines()[0].removeprefix("value "))
+    if name.startswith("regress"):
+        matrix, b = read_matrix_file(path)
+        opt, _ = box_linf_opt(matrix.to_dense(), b)
+        assert opt - 1e-9 <= value <= opt + eps
+    else:
+        flow_value = dinic_oracle(read_dimacs(path)).value
+        assert (1.0 - eps) * flow_value <= value <= flow_value + 1e-9
