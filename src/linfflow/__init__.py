@@ -21,7 +21,6 @@ from .cdsolver import (
     RegressionResult,
     SubproblemSolver,
     dual_response,
-    lcd_step,
     lcd_steps,
     prox_outer_iterate,
     solve_box_linf,
@@ -58,7 +57,6 @@ from .mirrorprox import (
     MirrorProxConfig,
     PhaseState,
     PhaseTables,
-    phase_iterate,
     phase_iterates,
     run_phase,
     sample_pj,

@@ -33,8 +33,7 @@ The steps between two certificate checks run in one call of ``lcd_steps``, a
 fused kernel that inlines the sampler draw, the column scan, the clamped step,
 the weight-pair update and the tree refresh over local Python lists.  It
 leaves every cache, counter and random draw exactly as the step-by-step
-primitives in ``sampling`` and ``smoothing`` would, and ``lcd_step`` is its
-one-step case.
+primitives in ``sampling`` and ``smoothing`` would.
 """
 
 from __future__ import annotations
@@ -214,12 +213,6 @@ def lcd_steps(state, sampler, center, uniforms, count):
     return moving, j, delta
 
 
-def lcd_step(state, sampler, center, uniforms):
-    """One coordinate step (``lcd_steps`` with count 1); returns ``(j, delta)``."""
-    _, j, delta = lcd_steps(state, sampler, center, uniforms, 1)
-    return j, delta
-
-
 @dataclass
 class SubproblemResult:
     x: np.ndarray
@@ -269,7 +262,7 @@ class SubproblemSolver:
         return float(-(g * t + 0.5 * c * t * t).sum())
 
     def solve(self, b_t, center, x_start, gap, fail_prob, uniforms,
-              budget_override=None, stop_check=None, b_neg=None):
+              stop_check=None, b_neg=None):
         """Drive the iterate until the projected-gradient certificate bounds
         its objective gap to the subproblem optimum by ``gap``.
 
@@ -287,8 +280,7 @@ class SubproblemSolver:
         else:
             self._sampler.rebind(state)
         sampler = self._sampler
-        budget = budget_override if budget_override is not None else self.budget(
-            gap, fail_prob)
+        budget = self.budget(gap, fail_prob)
         check_every = min(512, max(16, self.matrix.n_cols))
         center_list = np.asarray(center, dtype=np.float64).tolist()
         done = moving = 0

@@ -159,7 +159,6 @@ def _run_maxflow(args):
         if cong <= 0:
             raise InfeasibleError("no flow routed")
         sol = FlowSolution.from_flow(net, routed.flow / cong)
-        sol.value = float(sol.achieved_demand[net.sink])
     if args.output:
         write_flow_file(args.output, net, sol)
     print(f"value {sol.value!r}")
@@ -168,6 +167,7 @@ def _run_maxflow(args):
 
 
 def _run_exact_flow(args):
+    _check_eps(args.eps)
     net = _flow_common(args)
     sol = exact_unit_maxflow(net, solver=args.solver, seed=args.seed)
     if args.output:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -63,12 +62,12 @@ def _edge_arrays(n, edges, directed):
 class FlowNetwork:
     """Capacitated graph with a fixed edge orientation and a demand vector.
 
-    Undirected edges are stored with ``u < v`` (lexicographic orientation) so
-    instance hashing is deterministic.  Parallel edges are allowed; self loops
-    are not.  Capacities must be positive and finite, a designated source or
-    sink must be a vertex, the demand vector must sum to zero and the
-    underlying graph must be connected.  A subnormal capacity is rejected:
-    congestions divide by it.
+    Undirected edges are stored with ``u < v`` (lexicographic orientation), so
+    the sign of an edge's flow does not depend on the order its endpoints were
+    given in.  Parallel edges are allowed; self loops are not.  Capacities must
+    be positive and finite, a designated source or sink must be a vertex, the
+    demand vector must sum to zero and the underlying graph must be
+    connected.  A subnormal capacity is rejected: congestions divide by it.
     """
 
     __slots__ = ("n", "tails", "heads", "caps", "directed", "demand", "source", "sink")
@@ -133,14 +132,6 @@ class FlowNetwork:
         d[self.sink] = amount
         return d
 
-    def content_hash(self):
-        h = hashlib.sha256()
-        h.update(f"{self.n},{int(self.directed)};".encode())
-        for u, v, c in sorted(zip(self.tails, self.heads, self.caps)):
-            h.update(f"{u},{v},{c!r};".encode())
-        h.update(self.demand.tobytes())
-        return h.hexdigest()[:16]
-
 
 def incidence_apply(net, f):
     """B @ f under the stored orientation: -1 at the tail, +1 at the head."""
@@ -163,16 +154,15 @@ class FlowSolution:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_flow(cls, net, f, value=None):
+    def from_flow(cls, net, f):
+        """The solution carrying flow f; its value is the flow into the sink."""
         f = np.asarray(f, dtype=np.float64)
         achieved = incidence_apply(net, f)
-        if value is None:
-            value = float(achieved[net.sink]) if net.sink is not None else 0.0
         return cls(
             flow=f,
             congestion=f / net.caps,
             achieved_demand=achieved,
-            value=float(value),
+            value=float(achieved[net.sink]) if net.sink is not None else 0.0,
         )
 
     @property

@@ -28,9 +28,9 @@ the dense dual recursion over Python lists.  On the small instances a phase
 can finish (its length grows with n), numpy's per-call overhead on 4- to
 16-entry vectors cost more than the O(n + c) arithmetic of an iteration.
 Somewhere between 64 and 256 sign-doubled rows the interpreted O(n) passes
-start to cost more than numpy's would (CHANGES.md).  ``phase_iterate`` is
-its one-step case.  The dual point is carried as the log-weights of a ``ReferenceSimplex``, whose
-``sample``, ``prob``, ``update_half`` and ``update`` are the step-by-step
+start to cost more than numpy's would (CHANGES.md).  The dual point is
+carried as the log-weights of a ``ReferenceSimplex``, whose ``sample``,
+``prob``, ``update_half`` and ``update`` are the step-by-step
 reference the kernel is tested against (with ``sample_pj``, the reference
 draw); ``SimplexMaintainer`` answers the same queries with the paper's
 implicit structure, but it was measured slower at every size tried
@@ -348,11 +348,6 @@ def phase_iterates(phase, uniforms, count):
         phase.iteration += done
         uniforms._buf, uniforms._pos = buf, pos
     return j, pj, delta_j
-
-
-def phase_iterate(phase, uniforms):
-    """One half-step/full-step pair: ``phase_iterates`` with ``count=1``."""
-    return phase_iterates(phase, uniforms, 1)
 
 
 def aggregate_point(phase):

@@ -18,8 +18,6 @@ row masses and the curvature parameters.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InputError, SolverFault
@@ -86,9 +84,6 @@ class DynamicTree:
     @property
     def total(self):
         return self.nodes[1]
-
-    def get(self, i):
-        return self.nodes[self.size + i]
 
     def update(self, i, weight):
         """Set leaf i; refreshes the ancestor sums along one path.
@@ -283,61 +278,3 @@ class CoordSampler:
             dyn = self.dyn_coeff * float(w @ p)
         return dyn + float(self.params.sample_static[j])
 
-
-def chi2_pvalue(observed, expected):
-    """Pearson chi-square upper tail via the regularized incomplete gamma.
-
-    Tiny expected-count bins are pooled to keep the statistic honest.
-    """
-    observed = np.asarray(observed, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    keep = expected >= 5.0
-    if not keep.all():
-        pooled_o = observed[~keep].sum()
-        pooled_e = expected[~keep].sum()
-        observed = np.append(observed[keep], pooled_o)
-        expected = np.append(expected[keep], pooled_e)
-    if len(observed) < 2:
-        return 1.0
-    stat = float(((observed - expected) ** 2 / expected).sum())
-    dof = len(observed) - 1
-    return float(_gamma_upper_regularized(dof / 2.0, stat / 2.0))
-
-
-def _gamma_upper_regularized(a, x):
-    if x <= 0:
-        return 1.0
-    if x < a + 1.0:
-        # series for the lower incomplete gamma
-        term = 1.0 / a
-        total = term
-        k = a
-        for _ in range(500):
-            k += 1.0
-            term *= x / k
-            total += term
-            if term < total * 1e-15:
-                break
-        lower = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return max(0.0, 1.0 - lower)
-    # continued fraction for the upper incomplete gamma
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))

@@ -118,7 +118,6 @@ class SimplexMaintainer:
         self._c1 = 2.0 - c + c * c
         self._c2 = 1.0 - c + c * c
         self._c3 = 1.0 - c
-        self._lam = self._c2
         self._ln_lam = math.log1p(-c + c * c)
         self._m_step = np.array([
             [self._c1, self._c3, 1.0],

@@ -28,7 +28,7 @@ from linfflow.graphs import incidence_apply
 from linfflow.mirrorprox import (
     MirrorProxConfig,
     PhaseState,
-    phase_iterate,
+    phase_iterates,
     run_phase,
     solve_flow_regress,
 )
@@ -226,7 +226,7 @@ def _mirror_prox_count(matrix2, b2, m_cols, opt, eps, seed, check=25):
     total = 0
     for _ in range(cfg.phases):
         for _ in range(cfg.t_per_phase):
-            phase_iterate(phase, u)
+            phase_iterates(phase, u, 1)
             total += 1
             if total % check == 0:
                 if float((matrix2.dot(phase.x) - b2).max()) <= target:

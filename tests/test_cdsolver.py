@@ -18,7 +18,7 @@ from linfflow.cdsolver import (
     ProxOuterState,
     SubproblemSolver,
     dual_response,
-    lcd_step,
+    lcd_steps,
     prox_outer_iterate,
     solve_box_linf,
 )
@@ -40,7 +40,8 @@ def make_iterate(matrix, b, alpha, s, x0=None, center=None):
 
 
 def step(it, u):
-    return lcd_step(it.state, it.sampler, it.center, u)
+    """One coordinate step; returns ``(j, delta)``."""
+    return lcd_steps(it.state, it.sampler, it.center, u, 1)[1:]
 
 
 class TestLcdStep:
@@ -182,9 +183,10 @@ class TestSolveSubproblem:
         d, b2 = sign_double(m, rng.normal(size=4))
         params = LocalSmoothnessParams.l2(d, 0.05, 4.0)
         solver = SubproblemSolver(d, 0.05, params)
+        solver.budget = lambda gap, fail_prob: 3
         res = solver.solve(b_t=b2, center=np.zeros(4), x_start=np.zeros(4),
                            gap=sup_norm_gap(params, 1e-9), fail_prob=1e-6,
-                           uniforms=uniforms(9), budget_override=3)
+                           uniforms=uniforms(9))
         assert not res.certified
         assert res.iterations == 3
 
@@ -389,7 +391,7 @@ class TestRateProperties:
         sampler = CoordSampler(state, params)
         u = uniforms(7)
         for k in range(1500):
-            lcd_step(state, sampler, center, u)
+            lcd_steps(state, sampler, center, u, 1)
             if k % 10 == 0:
                 gaps.append(objective_value(state, center, params) - h_star)
         gaps = np.array(gaps)

@@ -5,7 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import box_linf_opt, dense_to_sparse, random_connected_graph, random_sparse
+from helpers import (
+    box_linf_opt,
+    dense_to_sparse,
+    random_connected_graph,
+    random_sparse,
+    random_unit_digraph,
+)
 from linfflow import cli
 from linfflow.cli import build_parser, main
 from linfflow.core import read_matrix_file, write_matrix_file
@@ -323,6 +329,15 @@ class TestFlowCommands:
         assert "solver dinic cannot route flows" in err
 
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
+    @pytest.mark.parametrize("eps", ["7", "0", "1", "nan"])
+    def test_eps_outside_unit_interval_rejected(self, path_graph, capsys, command, eps):
+        # exact-flow picks its own route accuracy, but still rejects a bad --eps
+        code, out, err = run(capsys, command, "--input", path_graph, "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert "eps must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     def test_flow_file_fields_are_numbers(self, path_graph, capsys, tmp_path, command):
         flow_out = tmp_path / "f.txt"
         code, _, _ = run(capsys, command, "--input", path_graph, "--output", str(flow_out))
@@ -485,6 +500,11 @@ def golden_operations(tmp_path):
     graph.write_text(f"c undirected\np max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
                      + "".join(f"a {u + 1} {v + 1} 1\n"
                                for u, v in zip(net.tails, net.heads)))
+    digraph = tmp_path / "digraph.dimacs"
+    net = random_unit_digraph(np.random.default_rng(39), 6, extra_arcs=5)
+    digraph.write_text(f"p max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
+                       + "".join(f"a {u + 1} {v + 1} 1\n"
+                                 for u, v in zip(net.tails, net.heads)))
     ops = {}
     for name, path, solver, eps in (("cd-l2", sparse, "cd-l2", "0.05"),
                                     ("cd-diag", sparse, "cd-diag", "0.05"),
@@ -498,14 +518,36 @@ def golden_operations(tmp_path):
         ops[f"maxflow-{solver}"] = (["maxflow", "--input", str(graph), "--solver",
                                      solver, "--eps", "0.2", "--seed", "5",
                                      "--output", str(out)], [out])
+    for name, path in (("undirected", graph), ("directed", digraph)):
+        out = tmp_path / f"exact-{name}.flow"
+        ops[f"exact-flow-{name}"] = (["exact-flow", "--input", str(path), "--seed", "5",
+                                      "--output", str(out)], [out])
+    table = tmp_path / "bench.csv"
+    ops["bench-cd-diag"] = (["bench", "--input", str(sparse), "--solver", "cd-diag",
+                             "--eps-grid", "0.1,0.05", "--seed", "3",
+                             "--trace", str(table)], [table])
     return ops
 
 
 # sha256 of stdout, then of each file written, of every golden operation; a
 # refactor that keeps the CLI's output byte-identical keeps them.  The prox-CD
 # hashes were recorded when each subproblem began to stop at an objective gap
-# of eps_iter / 16, and the mirror-prox hashes before ``core.Certificate``
+# of eps_iter / 16, the mirror-prox hashes before ``core.Certificate``, and the
+# exact-flow and bench hashes before the flow pipeline stopped setting each
+# ``FlowSolution.value`` twice
 GOLDEN = {
+    "bench-cd-diag": [
+        "5385ef5240b6b8549f18ccb4949a96490d1783ac060fef7aa6eb74e9667e19dd",
+        "5385ef5240b6b8549f18ccb4949a96490d1783ac060fef7aa6eb74e9667e19dd",
+    ],
+    "exact-flow-directed": [
+        "54a8b53579ec63d9f25abf3de1161c75124276d6a6adba5792c0b52dce538516",
+        "302aa0a9a9c740f979bff76468b51f8f4a0e8d7d7c8f7624fdc0b3636d99b4ac",
+    ],
+    "exact-flow-undirected": [
+        "70c85b2b3359625b0f1eb30f368b6ded6f3d80871fd52bf03ecba522c8d75d08",
+        "985ef00a7f053df6e2647eb3677173e687769a3b803b5c65982d0381ee5e52aa",
+    ],
     "maxflow-cd-diag": [
         "bc35dd121ccd0a142bdabc7ae3a0da92821071b8b4c59db968630bc9b040fea7",
         "1085761a83a15986f9054c50ed055c67e1c644917423ea7fd24c9fd03b2b1e2e",
@@ -540,10 +582,22 @@ def test_golden_outputs(tmp_path, capsys, name):
     digests = [hashlib.sha256(out.encode()).hexdigest()]
     digests += [hashlib.sha256(path.read_bytes()).hexdigest() for path in written]
     assert digests == GOLDEN[name]
-    # the recorded value passes its oracle: a regression value lies within eps
-    # above the LP optimum, a flow value within a factor (1 - eps) of Dinic's
-    path, eps = argv[argv.index("--input") + 1], float(argv[argv.index("--eps") + 1])
+    # the recorded value passes its oracle: a regression value (each bench row's
+    # too) lies within eps above the LP optimum, an approximate flow value
+    # within a factor (1 - eps) of Dinic's, and an exact flow value is Dinic's
+    path = argv[argv.index("--input") + 1]
+    if name.startswith("bench"):
+        matrix, b = read_matrix_file(path)
+        opt, _ = box_linf_opt(matrix.to_dense(), b)
+        for row in out.splitlines()[1:]:
+            eps, _, value = (float(v) for v in row.split(","))
+            assert opt - 1e-9 <= value <= opt + eps
+        return
     value = float(out.splitlines()[0].removeprefix("value "))
+    if name.startswith("exact-flow"):
+        assert value == dinic_oracle(read_dimacs(path)).value
+        return
+    eps = float(argv[argv.index("--eps") + 1])
     if name.startswith("regress"):
         matrix, b = read_matrix_file(path)
         opt, _ = box_linf_opt(matrix.to_dense(), b)

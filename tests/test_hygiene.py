@@ -1,0 +1,172 @@
+"""Hygiene of the package source: what it imports, and code nothing refers to.
+
+scipy and networkx serve the tests as oracles only, so the package imports
+numpy and the standard library alone.  Every ``def`` and ``class`` in the
+package is referred to by name somewhere in ``src/``, ``tests/`` or
+``linfbench/``, other than by its own definition: a helper nothing names is
+dead code.
+
+A method is referred to by an attribute read ``r.m`` of its name.  When
+several types have an attribute of that name (two classes define it, or
+``dict``, numpy's arrays and the like have one), the read counts for class C
+only where the receiver is C itself, is ``self`` / ``cls`` in C's body, or is
+a name that some assignment binds to a C (``r = C(...)``, ``r = C.make(...)``
+or ``r = f(...)`` with ``f`` returning ``C(...)``).
+"""
+
+import ast
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "linfflow"
+SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "linfbench")
+BUILTIN_ATTRS = set().union(*(dir(t) for t in (
+    object, dict, list, set, tuple, str, bytes, int, float, np.ndarray,
+    np.random.Generator)))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def scanned_trees():
+    for top in SCANNED:
+        for path in sorted(top.rglob("*.py")):
+            if "out" not in path.relative_to(top).parts:  # benchmark outputs
+                yield parse(path)
+
+
+def key(node):
+    """The name a receiver or an assignment target goes by, if it has one."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def mentioned(tree):
+    """Every name read or imported, and every attribute read, in tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def attribute_reads(tree):
+    """``(attr, receiver key, enclosing class)`` of every attribute read."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, key(node.value), cls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def package_definitions():
+    """``(module, class or None, name)`` of every def and class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        methods = set()
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ClassDef):
+                yield path.stem, None, node.name
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods.add(item)
+                        yield path.stem, node.name, item.name
+            elif isinstance(node, ast.FunctionDef) and node not in methods:
+                yield path.stem, None, node.name
+
+
+def bindings(trees, classes):
+    """Receiver key -> the classes an assignment somewhere binds it to."""
+    returns = defaultdict(set)  # function name -> classes it returns an instance of
+    for tree in trees:
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+                            and key(node.value.func) in classes):
+                        returns[func.name].add(key(node.value.func))
+    bound = defaultdict(set)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                made = set(returns[key(func)])
+                if key(func) in classes:
+                    made.add(key(func))
+                if isinstance(func, ast.Attribute) and key(func.value) in classes:
+                    made.add(key(func.value))  # r = C.from_x(...)
+                for target in node.targets:
+                    if key(target) is not None:
+                        bound[key(target)] |= made
+    return bound
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno} imports {module}" for module in modules
+                    if module.split(".")[0] not in allowed]
+    assert bad == []
+
+
+def test_every_definition_is_referenced():
+    trees = list(scanned_trees())
+    owners = defaultdict(set)  # method name -> the classes that define it
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        owners[item.name].add(node.name)
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    bound = bindings(trees, classes)
+    names = set().union(*(mentioned(tree) for tree in trees))
+    reads = defaultdict(list)  # attribute -> (receiver, class) of its reads
+    for tree in trees:
+        for attr, *where in attribute_reads(tree):
+            reads[attr].append(where)
+
+    def counts_for(cls, receiver, enclosing):
+        return (receiver == cls or cls in bound[receiver]
+                or (receiver in ("self", "cls") and enclosing == cls))
+
+    unreferenced = []
+    for module, cls, name in package_definitions():
+        if name.startswith("__") and name.endswith("__"):
+            continue  # called by the language, not by name
+        if cls is None:
+            if name not in names:
+                unreferenced.append(f"{module}.{name}")
+        elif len(owners[name]) > 1 or name in BUILTIN_ATTRS:
+            if not any(counts_for(cls, *where) for where in reads[name]):
+                unreferenced.append(f"{module}.{cls}.{name}")
+        elif not reads[name]:
+            unreferenced.append(f"{module}.{cls}.{name}")
+    assert unreferenced == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import random_sparse
-from linfflow.cdsolver import lcd_step, lcd_steps, solve_box_linf
+from linfflow.cdsolver import lcd_steps, solve_box_linf
 from linfflow.core import RegressionInstance, SparseMatrix
 from linfflow.errors import InputError, SolverFault
 from linfflow.sampling import BufferedUniforms, CoordSampler, make_rng
@@ -140,7 +140,7 @@ def test_lcd_step_is_one_kernel_step():
     build, center = setup("diag", True, alpha=0.4, seed=8)
     kernel, reference = build(), build()
     for _ in range(50):
-        assert lcd_step(kernel[0], kernel[1], center, kernel[2]) == \
+        assert lcd_steps(kernel[0], kernel[1], center, kernel[2], 1)[1:] == \
             reference_step(reference[0], reference[1], center, reference[2])
     assert_identical(kernel, reference)
 
@@ -152,7 +152,7 @@ def test_stale_sampler_raises():
     with pytest.raises(SolverFault, match="out of sync"):
         lcd_steps(state, sampler, center, uniforms, 10)
     with pytest.raises(SolverFault, match="out of sync"):
-        lcd_step(state, sampler, center, uniforms)
+        lcd_steps(state, sampler, center, uniforms, 1)
     other = SoftmaxState(state.matrix, state.b, state.alpha, x0=state.x,
                          b_neg=state.b_neg)
     with pytest.raises(SolverFault, match="out of sync"):

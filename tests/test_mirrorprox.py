@@ -22,7 +22,7 @@ from linfflow.mirrorprox import (
     PhaseState,
     PhaseTables,
     aggregate_point,
-    phase_iterate,
+    phase_iterates,
     run_phase,
     sample_pj,
     solve_flow_regress,
@@ -208,7 +208,7 @@ class TestPhaseIterate:
         yh /= yh.sum()
         g_full = (float(a_col @ yh) + (eps / (2 * s)) * x_half) / kappa
         x_next = np.clip(0.0 - s * g_full, -1, 1)
-        j, pj, delta_j = phase_iterate(phase, uniforms(5))
+        j, pj, delta_j = phase_iterates(phase, uniforms(5), 1)
         assert j == 0 and pj == pytest.approx(1.0)
         assert delta_j == pytest.approx(float(x_half), abs=1e-9)
         assert phase.x[0] == pytest.approx(float(x_next), abs=1e-9)
@@ -219,7 +219,7 @@ class TestPhaseIterate:
         phase, _ = make_phase(m, np.zeros(2), eps=0.25)
         u = uniforms(6)
         for _ in range(30):
-            phase_iterate(phase, u)
+            phase_iterates(phase, u, 1)
         np.testing.assert_allclose(phase.x, 0.0, atol=1e-12)
 
     def test_update_bounds_hold_over_run(self):
@@ -229,7 +229,7 @@ class TestPhaseIterate:
         u = uniforms(7)
         n2 = phase.n2
         for _ in range(400):
-            phase_iterate(phase, u)
+            phase_iterates(phase, u, 1)
             assert np.abs(phase.delta).max() <= 1.0 / (8 * n2) + 1e-12
             assert (np.abs(phase.x) <= 1.0).all()
 
@@ -240,7 +240,7 @@ class TestPhaseIterate:
         u = uniforms(8)
         y_prev = phase.exact_y()
         for _ in range(200):
-            phase_iterate(phase, u)
+            phase_iterates(phase, u, 1)
             y_now = phase.exact_y()
             assert (y_now / y_prev).max() <= 8.0
             y_prev = y_now
@@ -455,7 +455,7 @@ class TestSqrtSmoothnessSum:
         bound = cfg.c_sqrt * math.sqrt(n2 * cfg.s) + math.sqrt(m * n2 * cfg.eps)
         u = uniforms(21)
         for k in range(150):
-            phase_iterate(phase, u)
+            phase_iterates(phase, u, 1)
             if k % 10 == 0:
                 y = phase.exact_y()
                 total = float(np.sqrt(lj_tilde(m2, y, cfg.s, cfg.eps)).sum())

@@ -22,7 +22,6 @@ from linfflow.mirrorprox import (
     MirrorProxConfig,
     PhaseState,
     PhaseTables,
-    phase_iterate,
     phase_iterates,
     sample_pj,
 )
@@ -150,7 +149,7 @@ def test_every_draw_matches_one_step_at_a_time():
     kernel, reference = build(), build()
     clamps = [0]
     for _ in range(2000):
-        j, pj, dj = phase_iterate(*kernel)
+        j, pj, dj = phase_iterates(*kernel, 1)
         rj, rpj, rdj = reference_step(*reference, clamps)
         assert j == rj
         assert pj == pytest.approx(rpj, rel=TOL, abs=0)
