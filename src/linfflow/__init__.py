@@ -5,8 +5,10 @@ Two solver families minimize ``max_i |(A x - b)_i|`` over the unit box:
 * a proximal outer loop around locally adaptive randomized coordinate descent
   (l2 or column-weighted geometry), and
 * a phased randomized mirror-prox method whose dual simplex variable is kept
-  as a dense vector; the paper's implicit maintenance structure for it is
-  ``SimplexMaintainer``.
+  as a dense vector of log-weights over the rows of ``A``; the paper's
+  implicit maintenance structure for it is ``SimplexMaintainer``.
+
+Neither builds the sign-doubled matrix ``[A; -A]`` (``sign_double``).
 
 On top of them sit the flow reductions: spanning-tree congestion
 approximation, demand routing by bisection over the congestion radius (one

@@ -17,7 +17,7 @@ from .smoothing import SoftmaxState
 
 
 class SmoothedObjective:
-    """f(x) = alpha * log sum exp((A x - b)/alpha), with dense accessors."""
+    """f(x) = alpha * log sum exp(([A; -A] x - [b; -b])/alpha), kept folded."""
 
     def __init__(self, matrix, b, alpha):
         self.matrix = matrix
@@ -25,7 +25,7 @@ class SmoothedObjective:
         self.alpha = float(alpha)
 
     def state_at(self, x):
-        return SoftmaxState(self.matrix, self.b, self.alpha, x0=x)
+        return SoftmaxState(self.matrix, self.b, self.alpha, x0=x, b_neg=-self.b)
 
     def value(self, x):
         return float(self.state_at(x).smax())
@@ -98,17 +98,17 @@ def plain_cd(objective, coord_smoothness, iterations, seed=0, x0=None,
     u = uniforms if uniforms is not None else BufferedUniforms(make_rng(seed))
     trace = BaselineTrace(x=state.x, values=[float(state.smax())])
     cols = state._cols
-    expw = state.expw
+    expw, expw_neg = state.expw, state.expw_neg
     for _ in range(iterations):
         j = alias.sample(u)
         rows, vals = cols[j]
         acc = 0.0
-        for k in range(len(rows)):
-            acc += vals[k] * expw[rows[k]]
+        for r, a in zip(rows, vals):
+            acc += a * (expw[r] - expw_neg[r])
         gj = acc / state.z
         if gj != 0.0:
             state.apply_coord_update(j, -gj / lj[j])
-            expw = state.expw  # rebuilds swap the list
+            expw, expw_neg = state.expw, state.expw_neg  # rebuilds swap the lists
         trace.steps += 1
     trace.values.append(float(state.smax()))
     trace.x = state.x

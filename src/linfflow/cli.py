@@ -48,27 +48,35 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, solver_default="cd-l2"):
-        sp.add_argument("--input", required=True, help="instance file")
-        sp.add_argument("--eps", type=float, default=1e-2)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--solver", choices=SOLVERS, default=solver_default)
-        sp.add_argument("--sparsity-s", type=float, default=None,
-                        help="estimate of the squared l2 norm of the optimizer")
-        sp.add_argument("--trace", default=None, help="CSV trace output path")
-        sp.add_argument("--output", default=None, help="solution output path")
-        sp.add_argument("--format", choices=("dimacs", "linf-matrix"),
-                        default=None, help="override input format sniffing")
-        sp.add_argument("--timing", action="store_true",
-                        help="record wall time in traces (breaks byte equality)")
-
-    common(sub.add_parser("regress", help="solve a box-constrained instance"))
-    common(sub.add_parser("maxflow", help="approximate max flow on DIMACS input"))
-    common(sub.add_parser("exact-flow", help="exact unit-capacity max flow"))
-    bench = sub.add_parser("bench", help="sweep eps and tabulate cost")
-    common(bench)
-    bench.add_argument("--eps-grid", default="0.1,0.05,0.025")
-    common(sub.add_parser("verify", help="run recompute oracles on an instance"))
+    flags = {
+        "input": dict(required=True, help="instance file"),
+        "eps": dict(type=float, default=1e-2),
+        "seed": dict(type=int, default=0),
+        "solver": dict(choices=SOLVERS, default="cd-l2"),
+        "sparsity-s": dict(type=float, default=None,
+                           help="estimate of the squared l2 norm of the optimizer"),
+        "trace": dict(default=None, help="CSV trace output path"),
+        "output": dict(default=None, help="solution output path"),
+        "format": dict(choices=("dimacs", "linf-matrix"), default=None,
+                       help="override input format sniffing"),
+        "timing": dict(action="store_true",
+                       help="record wall time in traces (breaks byte equality)"),
+        "eps-grid": dict(default="0.1,0.05,0.025"),
+    }
+    # each command takes the flags its _run_* function reads, and no others;
+    # no abbreviations either, or bench would take --eps for --eps-grid
+    for name, help_text, names in (
+        ("regress", "solve a box-constrained instance",
+         "input eps seed solver sparsity-s trace output timing"),
+        ("maxflow", "approximate max flow on DIMACS input", "input eps seed solver output"),
+        ("exact-flow", "exact unit-capacity max flow", "input eps seed solver output"),
+        ("bench", "sweep eps and tabulate cost",
+         "input seed solver sparsity-s trace format timing eps-grid"),
+        ("verify", "run recompute oracles on an instance", "input seed format"),
+    ):
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in names.split():
+            sp.add_argument(f"--{flag}", **flags[flag])
     return p
 
 
@@ -87,11 +95,11 @@ def _check_eps(eps):
 
 def _run_baseline(inst, solver, seed):
     """Run the ``gd`` or ``plain-cd`` baseline on the smoothed sign-doubled
-    objective; returns ``(x, value, trace)`` with x clipped to the box."""
+    objective, its 2n rows kept folded; returns ``(x, value, trace)`` with x
+    clipped to the box."""
     matrix, eps = inst.matrix, inst.epsilon
-    m2, b2 = sign_double(matrix, inst.b)
-    alpha = eps / (2.0 * max(math.log(m2.n_rows), 1.0))
-    obj = SmoothedObjective(m2, b2, alpha)
+    alpha = eps / (2.0 * max(math.log(2 * matrix.n_rows), 1.0))
+    obj = SmoothedObjective(matrix, inst.b, alpha)
     budget = int(min(200_000, 16 * obj.linf_smoothness * matrix.n_cols / eps + 100))
     if solver == "gd":
         tr = gd_general_norm(obj, obj.linf_smoothness, budget)

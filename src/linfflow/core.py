@@ -3,11 +3,12 @@
 The solvers in this package all operate on one canonical shape: minimize the
 max-abs residual ``max_i |(A x - b)_i|`` over ``x`` in ``[-1, 1]^m``.  That is
 the maximum entry of the sign-doubled system ``[A; -A] x - [b; -b]``
-(``sign_double``): the mirror-prox solver and the baselines build it, while
-the coordinate descent path keeps it folded, one weight pair per row of
-``A``.  This module holds the immutable matrix type, the instance record,
-the affine change of variables that maps general boxes onto the unit box,
-and the weak-duality bounds and stop ledger (``Certificate``) of the solvers.
+(``sign_double``).  No solver builds that matrix: each keeps the system
+folded over the rows of ``A``, prox-CD and the baselines as one weight pair
+per row, mirror-prox as one antisymmetric log-weight per row.  This module
+holds the immutable matrix type, the instance record, the affine change of
+variables that maps general boxes onto the unit box, and the weak-duality
+bounds and stop ledger (``Certificate``) of the solvers.
 
 ``SparseMatrix`` stores its entries as flat column-major and row-major arrays
 with index pointers (CSC and CSR), read-only, and is the only module that
@@ -184,6 +185,11 @@ class SparseMatrix:
         prods = self._vals_flat * p[self._rows_flat]
         return np.bincount(self._cols_flat, weights=prods, minlength=self.n_cols)
 
+    def scaled(self, factor):
+        """A / factor, built from the flat arrays in one pass."""
+        return SparseMatrix(self.n_rows, self.n_cols, self._rows_flat, self._cols_flat,
+                            self._vals_flat / factor, _private=True)
+
     def triplets(self):
         """Sorted (row, col, value) list; canonical order for hashing and tests."""
         rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
@@ -214,15 +220,14 @@ class SparseMatrix:
         return h.hexdigest()[:16]
 
 
-def sign_double(matrix, b, scale=1.0):
+def sign_double(matrix, b):
     """Stack A on top of -A (and b on -b) so max-entry equals the max-abs residual.
 
-    For every x the maximum entry of ``A' x - b'`` equals ``max_i |(A x - b)_i|``.
-    ``scale`` divides the entries and the rhs first, in the same single build.
+    For every x the maximum entry of ``A' x - b'`` equals ``max_i |(A x - b)_i|``;
+    the folded systems of the solvers are checked against it.
     """
     rows, cols, vals = matrix.flat_entries()
-    vals = vals / scale
-    b = np.asarray(b, dtype=np.float64) / scale
+    b = np.asarray(b, dtype=np.float64)
     n = matrix.n_rows
     rows2 = np.concatenate([rows, rows + n])
     cols2 = np.concatenate([cols, cols])

@@ -737,7 +737,7 @@ def exact_unit_maxflow(net, eps=None, solver="cd-l2", seed=0):
     if net.source is None or net.sink is None:
         raise InputError("max flow needs designated source and sink")
     if net.directed:
-        und, f_init, recover = directed_reduce(net)
+        und, _, recover = directed_reduce(net)
         # scale to a unit multigraph for the recursive undirected solve
         scaled = FlowNetwork(
             und.n, [(int(u), int(v), 1.0) for u, v in zip(und.tails, und.heads)],
@@ -747,9 +747,7 @@ def exact_unit_maxflow(net, eps=None, solver="cd-l2", seed=0):
         f_final = inner.flow * 0.5
         f_rec = recover(f_final)
         aug = augment_to_max(net, f_rec)
-        aug.meta["f_init"] = f_init
         aug.meta["f_final"] = f_final
-        aug.meta["und"] = und
         return aug
     if eps is None:
         eps = min(0.25, max(0.02, net.n ** 0.25 / max(net.m, 1) ** 0.75))

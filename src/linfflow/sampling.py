@@ -168,6 +168,22 @@ class StaticAlias:
         return i if (r - i) < self.prob[i] else self.alias[i]
 
 
+def row_tables(matrix, w):
+    """``(row_alias, row_mass)`` over the row-major entry weights ``w``:
+    ``row_mass[i]`` sums row i's slice, and ``row_alias[i]`` is ``(column
+    ids as a list, alias over the slice)``, or None where that sum is 0."""
+    ptr = matrix.row_ptr.tolist()
+    cols = matrix.row_entries()[0].tolist()
+    row_alias = []
+    row_mass = np.zeros(matrix.n_rows)
+    for i in range(matrix.n_rows):
+        a, b = ptr[i], ptr[i + 1]
+        if a < b:
+            row_mass[i] = w[a:b].sum()
+        row_alias.append((cols[a:b], StaticAlias(w[a:b])) if row_mass[i] > 0 else None)
+    return row_alias, row_mass
+
+
 class CoordSampler:
     """Samples coordinates proportionally to their current smoothness weights.
 
@@ -177,17 +193,16 @@ class CoordSampler:
     over the ``w_ij``.  A row of A and its mirrored row share their column
     pattern and their |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) *
     row_mass_i``.  The ``w_ij`` are computed for every entry at once, over the
-    matrix's row-major arrays, and each row's alias table and ``row_mass`` are
-    built from its slice.  The sampler stays in sync with its SoftmaxState by
-    being the single mutation path (``step``); sampling with a stale state
-    raises.
+    matrix's row-major arrays, and ``row_tables`` builds each row's alias
+    table and ``row_mass`` from its slice.  The sampler stays in sync with its
+    SoftmaxState by being the single mutation path (``step``); sampling with
+    a stale state raises.
     """
 
     def __init__(self, state, params):
         self.state = state
         self.params = params
         matrix = state.matrix
-        n = matrix.n_rows
         self.static_alias = StaticAlias(params.sample_static)
         self.static_mass = float(params.sample_static.sum())
         self.dyn_coeff = 8.0 / state.alpha
@@ -198,17 +213,7 @@ class CoordSampler:
         if params.mode != "l2":
             d = params.d[cols]
             w = np.where(d > 0, w / np.where(d > 0, d, 1.0), 0.0)
-        ptr = matrix.row_ptr.tolist()
-        cols = cols.tolist()
-        self.row_alias = []  # per row: (column ids as a list, alias over them)
-        self.row_mass = np.zeros(n)
-        for i in range(n):
-            a, b = ptr[i], ptr[i + 1]
-            if a < b:
-                self.row_mass[i] = w[a:b].sum()
-            self.row_alias.append(
-                (cols[a:b], StaticAlias(w[a:b])) if self.row_mass[i] > 0 else None
-            )
+        self.row_alias, self.row_mass = row_tables(matrix, w)
         # Python-list copies for the fused step loop (cdsolver.lcd_steps)
         self._row_mass = self.row_mass.tolist()
         self._curvature = params.curvature.tolist()

@@ -38,9 +38,10 @@ the amortized merge work.  The structure restarts itself from exact values
 when a bucket drifts too far, and at the first ``update_half`` after n
 iterations.
 
-``ReferenceSimplex`` is the dense twin: the tests' oracle, and the holder of
-the mirror-prox dual, since O(n) dense work per iteration was measured cheaper
-at every size; the mirror-prox kernel carries the same recursion over lists.
+``ReferenceSimplex`` is the dense twin and the tests' oracle.  Mirror-prox
+uses neither: O(n) dense work per iteration was measured cheaper at every
+size, and its kernel carries the same recursion over lists, folded to the n
+rows of the sign-doubled system's ``A``.
 """
 
 from __future__ import annotations
@@ -630,11 +631,10 @@ class SimplexMaintainer:
 class ReferenceSimplex:
     """Dense twin: the same recursion carried with explicit vectors.
 
-    It serves as the oracle the tests compare the maintainer against, and
-    holds the mirror-prox dual, whose kernel checks its own recursion against
-    ``update_half`` / ``update``.  Each query costs O(n); the normalised
-    weights of each power and of the half step are cached until the next
-    update.
+    It serves as the oracle the tests compare the maintainer against, and,
+    over the doubled rows, the folded mirror-prox kernel.  Each query costs
+    O(n); the normalised weights and those of the half step are cached until
+    the next update.
     """
 
     def __init__(self, v0, eps, kappa):
@@ -646,8 +646,7 @@ class ReferenceSimplex:
         self.vh = None
         self._half_delta = None
         self._yh = None
-        self._laws = {}
-        self._cdfs = {}
+        self._y = None
 
     def update_half(self, delta):
         delta = np.asarray(delta, dtype=np.float64)
@@ -671,21 +670,7 @@ class ReferenceSimplex:
         self.vh = None
         self._half_delta = None
         self._yh = None
-        self._laws.clear()
-        self._cdfs.clear()
-
-    def assign(self, v):
-        """Overwrite the log-weights in place, as a full step would leave them.
-
-        The fused mirror-prox kernel carries the recursion itself and writes
-        its result back here; cached laws are dropped.
-        """
-        self.v[:] = v
-        self.vh = None
-        self._half_delta = None
-        self._yh = None
-        self._laws.clear()
-        self._cdfs.clear()
+        self._y = None
 
     def y(self):
         e = np.exp(self.v - self.v.max())
@@ -699,17 +684,13 @@ class ReferenceSimplex:
         e = np.exp(power * (self.v - self.v.max()))
         return e / e.sum()
 
-    def _law(self, power):
-        law = self._laws.get(power)
-        if law is None:
-            law = self._laws[power] = self.y_power(power)
-        return law
-
     def values(self):
         return self.v.copy()
 
     def coord(self, i):
-        return float(self._law(1.0)[i])
+        if self._y is None:
+            self._y = self.y()
+        return float(self._y[i])
 
     def coord_half(self, i):
         if self.vh is None:
@@ -717,16 +698,3 @@ class ReferenceSimplex:
         if self._yh is None:
             self._yh = self.y_half()
         return float(self._yh[i])
-
-    def prob(self, i, power=1.0):
-        """exp(power * v_i) / sum_k exp(power * v_k)."""
-        return float(self._law(power)[i])
-
-    def sample(self, uniforms, power=1.0):
-        """Draw i proportional to exp(power * v_i) with one uniform; (i, prob)."""
-        cdf = self._cdfs.get(power)
-        if cdf is None:
-            cdf = self._cdfs[power] = np.cumsum(self._law(power))
-        i = min(int(np.searchsorted(cdf, uniforms.next() * cdf[-1], side="right")),
-                self.n - 1)
-        return i, self.prob(i, power)

@@ -203,6 +203,13 @@ def random_unit_digraph(rng, n, extra_arcs=None):
     return FlowNetwork(n, edge_list, directed=True, source=s, sink=t)
 
 
+def doubled_law(u):
+    """The dual law over the rows of ``[A; -A]`` at mirror-prox's folded
+    log-weights u: the rows of A, then the mirrors."""
+    e = np.exp(np.concatenate([u, -u]) - np.abs(u).max())
+    return e / e.sum()
+
+
 def regularized_saddle(matrix2, b2, eps, s, iters=100_000, eta=None):
     """High-accuracy saddle of the entropy-regularized bilinear objective.
 

@@ -16,6 +16,7 @@ from scipy import stats
 from helpers import (
     box_linf_opt,
     dense_to_sparse,
+    doubled_law,
     random_connected_graph,
     random_sparse,
     random_unit_digraph,
@@ -218,9 +219,9 @@ def _fixed_scaling_instance():
     return matrix, b
 
 
-def _mirror_prox_count(matrix2, b2, m_cols, opt, eps, seed, check=25):
-    cfg = MirrorProxConfig.for_instance(matrix2, eps, float(m_cols))
-    phase = PhaseState(matrix2, b2, cfg)
+def _mirror_prox_count(matrix, b, opt, eps, seed, check=25):
+    cfg = MirrorProxConfig.for_instance(matrix, eps, float(matrix.n_cols))
+    phase = PhaseState(matrix, b, cfg)
     u = BufferedUniforms(make_rng(seed, stream=0))
     target = opt + eps
     total = 0
@@ -229,10 +230,10 @@ def _mirror_prox_count(matrix2, b2, m_cols, opt, eps, seed, check=25):
             phase_iterates(phase, u, 1)
             total += 1
             if total % check == 0:
-                if float((matrix2.dot(phase.x) - b2).max()) <= target:
+                if float(np.abs(matrix.dot(phase.x) - b).max()) <= target:
                     return total
-        x_out, y_out = run_phase(phase, 1, u)
-        phase = PhaseState(matrix2, b2, cfg, x0=x_out, y0=y_out)
+        x_out, u_out = run_phase(phase, 1, u)
+        phase = PhaseState(matrix, b, cfg, x0=x_out, u0=u_out)
     return total
 
 
@@ -241,14 +242,13 @@ def test_criterion_06_iteration_scaling():
     start = time.perf_counter()
     matrix, b = _fixed_scaling_instance()
     opt, _ = box_linf_opt(matrix.to_dense(), b)
-    matrix2, b2 = sign_double(matrix, b)
     grid = (0.1, 0.05, 0.025)
     seeds = range(5)
 
     mp_counts = []
     for eps in grid:
         mp_counts.append(np.mean([
-            _mirror_prox_count(matrix2, b2, matrix.n_cols, opt, eps, seed)
+            _mirror_prox_count(matrix, b, opt, eps, seed)
             for seed in seeds
         ]))
     cd_counts = []
@@ -345,7 +345,7 @@ def test_criterion_08_phase_halving():
     for (matrix, b), eps, s in cases:
         matrix2, b2 = sign_double(matrix, b)
         xt, yt = regularized_saddle(matrix2, b2, eps, s, iters=60_000)
-        cfg = MirrorProxConfig.for_instance(matrix2, eps, s)
+        cfg = MirrorProxConfig.for_instance(matrix, eps, s)
 
         def div(x, y):
             vx = float((x - xt) @ (x - xt)) / (2 * s)
@@ -357,11 +357,11 @@ def test_criterion_08_phase_halving():
         for seed in range(200):
             rng_k = make_rng(seed, stream=0)
             u = BufferedUniforms(rng_k)
-            phase = PhaseState(matrix2, b2, cfg)
+            phase = PhaseState(matrix, b, cfg)
             v_in = div(phase.x, np.full(n2, 1.0 / n2))
             t_star = int(rng_k.integers(1, cfg.t_per_phase + 1))
-            x_out, y_out = run_phase(phase, t_star, u)
-            ratios.append(div(x_out, y_out) / v_in)
+            x_out, u_out = run_phase(phase, t_star, u)
+            ratios.append(div(x_out, doubled_law(u_out)) / v_in)
         mean_ratio = float(np.mean(ratios))
         assert mean_ratio <= 0.6, f"mean divergence ratio {mean_ratio:.3f}"
         print(f"  instance ratio {mean_ratio:.3f} over 200 seeds")

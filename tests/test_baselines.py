@@ -7,13 +7,26 @@ from helpers import box_linf_opt, dense_to_sparse, random_sparse
 from linfflow.baselines import SmoothedObjective, gd_general_norm, plain_cd
 from linfflow.cdsolver import solve_box_linf
 from linfflow.core import RegressionInstance, sign_double
+from linfflow.smoothing import SoftmaxState
 
 
 def make_objective(rng, n, m, alpha=0.5):
     matrix = random_sparse(rng, n, m, per_col=3)
     b = rng.normal(size=n)
+    return SmoothedObjective(matrix, b, alpha), matrix, b
+
+
+def test_objective_is_the_smoothed_doubled_system():
+    # the folded state smooths every row of [A; -A] x - [b; -b]
+    rng = np.random.default_rng(9)
+    obj, matrix, b = make_objective(rng, 5, 4)
     m2, b2 = sign_double(matrix, b)
-    return SmoothedObjective(m2, b2, alpha), matrix, b
+    for _ in range(10):
+        x = rng.uniform(-1, 1, 4)
+        doubled = SoftmaxState(m2, b2, obj.alpha, x0=x)
+        assert obj.value(x) == pytest.approx(doubled.smax(), rel=1e-12)
+        np.testing.assert_allclose(obj.grad(x), m2.t_dot(doubled.distribution()),
+                                   rtol=0, atol=1e-12)
 
 
 class TestGdGeneralNorm:
@@ -66,8 +79,7 @@ class TestPlainCd:
         rng = np.random.default_rng(4)
         matrix = random_sparse(rng, 4, 3, per_col=2)
         x0 = rng.uniform(-0.4, 0.4, 3)
-        m2, b2 = sign_double(matrix, matrix.dot(x0))
-        obj = SmoothedObjective(m2, b2, 1.0)
+        obj = SmoothedObjective(matrix, matrix.dot(x0), 1.0)
         tr = plain_cd(obj, np.maximum(obj.coord_smoothness(), 1e-9), 100,
                       seed=0, x0=x0)
         np.testing.assert_allclose(tr.x, x0, atol=1e-12)
@@ -75,8 +87,7 @@ class TestPlainCd:
     def test_symmetric_sampling(self):
         rng = np.random.default_rng(5)
         matrix = dense_to_sparse(np.eye(2))
-        m2, b2 = sign_double(matrix, np.zeros(2))
-        obj = SmoothedObjective(m2, b2, 1.0)
+        obj = SmoothedObjective(matrix, np.zeros(2), 1.0)
         lj = obj.coord_smoothness()
         from linfflow.sampling import BufferedUniforms, StaticAlias, make_rng
 
@@ -90,8 +101,7 @@ class TestPlainCd:
         rng = np.random.default_rng(7)
         matrix = random_sparse(rng, 4, 3, per_col=2)
         b = rng.normal(size=4) * 0.5
-        m2, b2 = sign_double(matrix, b)
-        obj = SmoothedObjective(m2, b2, 0.5)
+        obj = SmoothedObjective(matrix, b, 0.5)
         lj = np.maximum(obj.coord_smoothness(), 1e-9)
         s_total = float(lj.sum())
         T = 300
@@ -124,8 +134,7 @@ def test_rate_separation_local_vs_global():
         res = solve_box_linf(inst, seed=t, value_target=target)
         local_count = res.sampled_coordinates
 
-        m2, b2 = sign_double(matrix, b)
-        obj = SmoothedObjective(m2, b2, 0.05 / (2 * np.log(m2.n_rows)))
+        obj = SmoothedObjective(matrix, b, 0.05 / (2 * np.log(2 * matrix.n_rows)))
         lj = np.maximum(obj.coord_smoothness(), 1e-9)
         global_count = None
         state_steps = 0

@@ -211,6 +211,33 @@ class TestRegress:
         assert build_parser() is build_parser()
 
 
+# every flag a command used to accept and ignore, with a value
+UNREAD_FLAGS = [
+    ("regress", ("--format", "linf-matrix")),
+    *((command, args) for command in ("maxflow", "exact-flow")
+      for args in (("--trace", "t.csv"), ("--sparsity-s", "1"), ("--timing",),
+                   ("--format", "dimacs"))),
+    ("bench", ("--eps", "0.1")),
+    ("bench", ("--output", "x.txt")),
+    *(("verify", args) for args in (("--eps", "0.1"), ("--solver", "cd-l2"),
+                                    ("--sparsity-s", "1"), ("--trace", "t.csv"),
+                                    ("--output", "x.txt"), ("--timing",))),
+]
+
+
+@pytest.mark.parametrize("command, args", UNREAD_FLAGS)
+def test_flag_a_command_does_not_read_exits_2(identity_instance, path_graph, capsys,
+                                              tmp_path, command, args):
+    path = path_graph if command in ("maxflow", "exact-flow") else identity_instance
+    flag, *value = args
+    value = [str(tmp_path / v) if v.endswith((".csv", ".txt")) else v for v in value]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == list(tmp_path.glob("*.txt")) == []
+
+
 class TestFlowCommands:
     def test_maxflow_path_graph(self, path_graph, capsys, tmp_path):
         flow_out = str(tmp_path / "f.txt")
@@ -532,8 +559,9 @@ def golden_operations(tmp_path):
 # sha256 of stdout, then of each file written, of every golden operation; a
 # refactor that keeps the CLI's output byte-identical keeps them.  The prox-CD
 # hashes were recorded when each subproblem began to stop at an objective gap
-# of eps_iter / 16, the mirror-prox hashes before ``core.Certificate``, and the
-# exact-flow and bench hashes before the flow pipeline stopped setting each
+# of eps_iter / 16, the mirror-prox hashes when its dual was folded to the
+# rows of A (its draws and sums run over n rows, not 2n), and the exact-flow
+# and bench hashes before the flow pipeline stopped setting each
 # ``FlowSolution.value`` twice
 GOLDEN = {
     "bench-cd-diag": [
@@ -567,9 +595,9 @@ GOLDEN = {
         "9d75727fa7bf5030d86ffe2198e6e0fb1e8025235173c03e4cb0c04af6a05e64",
     ],
     "regress-mirror-prox": [
-        "0c90656074233802b37de3e9f73633c8c40a64043c0bae1eaee59e989b16577a",
-        "d07d353655d4fa52eb7d0aed07cd8b78648ecbea179a3aa9c52972cd005ac6d8",
-        "e7891203e39e419d057a7944a490897de9309d3018b7401d91804c419936d7af",
+        "95178539b0ae03192bc4d3cbb2c91aae5827e5b68fc0d3a12aae9b2c3eb24011",
+        "abf97c29742180ebdd08429e4fa4652d224486201329b0c925216d4f766ed0e7",
+        "3fd505f7a6c7b8aa028cde117fb446f7f1b04e5e4f308a16ee19e59b7ac18cd3",
     ],
 }
 

@@ -169,13 +169,16 @@ class TestSparseLayout:
         _assert_same_layout(60, 64, trips)
 
     def test_sign_doubled_matches_reference(self):
+        # and so does the copy divided by a scale, which mirror-prox solves on
         rng = np.random.default_rng(14)
         m = random_sparse(rng, 12, 9, per_col=4)
-        d, _ = sign_double(m, np.zeros(12), scale=3.0)
-        ref = ReferenceSparse(d.n_rows, d.n_cols, *d.flat_entries())
-        for name in ("col_maxabs", "row_l1", "col_nnz"):
-            assert np.array_equal(getattr(d, name), getattr(ref, name))
-        assert d.py_columns() == ref.py_columns()
+        scaled = m.scaled(3.0)
+        assert scaled.triplets() == [(i, j, v / 3.0) for i, j, v in m.triplets()]
+        for d in (sign_double(m, np.zeros(12))[0], scaled):
+            ref = ReferenceSparse(d.n_rows, d.n_cols, *d.flat_entries())
+            for name in ("col_maxabs", "row_l1", "col_nnz"):
+                assert np.array_equal(getattr(d, name), getattr(ref, name))
+            assert d.py_columns() == ref.py_columns()
 
     def test_views_are_read_only(self):
         m = SparseMatrix.from_triplets([(0, 1, 2.0), (1, 0, -1.0)], 2, 2)

@@ -12,14 +12,22 @@ several types have an attribute of that name (two classes define it, or
 only where the receiver is C itself, is ``self`` / ``cls`` in C's body, or is
 a name that some assignment binds to a C (``r = C(...)``, ``r = C.make(...)``
 or ``r = f(...)`` with ``f`` returning ``C(...)``).
+
+Each CLI command declares only the flags it reads: every flag of a
+subparser is read as ``args.<dest>`` by the ``_run_*`` function that
+``cli.main`` dispatches the command to, or by a function of ``cli.py`` that
+it passes ``args`` on to.
 """
 
+import argparse
 import ast
 import sys
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+
+from linfflow import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "linfflow"
@@ -170,3 +178,37 @@ def test_every_definition_is_referenced():
         elif not reads[name]:
             unreferenced.append(f"{module}.{cls}.{name}")
     assert unreferenced == []
+
+
+def test_every_cli_flag_is_read_by_its_command():
+    funcs = {node.name: node for node in parse(PACKAGE / "cli.py").body
+             if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        """``args.<attr>`` reads in function name and the functions it passes args to."""
+        out = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                out.add(node.attr)
+            elif (isinstance(node, ast.Call) and key(node.func) in funcs
+                  and key(node.func) not in seen
+                  and any(key(arg) == "args" for arg in node.args)):
+                out |= reads(key(node.func), seen | {name})
+        return out
+
+    dispatch = {}  # command -> the function main returns the result of
+    for node in ast.walk(funcs["main"]):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and key(node.test.left) == "command"):
+            dispatch[node.test.comparators[0].value] = key(node.body[0].value.func)
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(dispatch) == set(subparsers.choices)
+    unread = []
+    for command, parser in sorted(subparsers.choices.items()):
+        declared = {action.dest for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)}
+        unread += [f"{command} --{dest.replace('_', '-')}"
+                   for dest in sorted(declared - reads(dispatch[command], set()))]
+    assert unread == []

@@ -11,6 +11,7 @@ from helpers import (
     ReferenceSparse,
     box_linf_opt,
     dense_to_sparse,
+    doubled_law,
     lj_dense,
     lj_tilde,
     random_sparse,
@@ -53,10 +54,9 @@ def flow_shaped(rng, n, m, per_col=2):
 
 
 def make_phase(matrix, b, eps=0.25, s=None):
-    matrix2, b2 = sign_double(matrix, b)
     s = float(s if s is not None else matrix.n_cols)
-    cfg = MirrorProxConfig.for_instance(matrix2, eps, s)
-    return PhaseState(matrix2, b2, cfg), cfg
+    cfg = MirrorProxConfig.for_instance(matrix, eps, s)
+    return PhaseState(matrix, b, cfg), cfg
 
 
 class TestFlowShaped:
@@ -78,13 +78,12 @@ class TestPhaseTablesRows:
             n = int(rng.integers(2, 12))
             m = n + int(rng.integers(0, 6))
             matrix, b = flow_shaped(rng, n, m, per_col=int(rng.integers(2, 5)))
-            matrix2, _ = sign_double(matrix, b)
             s, eps = float(rng.uniform(0.5, m)), float(rng.uniform(0.05, 0.5))
-            tables = PhaseTables(matrix2, MirrorProxConfig.for_instance(matrix2, eps, s))
-            ref = ReferenceSparse(matrix2.n_rows, m, *matrix2.flat_entries())
+            tables = PhaseTables(matrix, MirrorProxConfig.for_instance(matrix, eps, s))
+            ref = ReferenceSparse(n, m, *matrix.flat_entries())
             cm = ref.col_maxabs
-            row_w = np.zeros(matrix2.n_rows)
-            for i in range(matrix2.n_rows):
+            row_w = np.zeros(n)
+            for i in range(n):
                 cols, vals = ref.row(i)
                 wij = np.sqrt(s * cm[cols] * np.abs(vals))
                 row_w[i] = wij.sum()
@@ -100,9 +99,8 @@ class TestPhaseTablesRows:
 
     def test_empty_row_named(self):
         matrix = SparseMatrix.from_triplets([(0, 0, 0.5), (2, 1, -0.5)], 3, 2)
-        matrix2, _ = sign_double(matrix, np.zeros(3))
         with pytest.raises(InputError, match="row 1 of the instance is empty"):
-            PhaseTables(matrix2, MirrorProxConfig.for_instance(matrix2, 0.3, 2.0))
+            PhaseTables(matrix, MirrorProxConfig.for_instance(matrix, 0.3, 2.0))
 
 
 class TestLjTilde:
@@ -163,14 +161,16 @@ class TestSamplePj:
             j, pj = sample_pj(phase, u)
             counts[j] += 1
             psum[j] = pj
-        # dense law: same mixture computed from the exact y
+        # dense law: same mixture computed from the exact y; a row of A and
+        # its mirror share q_ij
         y = phase.exact_y()
         sq = np.sqrt(y)
+        pair = sq[:6] + sq[6:]
         p_dyn = np.zeros(9)
         for j in range(9):
             rows, q = tables.qij[j]
             if len(rows):
-                p_dyn[j] = float((sq[rows] / sq.sum()) @ q)
+                p_dyn[j] = float((pair[rows] / sq.sum()) @ q)
         tm = tables.mass_dyn + tables.mass_static
         static_w = np.sqrt(cfg.eps * phase.matrix.col_maxabs)
         law = 0.5 * (tables.mass_dyn / tm * p_dyn
@@ -227,7 +227,7 @@ class TestPhaseIterate:
         matrix, b = flow_shaped(rng, 4, 6)
         phase, cfg = make_phase(matrix, b, eps=0.3)
         u = uniforms(7)
-        n2 = phase.n2
+        n2 = 2 * phase.n
         for _ in range(400):
             phase_iterates(phase, u, 1)
             assert np.abs(phase.delta).max() <= 1.0 / (8 * n2) + 1e-12
@@ -252,7 +252,7 @@ class TestDebiasing:
         matrix, b = flow_shaped(rng, 4, 5)
         matrix2, b2 = sign_double(matrix, b)
         eps, s = 0.3, 5.0
-        cfg = MirrorProxConfig.for_instance(matrix2, eps, s)
+        cfg = MirrorProxConfig.for_instance(matrix, eps, s)
         kappa = cfg.kappa
         n2, m = matrix2.n_rows, matrix2.n_cols
         log_n = max(math.log(n2), 1.0)
@@ -315,16 +315,18 @@ class TestRunPhase:
     def test_t_star_one_zero_rhs_fixed_point(self):
         m = SparseMatrix.from_triplets([(0, 0, 0.5), (1, 1, 0.5)], 2, 2)
         phase, _ = make_phase(m, np.zeros(2), eps=0.25)
-        x_out, y_out = run_phase(phase, t_star=1, uniforms=uniforms(10))
+        x_out, u_out = run_phase(phase, t_star=1, uniforms=uniforms(10))
         np.testing.assert_allclose(x_out, 0.0, atol=1e-12)
-        assert y_out.sum() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(u_out, 0.0, atol=1e-12)
 
     def test_output_in_domains(self):
         rng = np.random.default_rng(11)
         matrix, b = flow_shaped(rng, 3, 5)
         phase, cfg = make_phase(matrix, b, eps=0.4)
-        x_out, y_out = run_phase(phase, t_star=50, uniforms=uniforms(11))
+        x_out, u_out = run_phase(phase, t_star=50, uniforms=uniforms(11))
         assert (np.abs(x_out) <= 1.0).all()
+        assert u_out.shape == (3,) and np.isfinite(u_out).all()
+        y_out = doubled_law(u_out)
         assert (y_out > 0).all()
         assert y_out.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -340,26 +342,26 @@ class TestRunPhase:
             checks.append(checked.iteration)
             return False
 
-        x_plain, y_plain = run_phase(plain, 1000, u_plain)
-        x_checked, y_checked = run_phase(checked, 1000, u_checked, stop=never)
+        x_plain, v_plain = run_phase(plain, 1000, u_plain)
+        x_checked, v_checked = run_phase(checked, 1000, u_checked, stop=never)
         # after 64 iterations, then every max(64, done // 4), and at t_star
         assert checks == [64, 128, 192, 256, 320, 400, 500, 625, 781, 976, 999]
         np.testing.assert_array_equal(x_checked, x_plain)
-        np.testing.assert_array_equal(y_checked, y_plain)
+        np.testing.assert_array_equal(v_checked, v_plain)
         np.testing.assert_array_equal(checked.x, plain.x)
-        np.testing.assert_array_equal(checked.y.values(), plain.y.values())
+        np.testing.assert_array_equal(checked.u, plain.u)
         assert u_checked._pos == u_plain._pos and u_checked._buf == u_plain._buf
 
     def test_stop_ends_the_phase_at_the_first_check_that_holds(self):
         rng = np.random.default_rng(17)
         matrix, b = flow_shaped(rng, 3, 5)
         phase, _ = make_phase(matrix, b, eps=0.3)
-        x_out, y_out = run_phase(phase, 1000, uniforms(17),
-                                 stop=lambda x, y: phase.iteration >= 300)
+        x_out, u_out = run_phase(phase, 1000, uniforms(17),
+                                 stop=lambda x, u: phase.iteration >= 300)
         assert phase.iteration == 320
-        x_agg, y_agg = aggregate_point(phase)
+        x_agg, u_agg = aggregate_point(phase)
         np.testing.assert_array_equal(x_out, x_agg)
-        np.testing.assert_array_equal(y_out, y_agg)
+        np.testing.assert_array_equal(u_out, u_agg)
 
 
 class TestRegToDiv:
@@ -426,7 +428,7 @@ class TestPhaseHalving:
         from helpers import regularized_saddle
 
         xt, yt = regularized_saddle(matrix2, b2, eps, s, iters=60_000)
-        cfg = MirrorProxConfig.for_instance(matrix2, eps, s)
+        cfg = MirrorProxConfig.for_instance(matrix, eps, s)
 
         def div(x, y):
             vx = float((x - xt) @ (x - xt)) / (2 * s)
@@ -437,11 +439,11 @@ class TestPhaseHalving:
         for seed in range(25):
             rng_k = make_rng(seed, stream=0)
             u = BufferedUniforms(rng_k)
-            phase = PhaseState(matrix2, b2, cfg)
+            phase = PhaseState(matrix, b, cfg)
             v_in = div(phase.x, np.full(matrix2.n_rows, 1.0 / matrix2.n_rows))
             t_star = int(rng_k.integers(1, cfg.t_per_phase + 1))
-            x_out, y_out = run_phase(phase, t_star, u)
-            ratios.append(div(x_out, y_out) / v_in)
+            x_out, u_out = run_phase(phase, t_star, u)
+            ratios.append(div(x_out, doubled_law(u_out)) / v_in)
         assert float(np.mean(ratios)) <= 0.75
 
 
@@ -450,7 +452,7 @@ class TestSqrtSmoothnessSum:
         rng = np.random.default_rng(21)
         matrix, b = flow_shaped(rng, 4, 7)
         phase, cfg = make_phase(matrix, b, eps=0.3)
-        m2 = phase.matrix
+        m2, _ = sign_double(matrix, b)
         n2, m = m2.n_rows, m2.n_cols
         bound = cfg.c_sqrt * math.sqrt(n2 * cfg.s) + math.sqrt(m * n2 * cfg.eps)
         u = uniforms(21)
@@ -494,8 +496,8 @@ class TestStopReason:
         assert res.gap <= inst.epsilon
         # the certificate fires inside the first phase, before its drawn end
         scale = max(inst.matrix.norm_inf, float(np.abs(inst.b).max()), 1.0)
-        matrix2, _ = sign_double(inst.matrix, inst.b, scale=scale)
-        cfg = MirrorProxConfig.for_instance(matrix2, inst.epsilon / scale, inst.s)
+        cfg = MirrorProxConfig.for_instance(inst.matrix.scaled(scale),
+                                            inst.epsilon / scale, inst.s)
         t_star = int(make_rng(7, stream=0).integers(1, cfg.t_per_phase + 1))
         assert res.phases_run == 1 and res.iterations < t_star - 1
 

@@ -305,10 +305,6 @@ class TestSample:
         assert stats.chisquare(counts, law * draws).pvalue > 0.001
 
 
-class TestSampleDense(TestSample):
-    kind = "dense"
-
-
 class TestDualInterface:
     def test_prob_matches_power_law_over_run(self):
         rng = np.random.default_rng(16)
