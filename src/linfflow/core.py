@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
+from .graphs import _BULK_EDGES  # below it a loop beats numpy's fixed cost
 
 
 class SparseMatrix:
@@ -63,7 +64,7 @@ class SparseMatrix:
 
     def __init__(self, n_rows, n_cols, rows, cols, vals, _private=False):
         if not _private:
-            raise TypeError("use SparseMatrix.from_triplets")
+            raise TypeError("use SparseMatrix.from_triplets or from_arrays")
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         rows = np.asarray(rows, dtype=np.int64)
@@ -108,31 +109,46 @@ class SparseMatrix:
 
     @classmethod
     def from_triplets(cls, triplets, n_rows, n_cols):
-        """Build from ``(row, col, value)`` triplets.
+        """Build from ``(row, col, value)`` triplets, checked as ``from_arrays``."""
+        triplets = list(triplets)
+        try:
+            rows = [int(i) for i, _, _ in triplets]
+            cols = [int(j) for _, j, _ in triplets]
+            vals = [float(v) for _, _, v in triplets]
+        except (TypeError, ValueError):
+            # the first triplet that fails is reported, conversion or check
+            _check_each(triplets, n_rows, n_cols)
+            raise
+        return cls.from_arrays(rows, cols, vals, n_rows, n_cols)
+
+    @classmethod
+    def from_arrays(cls, rows, cols, vals, n_rows, n_cols):
+        """Build from parallel index and value arrays, checked with numpy.
 
         Out-of-range indices, duplicate ``(row, col)`` pairs and non-finite
         values are rejected; explicit zeros are rejected as well so the norm
-        caches stay exact.
+        caches stay exact.  From ``graphs._BULK_EDGES`` entries on, the checks
+        run on whole arrays, duplicates on the column-major order the matrix
+        sorts its entries into anyway; only a failing input is walked entry by
+        entry, to name the first bad one.  Fewer entries are walked at once.
         """
-        rows, cols, vals = [], [], []
-        seen = set()
-        for k, (i, j, v) in enumerate(triplets):
-            i, j, v = int(i), int(j), float(v)
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise InputError(
-                    f"triplet {k}: index ({i}, {j}) out of range for {n_rows}x{n_cols}"
-                )
-            if (i, j) in seen:
-                raise InputError(f"triplet {k}: duplicate entry at ({i}, {j})")
-            seen.add((i, j))
-            if v == 0.0:
-                raise InputError(f"triplet {k}: explicit zero at ({i}, {j})")
-            if not math.isfinite(v):
-                raise InputError(f"triplet {k}: non-finite value {v!r} at ({i}, {j})")
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-        return cls(n_rows, n_cols, rows, cols, vals, _private=True)
+        if len(vals) < _BULK_EDGES:
+            _check_each(zip(rows, cols, vals), n_rows, n_cols)
+            return cls(n_rows, n_cols, rows, cols, vals, _private=True)
+        try:
+            r = np.asarray(rows, dtype=np.int64)
+            c = np.asarray(cols, dtype=np.int64)
+        except OverflowError:  # beyond int64, so out of range
+            r = c = None
+        v = np.asarray(vals, dtype=np.float64)
+        if (r is not None and ((r >= 0) & (r < n_rows) & (c >= 0) & (c < n_cols)).all()
+                and np.isfinite(v).all() and v.all()):
+            matrix = cls(n_rows, n_cols, r, c, v, _private=True)
+            rs, cs = matrix._rows_flat, matrix._cols_flat  # sorted by (col, row)
+            if not ((rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])).any():
+                return matrix
+        _check_each(zip(rows, cols, vals), n_rows, n_cols)
+        raise AssertionError("the bulk and entry-wise checks disagree")
 
     @property
     def norm_inf(self):
@@ -218,6 +234,24 @@ class SparseMatrix:
         for i, j, v in self.triplets():
             h.update(f"{i},{j},{v!r};".encode())
         return h.hexdigest()[:16]
+
+
+def _check_each(triplets, n_rows, n_cols):
+    """Raise InputError for the first bad ``(row, col, value)``, in order."""
+    seen = set()
+    for k, (i, j, v) in enumerate(triplets):
+        i, j, v = int(i), int(j), float(v)
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise InputError(
+                f"triplet {k}: index ({i}, {j}) out of range for {n_rows}x{n_cols}"
+            )
+        if (i, j) in seen:
+            raise InputError(f"triplet {k}: duplicate entry at ({i}, {j})")
+        seen.add((i, j))
+        if v == 0.0:
+            raise InputError(f"triplet {k}: explicit zero at ({i}, {j})")
+        if not math.isfinite(v):
+            raise InputError(f"triplet {k}: non-finite value {v!r} at ({i}, {j})")
 
 
 def sign_double(matrix, b):
@@ -461,7 +495,7 @@ def read_matrix_file(path):
             f"{path}:1: {n_rows}x{n_cols} exceeds the {MAX_MATRIX_DIM} rows or "
             "columns a matrix file may declare"
         )
-    triplets = []
+    rows, cols, vals = [], [], []
     b = np.zeros(n_rows)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -485,15 +519,17 @@ def read_matrix_file(path):
                 v = float(parts[2])
                 if abs(v) > MAX_MATRIX_MAGNITUDE and math.isfinite(v):
                     raise ValueError(f"entry {v!r} exceeds {MAX_MATRIX_MAGNITUDE:g}")
-                triplets.append((int(parts[0]), int(parts[1]), v))
+                rows.append(int(parts[0]))
+                cols.append(int(parts[1]))
+                vals.append(v)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    if len(triplets) != nnz:
+    if len(vals) != nnz:
         raise InputError(
-            f"{path}: header promises {nnz} entries, found {len(triplets)}"
+            f"{path}: header promises {nnz} entries, found {len(vals)}"
         )
     try:
-        matrix = SparseMatrix.from_triplets(triplets, n_rows, n_cols)
+        matrix = SparseMatrix.from_arrays(rows, cols, vals, n_rows, n_cols)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return matrix, b

@@ -7,10 +7,13 @@ spanning tree here, exact on trees), each solved by a certificate-driven
 bisection over the congestion radius.  The regression matrix depends only on
 the tree, so each approximator builds it once; a probe at radius r keeps that
 matrix and divides the rhs by r, since ``max|r A x - b| = r max|A x - b/r|``.
-The approximator is built over index arrays: every graph edge's tree path is
-walked at once, one tree level per pass, and the cut capacities are sums of
-positive terms only (subtracting at the LCA would cancel catastrophically when
-capacities span many orders of magnitude).
+The approximator is built over index arrays: the spanning tree comes from
+Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``; Kruskal
+on small graphs), every graph edge's tree path is walked at once, one tree
+level per pass, and the cut capacities are sums of positive terms only
+(subtracting at the LCA would cancel catastrophically when capacities span
+many orders of magnitude).  Augmenting paths walk the network's CSR incidence
+(``FlowNetwork.incidence``).
 Exact unit-capacity flows follow by scaling to feasibility, rounding the
 fractional flow with cycle cancellation, and finishing with augmenting paths.
 A Dinic blocking-flow solver serves as the in-package oracle.
@@ -47,6 +50,14 @@ class TreeApproximator:
     has no larger capacity, by the cycle property of the maximum spanning
     tree).
 
+    The tree is ``net.max_spanning_tree()``: Kruskal's tree under decreasing
+    capacity with ties broken by edge index, picked by Borůvka rounds over
+    numpy arrays from ``graphs._BULK_EDGES`` edges on and by Kruskal's
+    union-find below, with ``tree_edges`` in Kruskal's order either way.  A
+    stack DFS from vertex 0 over the tree edges, in that order, gives
+    ``tree_parent``, ``depth`` and ``post_order``; the post order fixes the
+    float order of ``subtree_sums``.
+
     Rows are indexed by position in ``tree_edges``: ``row_vertex[k]`` is the
     deeper endpoint of ``tree_edges[k]`` (the cut is the subtree below it) and
     ``cutcap[k]`` the total capacity of the graph edges whose tree path
@@ -60,30 +71,15 @@ class TreeApproximator:
 
     def __init__(self, net):
         self.net = net
-        n, m = net.n, net.m
-        tails, heads = net.tails.tolist(), net.heads.tolist()
-        # Kruskal order: decreasing capacity, ties by edge index
-        order = np.lexsort((np.arange(m), -net.caps)).tolist()
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        tree_edges = []
-        for e in order:
-            ra, rb = find(tails[e]), find(heads[e])
-            if ra != rb:
-                parent[ra] = rb
-                tree_edges.append(e)
-        if len(tree_edges) != n - 1:
+        n = net.n
+        self.tree_edges = tree = net.max_spanning_tree()
+        if len(tree) != n - 1:
             raise InputError("graph must be connected")
         adj = [[] for _ in range(n)]
-        for e in tree_edges:
-            adj[tails[e]].append((heads[e], e))
-            adj[heads[e]].append((tails[e], e))
+        for e, u, v in zip(tree.tolist(), net.tails[tree].tolist(),
+                           net.heads[tree].tolist()):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
         tree_parent = [-1] * n
         tree_parent_edge = [-1] * n
         depth = [0] * n
@@ -105,14 +101,13 @@ class TreeApproximator:
         # (child, parent) in post order: subtree_sums' accumulation sequence
         self._child_parent = [(u, tree_parent[u]) for u in self.post_order
                               if tree_parent[u] >= 0]
-        self.tree_edges = np.array(tree_edges, dtype=np.int64)
         self.tree_parent = np.array(tree_parent, dtype=np.int64)
         self.tree_parent_edge = np.array(tree_parent_edge, dtype=np.int64)
         self.depth = np.array(depth, dtype=np.int64)
-        t, h = net.tails[self.tree_edges], net.heads[self.tree_edges]
+        t, h = net.tails[tree], net.heads[tree]
         self.row_vertex = np.where(self.depth[t] > self.depth[h], t, h)
         self._head_is_row = self.row_vertex == h
-        self.n_rows = len(tree_edges)
+        self.n_rows = len(tree)
         # the row of each non-root vertex's parent edge
         self._row_of_vertex = np.full(n, -1, dtype=np.int64)
         self._row_of_vertex[self.row_vertex] = np.arange(self.n_rows)
@@ -211,9 +206,8 @@ class TreeApproximator:
             passes = [(empty, empty, np.zeros(0)), *self._climb()]
             rows, cols, signs = (np.concatenate(p) for p in zip(*passes))
             vals = scale * signs * self.net.caps[cols] / self.cutcap[rows]
-            self._matrix = SparseMatrix.from_triplets(
-                zip(rows.tolist(), cols.tolist(), vals.tolist()),
-                self.n_rows, self.net.m)
+            self._matrix = SparseMatrix.from_arrays(rows, cols, vals, self.n_rows,
+                                                    self.net.m)
         return self._matrix, scale * self.apply(d)
 
 
@@ -332,18 +326,21 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
                              "undecided_probes": undecided})
 
 
-def flow_to_regress(net, d, eps, solver="cd-l2", seed=0):
+def flow_to_regress(net, d, eps, solver="cd-l2", seed=0, approx=None):
     """Exact-demand routing with congestion within (1 + eps) of optimal.
 
     Round zero routes at accuracy eps; when the exact tree routing of the
     remaining residual already lands within (1 + eps) of the certified optimum
     lower bound the recursion finishes there, otherwise up to log(2m) further
     rounds route residual demands at accuracy 1/2 before the exact tree
-    finish.  Residual contraction is asserted per round.
+    finish.  Residual contraction is asserted per round.  ``approx`` is a
+    ``TreeApproximator`` of ``net`` to reuse (and its regression matrix with
+    it); by default one is built.
     """
     _check_routing_solver(solver)
     d = np.asarray(d, dtype=np.float64)
-    approx = TreeApproximator(net)
+    if approx is None:
+        approx = TreeApproximator(net)
     rounds = max(1, math.ceil(math.log2(2 * max(net.m, 2))))
     f_total = np.zeros(net.m)
     d_k = d.copy()
@@ -515,37 +512,43 @@ def augment_to_max(net, flow, rounds=None):
     f = np.asarray(flow, dtype=np.float64).tolist()
     caps = net.caps.tolist()
     lo = 0.0 if net.directed else -1.0
-    adj = [[] for _ in range(net.n)]
-    for e, (u, v) in enumerate(zip(net.tails.tolist(), net.heads.tolist())):
-        adj[u].append((v, e, 1.0))
-        adj[v].append((u, e, -1.0))
+    ptr, neighbor, edge, sign = (a.tolist() for a in net.incidence())
+    s, t = net.source, net.sink
     done = 0
     while rounds is None or done < rounds:
-        parent = {net.source: None}
-        q = deque([net.source])
-        while q and net.sink not in parent:
-            u = q.popleft()
-            for (w, e, sgn) in adj[u]:
-                if w in parent:
+        # BFS; prev[w] is the vertex w was reached from, slot[w] the entry
+        prev = [-1] * net.n
+        slot = [0] * net.n
+        prev[s] = s
+        queue = [s]
+        for u in queue:
+            if prev[t] >= 0:
+                break
+            for k in range(ptr[u], ptr[u + 1]):
+                w = neighbor[k]
+                if prev[w] >= 0:
                     continue
-                residual = (caps[e] - f[e]) if sgn > 0 else (f[e] - lo * caps[e])
+                e = edge[k]
+                residual = (caps[e] - f[e]) if sign[k] > 0 else (f[e] - lo * caps[e])
                 if residual > 1e-9:
-                    parent[w] = (u, e, sgn, residual)
-                    q.append(w)
-        if net.sink not in parent:
+                    prev[w] = u
+                    slot[w] = k
+                    queue.append(w)
+        if prev[t] < 0:
             break
         # walk back, find bottleneck, push
+        path = []
+        w = t
+        while w != s:
+            path.append(slot[w])
+            w = prev[w]
         bottleneck = math.inf
-        w = net.sink
-        while parent[w] is not None:
-            u, e, sgn, residual = parent[w]
+        for k in path:
+            e = edge[k]
+            residual = (caps[e] - f[e]) if sign[k] > 0 else (f[e] - lo * caps[e])
             bottleneck = min(bottleneck, residual)
-            w = u
-        w = net.sink
-        while parent[w] is not None:
-            u, e, sgn, _ = parent[w]
-            f[e] += sgn * bottleneck
-            w = u
+        for k in path:
+            f[edge[k]] += sign[k] * bottleneck
         done += 1
     return FlowSolution.from_flow(net, np.array(f))
 

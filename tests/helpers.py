@@ -289,6 +289,30 @@ def ford_fulkerson_value(net):
         total += bott
 
 
+def kruskal_tree(net):
+    """Kruskal's maximum spanning forest, edge by edge with a union-find.
+
+    Edges go by ``sorted(key=(-cap, e))``: decreasing capacity, ties by edge
+    index.  Returns the kept edges in the order Kruskal keeps them.
+    """
+    order = sorted(range(net.m), key=lambda e: (-net.caps[e], e))
+    uf = list(range(net.n))
+
+    def find(a):
+        while uf[a] != a:
+            uf[a] = uf[uf[a]]
+            a = uf[a]
+        return a
+
+    tree = []
+    for e in order:
+        ra, rb = find(int(net.tails[e])), find(int(net.heads[e]))
+        if ra != rb:
+            uf[ra] = rb
+            tree.append(e)
+    return tree
+
+
 class ReferenceTree:
     """The maximum-spanning-tree approximator built one edge at a time.
 
@@ -302,21 +326,7 @@ class ReferenceTree:
     def __init__(self, net):
         self.net = net
         n, m = net.n, net.m
-        order = sorted(range(m), key=lambda e: (-net.caps[e], e))
-        uf = list(range(n))
-
-        def find(a):
-            while uf[a] != a:
-                uf[a] = uf[uf[a]]
-                a = uf[a]
-            return a
-
-        self.tree_edges = []
-        for e in order:
-            ra, rb = find(int(net.tails[e])), find(int(net.heads[e]))
-            if ra != rb:
-                uf[ra] = rb
-                self.tree_edges.append(e)
+        self.tree_edges = kruskal_tree(net)
         adj = [[] for _ in range(n)]
         for e in self.tree_edges:
             u, v = int(net.tails[e]), int(net.heads[e])
@@ -415,6 +425,28 @@ def flow_network_edge_error(n, edges, directed=False):
         if not min_cap <= cap < math.inf:
             return (f"edge {k}: capacity {cap!r} must be finite and at least "
                     f"{min_cap!r}, so that its reciprocal is finite")
+    return None
+
+
+def triplet_error(triplets, n_rows, n_cols):
+    """The first bad triplet's message, checking triplets one at a time in order.
+
+    Reference for the entry checks of ``SparseMatrix``: per triplet the
+    range, then a repeat of an earlier pair, then an explicit zero, then a
+    non-finite value; None when every triplet passes.
+    """
+    seen = set()
+    for k, (i, j, v) in enumerate(triplets):
+        i, j, v = int(i), int(j), float(v)
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            return f"triplet {k}: index ({i}, {j}) out of range for {n_rows}x{n_cols}"
+        if (i, j) in seen:
+            return f"triplet {k}: duplicate entry at ({i}, {j})"
+        seen.add((i, j))
+        if v == 0.0:
+            return f"triplet {k}: explicit zero at ({i}, {j})"
+        if not math.isfinite(v):
+            return f"triplet {k}: non-finite value {v!r} at ({i}, {j})"
     return None
 
 

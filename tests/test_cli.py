@@ -15,7 +15,7 @@ from helpers import (
 from linfflow import cli
 from linfflow.cli import build_parser, main
 from linfflow.core import read_matrix_file, write_matrix_file
-from linfflow.flow import dinic_oracle
+from linfflow.flow import TreeApproximator, dinic_oracle, flow_to_regress
 from linfflow.graphs import read_dimacs
 
 
@@ -427,6 +427,30 @@ class TestBench:
                            "--eps-grid", "0.5,0.3,0.2")
         assert code == 0 and len(out.splitlines()) == 4
         assert len(calls) == 1
+
+    def test_dimacs_builds_one_approximator(self, tmp_path, capsys, monkeypatch):
+        # every row routes on one TreeApproximator, and prints what a fresh
+        # approximator per row prints
+        net = random_connected_graph(np.random.default_rng(33), 8, extra_edges=6)
+        path = tmp_path / "graph.dimacs"
+        path.write_text(f"c undirected\np max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
+                        + "".join(f"a {u + 1} {v + 1} 1\n"
+                                  for u, v in zip(net.tails, net.heads)))
+        net = read_dimacs(path)
+        expected = ["eps,iterations,value"]
+        for eps in (0.3, 0.2, 0.1):
+            routed = flow_to_regress(net, net.st_demand(1.0), eps, seed=4)
+            value = 1.0 / max(routed.max_congestion, 1e-30)
+            expected.append(f"{eps},{routed.meta['iterations']},{value!r}")
+        builds = []
+        init = TreeApproximator.__init__
+        monkeypatch.setattr(TreeApproximator, "__init__",
+                            lambda self, net: builds.append(net) or init(self, net))
+        code, out, _ = run(capsys, "bench", "--input", str(path),
+                           "--eps-grid", "0.3,0.2,0.1", "--seed", "4")
+        assert code == 0
+        assert len(builds) == 1
+        assert out == "\n".join(expected) + "\n"
 
     def test_bad_eps_rejected(self, identity_instance, capsys):
         code, _, err = run(capsys, "bench", "--input", identity_instance,

@@ -11,6 +11,7 @@ from helpers import (
     dense_to_sparse,
     grid_search_min,
     random_sparse,
+    triplet_error,
 )
 from linfflow.core import (
     RESIDUAL_DUAL_LEVELS,
@@ -77,6 +78,57 @@ class TestSparseMatrix:
     def test_rejects_stored_zero(self):
         with pytest.raises(InputError, match="zero"):
             SparseMatrix.from_triplets([(0, 0, 0.0)], 1, 1)
+
+    @staticmethod
+    def bad_triplets(n):
+        return [(n, 0, 1.0), (-1, 1, 1.0), (0, n, 1.0), (2 ** 70, 0, 1.0), (1, 1, 5.0),
+                (2, 3, 0.0), (2, 3, -0.0), (2, 3, float("nan")), (2, 3, float("inf")),
+                (n, 1, float("nan")), (1, 1, 0.0)]
+
+    @pytest.mark.parametrize("size", [20, 100], ids=["loop", "bulk"])
+    @pytest.mark.parametrize("entry", ["triplets", "arrays"])
+    def test_first_bad_entry_reported(self, entry, size):
+        n = 12
+        rng = np.random.default_rng(81)
+        cells = rng.permutation(n * n)[:size].tolist()
+        valid = [(c // n, c % n, float(rng.uniform(0.5, 2.0))) for c in cells
+                 if c // n != 1 or c % n != 1]
+        valid.insert(5, (1, 1, 3.0))  # repeated by (1, 1, 5.0) and (1, 1, 0.0)
+        for bad in self.bad_triplets(n):
+            for pos in (0, 20, len(valid)):
+                for later in (None, (n, 0, 1.0), (0, 0, 0.0)):
+                    trips = valid[:pos] + [bad] + valid[pos:]
+                    if later is not None:
+                        trips.append(later)
+                    expected = triplet_error(trips, n, n)
+                    if expected is None:
+                        continue
+                    with pytest.raises(InputError) as info:
+                        if entry == "triplets":
+                            SparseMatrix.from_triplets(trips, n, n)
+                        else:
+                            SparseMatrix.from_arrays(*zip(*trips), n, n)
+                    assert str(info.value) == expected
+
+    @pytest.mark.parametrize("n, n_cols", [(4, 8), (30, 40)], ids=["loop", "bulk"])
+    def test_arrays_build_what_triplets_build(self, n, n_cols):
+        rng = np.random.default_rng(82)
+        m = random_sparse(rng, n, n_cols, per_col=3)
+        trips = m.triplets()
+        order = rng.permutation(len(trips))
+        rows, cols, vals = (np.array(a)[order] for a in zip(*trips))
+        built = SparseMatrix.from_arrays(rows, cols, vals, n, n_cols)
+        assert built.triplets() == m.triplets()
+        assert built.content_hash() == m.content_hash()
+
+    def test_conversion_errors_keep_their_place(self):
+        # a triplet that int() or float() rejects raises where the loop reaches it
+        with pytest.raises(InputError, match="triplet 0: index"):
+            SparseMatrix.from_triplets([(5, 0, 1.0), ("x", 0, 1.0)], 2, 2)
+        with pytest.raises(ValueError, match="invalid literal"):
+            SparseMatrix.from_triplets([(0, 0, 1.0), ("x", 0, 1.0)], 2, 2)
+        with pytest.raises(ValueError):
+            SparseMatrix.from_triplets([(0, 0, 1.0), (1, 1)], 2, 2)
 
     def test_matvec_against_dense(self):
         rng = np.random.default_rng(11)
@@ -468,6 +520,20 @@ class TestFileFormats:
         path.write_text("linf-matrix v1 2 2 1\n0 0 not-a-number\n")
         with pytest.raises(InputError, match="bad.linf:2"):
             read_matrix_file(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 0 1.0\n1 1 2.0\n0 0 3.0\n", "triplet 2: duplicate entry at (0, 0)"),
+        ("0 0 1.0\n99999999999999999999 1 2.0\n0 1 3.0\n",
+         "triplet 1: index (99999999999999999999, 1) out of range for 2x2"),
+        ("0 0 1.0\n1 1 0.0\n0 1 3.0\n", "triplet 1: explicit zero at (1, 1)"),
+        ("0 0 1.0\n1 1 nan\n0 1 3.0\n", "triplet 1: non-finite value nan at (1, 1)"),
+    ])
+    def test_matrix_entry_errors_name_the_entry(self, tmp_path, body, message):
+        path = tmp_path / "bad.linf"
+        path.write_text("linf-matrix v1 2 2 3\n" + body)
+        with pytest.raises(InputError) as info:
+            read_matrix_file(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_dimacs_round_trip(self, tmp_path):
         path = tmp_path / "g.dimacs"
