@@ -198,7 +198,10 @@ class TreeApproximator:
 
         A depends on the tree alone: the first call builds it, and every call
         returns that same matrix object.  Column f touches exactly the tree
-        edges on f's endpoints' tree path, with the signs of ``_climb``.
+        edges on f's endpoints' tree path, with the signs of ``_climb``.  An
+        entry that underflows to 0 (capacities spanning hundreds of orders of
+        magnitude) is dropped; no row empties, since a tree edge has the
+        largest capacity across its cut, so its own entry is at least 2 alpha/m.
         """
         scale = 2.0 * self.alpha
         if self._matrix is None:
@@ -206,8 +209,9 @@ class TreeApproximator:
             passes = [(empty, empty, np.zeros(0)), *self._climb()]
             rows, cols, signs = (np.concatenate(p) for p in zip(*passes))
             vals = scale * signs * self.net.caps[cols] / self.cutcap[rows]
-            self._matrix = SparseMatrix.from_arrays(rows, cols, vals, self.n_rows,
-                                                    self.net.m)
+            kept = vals != 0.0
+            self._matrix = SparseMatrix.from_arrays(rows[kept], cols[kept], vals[kept],
+                                                    self.n_rows, self.net.m)
         return self._matrix, scale * self.apply(d)
 
 
@@ -504,14 +508,20 @@ def augment_to_max(net, flow, rounds=None):
     """BFS augmenting rounds on the capacitated residual graph (Edmonds-Karp).
 
     An edge has residual ``cap - f`` along its orientation and ``f - lo cap``
-    against it, with lo = 0 on digraphs and -1 on undirected graphs.  Runs
-    until no augmenting path remains, or for at most ``rounds`` augmentations.
+    against it, with lo = 0 on digraphs and -1 on undirected graphs.  A
+    direction is open while its residual exceeds 1e-9 times the edge's
+    capacity (a bound on f, computed once per edge), so scaling every
+    capacity scales the answer.  Runs until no augmenting path remains, or
+    for at most ``rounds`` augmentations.
     """
     if net.source is None or net.sink is None:
         raise InputError("augmenting needs designated source and sink")
     f = np.asarray(flow, dtype=np.float64).tolist()
     caps = net.caps.tolist()
     lo = 0.0 if net.directed else -1.0
+    # the direction along (against) e is open while f[e] < hi[e] (f[e] > low[e])
+    hi = (net.caps - 1e-9 * net.caps).tolist()
+    low = (lo * net.caps + 1e-9 * net.caps).tolist()
     ptr, neighbor, edge, sign = (a.tolist() for a in net.incidence())
     s, t = net.source, net.sink
     done = 0
@@ -529,8 +539,7 @@ def augment_to_max(net, flow, rounds=None):
                 if prev[w] >= 0:
                     continue
                 e = edge[k]
-                residual = (caps[e] - f[e]) if sign[k] > 0 else (f[e] - lo * caps[e])
-                if residual > 1e-9:
+                if (f[e] < hi[e]) if sign[k] > 0 else (f[e] > low[e]):
                     prev[w] = u
                     slot[w] = k
                     queue.append(w)
@@ -557,31 +566,34 @@ def dinic_oracle(net):
     """Exact max flow via blocking flows; returns a FlowSolution.
 
     Undirected edges are modeled as arc pairs sharing no capacity, which
-    preserves the max-flow value; the reported per-edge flow is the net.
+    preserves the max-flow value; the reported per-edge flow is the net.  An
+    arc is open while its flow is below ``room``: c - 1e-9 c on an arc of
+    capacity c, and -1e-9 c on its reverse arc.  The test scales with the
+    capacities, so scaling every capacity by a power of two scales the flow
+    exactly.
     """
     if net.source is None or net.sink is None:
         raise InputError("max flow needs designated source and sink")
     if net.source == net.sink:
         raise InputError("max flow needs a source distinct from the sink")
     n = net.n
-    heads, caps, orig = [], [], []
+    heads, caps, room = [], [], []
     graph = [[] for _ in range(n)]
 
-    def add_arc(u, v, c, tag):
+    def add_arc(u, v, c):
         graph[u].append(len(heads))
         heads.append(v)
         caps.append(c)
-        orig.append(tag)
+        room.append(c - 1e-9 * c)
         graph[v].append(len(heads))
         heads.append(u)
         caps.append(0.0)
-        orig.append(None)
+        room.append(-1e-9 * c)
 
-    for e, (u, v, c) in enumerate(zip(net.tails.tolist(), net.heads.tolist(),
-                                      net.caps.tolist())):
-        add_arc(u, v, c, (e, 1.0))
+    for u, v, c in zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist()):
+        add_arc(u, v, c)
         if not net.directed:
-            add_arc(v, u, c, (e, -1.0))
+            add_arc(v, u, c)
     flow_arc = [0.0] * len(heads)
     s, t = net.source, net.sink
     total = 0.0
@@ -592,7 +604,7 @@ def dinic_oracle(net):
         while q:
             u = q.popleft()
             for a in graph[u]:
-                if caps[a] - flow_arc[a] > 1e-9 and level[heads[a]] < 0:
+                if flow_arc[a] < room[a] and level[heads[a]] < 0:
                     level[heads[a]] = level[u] + 1
                     q.append(heads[a])
         if level[t] < 0:
@@ -607,7 +619,7 @@ def dinic_oracle(net):
                 arcs = graph[u]
                 while it[u] < len(arcs):
                     a = arcs[it[u]]
-                    if caps[a] - flow_arc[a] > 1e-9 and level[heads[a]] == level[u] + 1:
+                    if flow_arc[a] < room[a] and level[heads[a]] == level[u] + 1:
                         break
                     it[u] += 1
                 else:
@@ -626,12 +638,12 @@ def dinic_oracle(net):
                 flow_arc[a] += pushed
                 flow_arc[a ^ 1] -= pushed
             total += pushed
-    f = [0.0] * net.m
-    for a in range(0, len(heads), 2):
-        if orig[a] is not None:
-            e, sgn = orig[a]
-            f[e] += sgn * flow_arc[a]
-    out = FlowSolution.from_flow(net, np.array(f))
+    # the forward arcs of the arc pairs, in edge order: one per edge on a
+    # digraph, and the edge's own arc then its opposite on an undirected graph
+    f = np.array(flow_arc[0::2])
+    if not net.directed:
+        f = f[0::2] - f[1::2]
+    out = FlowSolution.from_flow(net, f)
     out.value = total
     return out
 

@@ -38,9 +38,9 @@ can finish (its length grows with n), numpy's per-call overhead on 2- to
 a few hundred rows the interpreted O(n) passes start to cost more than
 numpy's would (CHANGES.md).  ``sample_pj`` is the reference draw the kernel
 is tested against; ``simplexmaint.ReferenceSimplex`` over the doubled rows
-is the reference recursion, and ``SimplexMaintainer`` answers the same
-queries with the paper's implicit structure, but it was measured slower at
-every size tried (CHANGES.md), so the iteration does not use it.
+is the reference recursion.  The paper's implicit structure for the dual,
+``SimplexMaintainer``, was measured slower at every size tried (CHANGES.md);
+it is kept as a tested reference under ``tests/``, not in the package.
 """
 
 from __future__ import annotations

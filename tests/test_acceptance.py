@@ -34,7 +34,7 @@ from linfflow.mirrorprox import (
     solve_flow_regress,
 )
 from linfflow.sampling import BufferedUniforms, make_rng
-from linfflow.simplexmaint import ReferenceSimplex, SimplexMaintainer
+from linfflow.simplexmaint import ReferenceSimplex
 from linfflow.smoothing import (
     LocalSmoothnessParams,
     SoftmaxState,
@@ -45,6 +45,7 @@ from linfflow.smoothing import (
     smax_hessian_diag,
     sum_smoothness_bound,
 )
+from simplex_maintainer import SimplexMaintainer
 
 
 def report(number, name, elapsed, budget, ok=True):

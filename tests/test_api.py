@@ -10,8 +10,8 @@ EXPORTS = [
     "BoxMap", "BufferedUniforms", "CoordSampler", "DynamicTree", "FlowNetwork",
     "FlowSolution", "InfeasibleError", "InputError", "LocalSmoothnessParams",
     "MirrorProxConfig", "PhaseState", "PhaseTables", "ProxOuterState",
-    "ReferenceSimplex", "RegressionInstance", "RegressionResult", "SimplexMaintainer",
-    "SmoothedObjective", "SoftmaxState", "SolverFault", "SparseMatrix", "StaticAlias",
+    "ReferenceSimplex", "RegressionInstance", "RegressionResult", "SmoothedObjective",
+    "SoftmaxState", "SolverFault", "SparseMatrix", "StaticAlias",
     "SubproblemSolver", "TreeApproximator", "almost_route", "augment_to_max",
     "baselines", "cdsolver", "core", "dinic_oracle", "directed_reduce",
     "dual_response", "errors", "exact_unit_maxflow", "flow", "flow_to_regress",

@@ -65,7 +65,8 @@ class TestRegress:
 
     def test_mirror_prox_eight_by_sixteen_within_eps(self, tmp_path, capsys):
         # 8 rows, 16 columns: the instance on which the bucket partition sums
-        # of SimplexMaintainer lost positivity (exit 3)
+        # of SimplexMaintainer (now under tests/) lost positivity and exited 3
+        # while it carried mirror-prox's dual
         rng = np.random.default_rng(5)
         while True:
             matrix = random_sparse(rng, 8, 16, per_col=2, scale=0.5)
@@ -280,6 +281,28 @@ class TestFlowCommands:
         assert code == 0
         assert float(out.splitlines()[0].split()[1]) == 1.0
 
+    @pytest.mark.parametrize("solver", ["dinic", "cd-l2"])
+    def test_tiny_capacities_route(self, tmp_path, capsys, solver):
+        # an absolute residual test of 1e-9 closed every arc: dinic printed 0.0
+        path = tmp_path / "tiny.dimacs"
+        path.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 1e-10\na 2 3 1e-10\n")
+        code, out, _ = run(capsys, "maxflow", "--input", str(path), "--solver", solver)
+        assert code == 0
+        assert out.splitlines()[0] == "value 1e-10"
+
+    @pytest.mark.parametrize("solver", ["dinic", "cd-l2", "cd-diag", "mirror-prox"])
+    def test_capacities_spanning_600_orders_route(self, tmp_path, capsys, solver):
+        # entries 2 alpha cap_f / cutcap_k underflowed to 0 and the matrix
+        # check rejected them as explicit zeros (exit 2)
+        path = tmp_path / "wide.dimacs"
+        path.write_text("c undirected\np max 4 5\nn 1 s\nn 3 t\na 1 2 1e300\n"
+                        "a 2 3 1e-300\na 3 4 1e300\na 4 1 1e-300\na 1 3 1e-300\n")
+        code, out, err = run(capsys, "maxflow", "--input", str(path), "--eps", "0.2",
+                             "--solver", solver)
+        assert code == 0, err
+        value = float(out.splitlines()[0].split()[1])
+        assert 3e-300 / 1.2 <= value <= 3e-300 * (1.0 + 1e-9)
+
     def test_dinic_source_is_sink_rejected(self, tmp_path, capsys):
         path = tmp_path / "loop.dimacs"
         path.write_text("c undirected\np max 3 2\nn 1 s\nn 1 t\na 1 2 1\na 2 3 1\n")
@@ -483,6 +506,18 @@ class TestBench:
 
 
 class TestVerify:
+    def test_checks_are_pinned(self, identity_instance, path_graph, capsys):
+        # verify checks the input file; a check of the package is a test's job
+        for path, names in ((identity_instance, ["column-max-cache", "row-l1-cache",
+                                                 "sign-double-identity",
+                                                 "softmax-sandwich"]),
+                            (path_graph, ["incidence-apply", "dinic-vs-augmenting",
+                                          "tree-routes-exactly",
+                                          "approximator-sandwich"])):
+            code, out, _ = run(capsys, "verify", "--input", path)
+            assert code == 0
+            assert out.splitlines() == [f"check {name} ok" for name in names]
+
     def test_matrix_checks(self, identity_instance, capsys):
         code, out, _ = run(capsys, "verify", "--input", identity_instance)
         assert code == 0
@@ -524,6 +559,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--input", str(path))
         assert code == 0
         assert "check dinic-vs-augmenting ok" in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seed,k", [(6, 40), (27, 40), (27, -40)])
+    def test_checks_do_not_depend_on_capacity_units(self, tmp_path, capsys, seed, k):
+        # absolute tolerances of 1e-9 failed dinic-vs-augmenting at 2^40 and
+        # approximator-sandwich at 2^-40
+        rng = np.random.default_rng(seed)
+        net = random_connected_graph(rng, 12, extra_edges=10)
+        caps = rng.uniform(0.5, 6.0, size=net.m) * 2.0 ** k
+        path = tmp_path / "scaled.dimacs"
+        path.write_text(f"c undirected\np max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
+                        + "".join(f"a {u + 1} {v + 1} {float(c)!r}\n"
+                                  for u, v, c in zip(net.tails, net.heads, caps)))
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0
         assert "FAIL" not in out
 
 

@@ -508,6 +508,81 @@ class TestDinic:
             )
 
 
+def recapped(base, caps):
+    """``base`` with new capacities, keeping its source and sink."""
+    return FlowNetwork(base.n, list(zip(base.tails.tolist(), base.heads.tolist(),
+                                        caps.tolist())),
+                       source=base.source, sink=base.sink)
+
+
+def uniform_caps_graph(seed, scale=1.0):
+    """A 12-vertex graph with capacities U(0.5, 6) times ``scale``."""
+    rng = np.random.default_rng(seed)
+    base = random_connected_graph(rng, 12, extra_edges=10)
+    return recapped(base, rng.uniform(0.5, 6.0, size=base.m) * scale)
+
+
+ORACLES = {
+    "dinic": dinic_oracle,
+    "augmenting": lambda net: augment_to_max(net, np.zeros(net.m)),
+}
+
+
+class TestScaleFreeResiduals:
+    """An arc is open while its residual exceeds a fraction of its capacity,
+    so the oracles' answers do not depend on the capacities' units."""
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_powers_of_two_scale_the_flow_exactly(self, oracle):
+        solve = ORACLES[oracle]
+        for seed in range(40):
+            base = solve(uniform_caps_graph(seed))
+            assert base.value > 0.0
+            for k in (40, -40, 1000, -1000):
+                out = solve(uniform_caps_graph(seed, 2.0 ** k))
+                assert out.value == base.value * 2.0 ** k, (seed, k)
+                np.testing.assert_array_equal(out.flow, base.flow * 2.0 ** k)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_tiny_capacity_path(self, oracle):
+        assert ORACLES[oracle](path_net(2, cap=1e-10)).value == 1e-10
+
+
+def wide_range_graphs():
+    """Graphs whose capacities span 600 orders of magnitude: some entries of
+    the regression matrix underflow to 0."""
+    found = FlowNetwork(4, [(0, 1, 1e300), (1, 2, 1e-300), (2, 3, 1e300),
+                            (3, 0, 1e-300), (0, 2, 1e-300)], source=0, sink=2)
+    rng = np.random.default_rng(8)
+    base = random_connected_graph(rng, 10, extra_edges=8)
+    seed8 = recapped(base, 10.0 ** rng.uniform(-300.0, 300.0, size=base.m))
+    return {"four-vertex": found, "seed-8": seed8}
+
+
+class TestWideCapacityRange:
+    @pytest.mark.parametrize("name", sorted(wide_range_graphs()))
+    def test_underflowing_entries_are_dropped(self, name):
+        net = wide_range_graphs()[name]
+        approx = TreeApproximator(net)
+        matrix, _ = approx.regression_parts(net.st_demand(1.0))
+        rows, cols, vals = matrix.flat_entries()
+        assert (vals != 0.0).all()
+        assert (matrix.row_l1 > 0.0).all()
+        # every tree edge keeps its own entry
+        own = set(zip(rows.tolist(), cols.tolist()))
+        assert all((k, int(e)) in own for k, e in enumerate(approx.tree_edges))
+        assert len(vals) < sum(len(p[0]) for p in approx._climb())
+
+    def test_seed_8_graph_routes_within_eps_of_dinic(self):
+        # the four-vertex graph is routed by every solver in test_cli.py
+        net = wide_range_graphs()["seed-8"]
+        opt = dinic_oracle(net).value
+        assert opt > 0.0
+        sol = flow_to_regress(net, net.st_demand(1.0), 0.2, seed=5)
+        value = 1.0 / sol.max_congestion
+        assert opt / 1.2 <= value <= opt * (1.0 + 1e-9)
+
+
 class TestDirectedReduce:
     def test_single_arc_construction(self):
         net = FlowNetwork(2, [(0, 1, 1.0)], directed=True, source=0, sink=1)

@@ -13,6 +13,9 @@ only where the receiver is C itself, is ``self`` / ``cls`` in C's body, or is
 a name that some assignment binds to a C (``r = C(...)``, ``r = C.make(...)``
 or ``r = f(...)`` with ``f`` returning ``C(...)``).
 
+The benchmark's span tracer (``linfbench/spans.py``) imports every module
+named in its ``MODULES`` by name, so each must stay importable.
+
 Each CLI command declares only the flags it reads: every flag of a
 subparser is read as ``args.<dest>`` by the ``_run_*`` function that
 ``cli.main`` dispatches the command to, or by a function of ``cli.py`` that
@@ -21,6 +24,7 @@ it passes ``args`` on to.
 
 import argparse
 import ast
+import importlib
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -141,6 +145,15 @@ def test_package_imports_numpy_and_the_standard_library_only():
             bad += [f"{path.name}:{node.lineno} imports {module}" for module in modules
                     if module.split(".")[0] not in allowed]
     assert bad == []
+
+
+def test_every_module_the_tracer_wraps_imports():
+    tree = parse(ROOT / "linfbench" / "spans.py")
+    modules = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and key(node.targets[0]) == "MODULES")
+    assert modules
+    for name in modules:
+        importlib.import_module(f"linfflow.{name}")
 
 
 def test_every_definition_is_referenced():
