@@ -20,10 +20,8 @@ maximum flows.
 
 from .baselines import SmoothedObjective, gd_general_norm, plain_cd
 from .cdsolver import (
-    ProxOuterState,
     RegressionResult,
     SubproblemSolver,
-    dual_response,
     lcd_steps,
     prox_outer_iterate,
     solve_box_linf,

@@ -8,11 +8,14 @@ sampler tree and every column scan work over the n rows of A with one weight
 pair per row.  Each outer iteration shifts the rhs by ``-alpha * log p``,
 solves the resulting smoothed strongly convex subproblem with randomized
 coordinate descent (sampling j proportionally to its current curvature
-bound), then takes the closed-form dual response.  Early exit in both loops
-is certificate-driven: the outer loop stops when its ``core.Certificate``
-ledger stops the solve, and the inner loop when the projected-gradient bound
-on the subproblem's objective gap falls to ``eps_iter / INNER_GAP_DIVISOR``,
-the outer iteration's accuracy target over 16.  That rule holds because an
+bound), then takes the closed-form dual response.  One softmax state and
+one sampler serve every subproblem of a solve, re-centred in place on each
+shifted rhs with the ``A x`` that also gave the last iterate's value and
+bound.  Early exit in both loops is certificate-driven: the outer loop
+stops when its ``core.Certificate`` ledger stops the solve, and the inner
+loop when the projected-gradient bound on the subproblem's objective gap
+falls to ``eps_iter / INNER_GAP_DIVISOR``, the outer iteration's accuracy
+target over 16.  That rule holds because an
 inexact proximal step needs its subproblem solved only to an additive
 accuracy proportional to the outer target (Rockafellar 1976; Nemirovski
 2004), and because every return is still gated by a weak-duality
@@ -215,19 +218,17 @@ def lcd_steps(state, sampler, center, uniforms, count):
 
 @dataclass
 class SubproblemResult:
-    x: np.ndarray
     certified: bool
     iterations: int
-    final_w: np.ndarray
 
 
 class SubproblemSolver:
-    """Reusable machinery for the regularized smoothed subproblems.
+    """Reusable machinery for the regularized smoothed subproblems of one solve.
 
-    The matrix, alpha, and regularizer geometry are fixed across calls; each
-    call binds a fresh rhs (with its mirrored half, for a folded sign-doubled
-    system) and warm-start point.  The sampler's static alias structures are
-    built once and rebound cheaply.
+    The matrix, alpha, and regularizer geometry are fixed across calls.  The
+    first call builds ``state`` and ``sampler``; later calls move ``state.x``
+    to the warm start, re-centre the state on the new rhs and resync the
+    sampler.  Callers read the iterate and its log-weights from ``state``.
     """
 
     def __init__(self, matrix, alpha, params):
@@ -236,7 +237,8 @@ class SubproblemSolver:
         self.params = params
         self.norm_a = matrix.norm_inf
         self.s_bound = sum_smoothness_bound(matrix, alpha, params)
-        self._sampler = None
+        self.state = None
+        self.sampler = None
         self.total_steps = 0
         self.moving_steps = 0
 
@@ -262,24 +264,27 @@ class SubproblemSolver:
         return float(-(g * t + 0.5 * c * t * t).sum())
 
     def solve(self, b_t, center, x_start, gap, fail_prob, uniforms,
-              stop_check=None, b_neg=None):
+              stop_check=None, b_neg=None, ax=None):
         """Drive the iterate until the projected-gradient certificate bounds
         its objective gap to the subproblem optimum by ``gap``.
 
-        ``b_neg``, when given, is the rhs of the mirrored rows ``-A x - b_neg``
-        and ``final_w`` then covers both halves.  The returned flag is False
+        ``b_neg``, when given, is the rhs of the mirrored rows ``-A x - b_neg``;
+        ``ax``, when given, is ``A x_start``.  The returned flag is False
         when the iteration budget ran out before the projected-gradient
-        certificate fired; the best iterate is still returned so the caller
-        may retry with a new stream.  ``stop_check``, when given, is polled at
+        certificate fired.  ``stop_check``, when given, is polled at
         certificate points with the current x and may abort the solve early
         (used for direct value targets).
         """
-        state = SoftmaxState(self.matrix, b_t, self.alpha, x0=x_start, b_neg=b_neg)
-        if self._sampler is None:
-            self._sampler = CoordSampler(state, self.params)
+        state = self.state
+        if state is None:
+            state = self.state = SoftmaxState(self.matrix, b_t, self.alpha,
+                                              x0=x_start, b_neg=b_neg)
+            self.sampler = CoordSampler(state, self.params)
         else:
-            self._sampler.rebind(state)
-        sampler = self._sampler
+            state.x[:] = x_start
+            state.recenter(b_t, b_neg, ax)
+            self.sampler.resync()
+        sampler = self.sampler
         budget = self.budget(gap, fail_prob)
         check_every = min(512, max(16, self.matrix.n_cols))
         center_list = np.asarray(center, dtype=np.float64).tolist()
@@ -294,12 +299,7 @@ class SubproblemSolver:
             certified = self._certificate(state, center) <= gap
         self.total_steps += done
         self.moving_steps += moving
-        return SubproblemResult(
-            x=state.x.copy(),
-            certified=certified,
-            iterations=done,
-            final_w=state.w_array(),
-        )
+        return SubproblemResult(certified=certified, iterations=done)
 
 
 def _log_normalize(logw):
@@ -307,52 +307,22 @@ def _log_normalize(logw):
     return logw - (m + math.log(float(np.exp(logw - m).sum())))
 
 
-def dual_response(matrix, x, b, logp_prev, alpha):
-    """Closed-form simplex response: p' proportional to exp((A x - b)/alpha + log p)."""
-    logw = (matrix.dot(x) - b) / alpha + logp_prev
-    return _log_normalize(logw)
-
-
-@dataclass
-class ProxOuterState:
-    """Current primal-dual pair of the outer loop over the sign-doubled system.
-
-    The system stays folded: ``matrix`` and ``b`` are the original A and b,
-    while ``logp`` is the dual over all 2n doubled rows (the rows of A, then
-    their mirrors), so the shifted rhs of the two halves may differ.
-    """
-
-    matrix: object
-    b: np.ndarray
-    alpha: float
-    x: np.ndarray
-    logp: np.ndarray
-    eps_iter: float
-    fail_prob: float
-    solver: SubproblemSolver
-
-
-def prox_outer_iterate(outer, uniforms, stop_check=None):
-    """One proximal step: shifted-rhs subproblem then the dual response.
+def prox_outer_iterate(solver, b, x, logp, eps_iter, fail_prob, uniforms,
+                       stop_check=None, ax=None):
+    """One proximal step from ``(x, logp)``, ``logp`` the dual over the 2n
+    sign-doubled rows (A's, then the mirrors), and ``ax = A x`` if known:
+    the shifted-rhs subproblem, then the dual response.  Returns ``(x, logp,
+    result)``: a copy of the new iterate, its dual and the ``SubproblemResult``.
 
     The subproblem's cached log-weights already equal the dual-response
     exponents, so the response is a pure normalization.
     """
-    n = outer.matrix.n_rows
-    shift = outer.alpha * outer.logp
-    res = outer.solver.solve(
-        b_t=outer.b - shift[:n],
-        b_neg=-outer.b - shift[n:],
-        center=outer.x,
-        x_start=outer.x,
-        gap=outer.eps_iter / INNER_GAP_DIVISOR,
-        fail_prob=outer.fail_prob,
-        uniforms=uniforms,
-        stop_check=stop_check,
-    )
-    outer.x = res.x
-    outer.logp = _log_normalize(res.final_w)
-    return res
+    n = solver.matrix.n_rows
+    shift = solver.alpha * logp
+    res = solver.solve(b_t=b - shift[:n], b_neg=-b - shift[n:], center=x, x_start=x,
+                       gap=eps_iter / INNER_GAP_DIVISOR, fail_prob=fail_prob,
+                       uniforms=uniforms, stop_check=stop_check, ax=ax)
+    return solver.state.x.copy(), _log_normalize(solver.state.w_array()), res
 
 
 @dataclass
@@ -447,22 +417,19 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         t_planned = min(t_planned, max_outer)
     fail_prob = 1.0 / (max(t_planned, 1) * n2 * n2)
     solver = SubproblemSolver(matrix, alpha, params)
-    x_init = np.zeros(m) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1, 1)
-    outer = ProxOuterState(
-        matrix=matrix, b=b, alpha=alpha,
-        x=x_init, logp=np.full(n2, -math.log(n2)),
-        eps_iter=eps / 2.0, fail_prob=fail_prob, solver=solver,
-    )
+    x = np.zeros(m) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1, 1)
+    logp = np.full(n2, -math.log(n2))
     evaluate = inst.value_at
 
-    def value_and_bound(xv):
-        """The value at xv and the best residual-softmax dual bound there."""
-        r = matrix.dot(xv) - b
+    def value_and_bound(ax):
+        """The value and the best residual-softmax dual bound at x, given A x."""
+        r = ax - b
         return (float(np.abs(r).max()),
                 float(residual_dual_bounds(matrix, b, r, eps).max()))
 
-    val, lb = value_and_bound(outer.x)
-    cert = Certificate(outer.x, val, eps, value_target=value_target,
+    ax = matrix.dot(x)  # shared by the value, the bound and the next re-centre
+    val, lb = value_and_bound(ax)
+    cert = Certificate(x, val, eps, value_target=value_target,
                        lb_target=lb_target)
     stop_check = None
     if value_target is not None:
@@ -473,7 +440,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     if cert.offer(bound=lb):
         t_planned = 0  # the start point already stops the solve
     for t in range(t_planned):
-        p = np.exp(outer.logp)
+        p = np.exp(logp)
         q = p[:n] - p[n:]  # the doubled rows' dual, folded onto the rows of A
         if cert.offer(bound=weak_duality_bound(matrix, b, q)):
             break
@@ -482,16 +449,18 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         # final tolerance; a halving-every-8-outers envelope forces descent to
         # the eps/2 rule regardless, and every return stays certificate-gated
         envelope = (abs(cert.value) + 1.0) * 0.917 ** t
-        outer.eps_iter = max(eps / 2.0, min(cert.gap / 8.0, envelope))
-        res = prox_outer_iterate(outer, uniforms, stop_check=stop_check)
+        eps_iter = max(eps / 2.0, min(cert.gap / 8.0, envelope))
+        x, logp, res = prox_outer_iterate(solver, b, x, logp, eps_iter, fail_prob,
+                                          uniforms, stop_check=stop_check, ax=ax)
         t_done = t + 1
-        x_sum += outer.x
-        val, lb = value_and_bound(outer.x)
+        x_sum += x
+        ax = matrix.dot(x)
+        val, lb = value_and_bound(ax)
         row = (t_done, res.iterations, repr(val))
         if timing:
             row += (_time.perf_counter_ns() - start,)
         transcript.append(row + (seed,))
-        if cert.offer(outer.x, val, lb):
+        if cert.offer(x, val, lb):
             break
 
     if t_done > 0:

@@ -184,7 +184,13 @@ def _run_exact_flow(args):
 
 
 def _run_bench(args):
-    grid = [float(v) for v in args.eps_grid.split(",") if v]
+    try:
+        grid = [float(v) for v in args.eps_grid.split(",") if v]
+    except ValueError:
+        raise InputError(f"--eps-grid takes comma-separated numbers, "
+                         f"not {args.eps_grid!r}") from None
+    if not grid:
+        raise InputError("--eps-grid is empty")
     for eps in grid:
         _check_eps(eps)
     fmt = _sniff_format(args.input, args.format)
@@ -294,7 +300,8 @@ def main(argv=None):
         if args.command == "verify":
             return _run_verify(args)
         raise InputError(f"unknown command {args.command}")
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # an unreadable or unwritable path, or an input that is not text
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFault as exc:

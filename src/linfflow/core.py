@@ -72,14 +72,18 @@ class SparseMatrix:
         vals = np.asarray(vals, dtype=np.float64)
         self.nnz = len(vals)
 
-        order = np.lexsort((rows, cols))
+        # one stable argsort of a combined key per order, the layout of a
+        # lexsort over (col, row) and (row, col), duplicates adjacent in input
+        # order; a key is below n_rows * n_cols, far inside int64 for any
+        # matrix whose index arrays fit in memory
+        order = np.argsort(cols * self.n_rows + rows, kind="stable")
         self._rows_flat = rows[order]
         self._cols_flat = cols[order]
         self._vals_flat = vals[order]
         self.col_nnz = np.bincount(cols, minlength=self.n_cols)
         self.col_ptr = np.concatenate([[0], np.cumsum(self.col_nnz)])
 
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * self.n_cols + cols, kind="stable")
         self._csr_cols = cols[order]
         self._csr_vals = vals[order]
         row_nnz = np.bincount(rows, minlength=self.n_rows)

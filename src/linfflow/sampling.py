@@ -195,8 +195,9 @@ class CoordSampler:
     row_mass_i``.  The ``w_ij`` are computed for every entry at once, over the
     matrix's row-major arrays, and ``row_tables`` builds each row's alias
     table and ``row_mass`` from its slice.  The sampler stays in sync with its
-    SoftmaxState by being the single mutation path (``step``); sampling with
-    a stale state raises.
+    SoftmaxState by being the single mutation path (``step``), and by
+    ``resync`` after the state is re-centred; sampling with a stale state
+    raises.
     """
 
     def __init__(self, state, params):
@@ -227,15 +228,10 @@ class CoordSampler:
         return (np.array(state.expw) + np.array(state.expw_neg)) * self.row_mass
 
     def resync(self):
-        """Full leaf refresh; needed after a state rebuild."""
+        """Full leaf refresh; needed after a state rebuild or ``recenter``."""
         self.tree.rebuild(self._leaves())
         self._synced_version = self.state.version
         self._synced_rebuilds = self.state.rebuild_count
-
-    def rebind(self, state):
-        """Track a fresh state over the same matrix (a new rhs or iterate)."""
-        self.state = state
-        self.resync()
 
     def step(self, j, delta):
         """Apply a coordinate update to the state and keep the tree in sync."""

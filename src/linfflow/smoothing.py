@@ -33,13 +33,14 @@ REBUILD_DRIFT = 30.0
 
 
 class SoftmaxState:
-    """Cached residual weights for one (matrix, rhs, alpha) triple.
+    """Cached residual weights for one (matrix, alpha) pair and its current rhs.
 
     Owns the current iterate x.  ``expw`` holds exp(w - wref) where
     w = (A x - b)/alpha, ``expw_neg`` holds exp(w_neg - wref) where
     w_neg = (-A x - b_neg)/alpha, and wref is the shift captured at the last
     rebuild; ``z`` is the running sum of both.  With ``b_neg`` omitted the
     mirrored rows are absent: w_neg is -inf and expw_neg is zero.
+    ``recenter`` rebinds the rhs pair in place, once per proximal step.
     """
 
     __slots__ = ("matrix", "b", "b_neg", "alpha", "x", "w", "w_neg", "wref",
@@ -59,8 +60,19 @@ class SoftmaxState:
         self._cols = matrix.py_columns()[0]
         self._rebuild()
 
-    def _rebuild(self):
-        ax = self.matrix.dot(self.x)
+    def recenter(self, b, b_neg, ax):
+        """Bind the rhs pair at the current x and rebuild every cache.
+
+        ``ax`` is ``A x`` at the current x, or None to compute it.  A sampler
+        that is not resynced afterwards will not draw."""
+        self.b = np.asarray(b, dtype=np.float64)
+        self.b_neg = None if b_neg is None else np.asarray(b_neg, dtype=np.float64)
+        self.version += 1
+        self._rebuild(ax)
+
+    def _rebuild(self, ax=None):
+        if ax is None:
+            ax = self.matrix.dot(self.x)
         w = (ax - self.b) / self.alpha
         if self.b_neg is None:
             w_neg = np.full(len(w), -math.inf)

@@ -9,12 +9,12 @@ import linfflow
 EXPORTS = [
     "BoxMap", "BufferedUniforms", "CoordSampler", "DynamicTree", "FlowNetwork",
     "FlowSolution", "InfeasibleError", "InputError", "LocalSmoothnessParams",
-    "MirrorProxConfig", "PhaseState", "PhaseTables", "ProxOuterState",
+    "MirrorProxConfig", "PhaseState", "PhaseTables",
     "ReferenceSimplex", "RegressionInstance", "RegressionResult", "SmoothedObjective",
     "SoftmaxState", "SolverFault", "SparseMatrix", "StaticAlias",
     "SubproblemSolver", "TreeApproximator", "almost_route", "augment_to_max",
     "baselines", "cdsolver", "core", "dinic_oracle", "directed_reduce",
-    "dual_response", "errors", "exact_unit_maxflow", "flow", "flow_to_regress",
+    "errors", "exact_unit_maxflow", "flow", "flow_to_regress",
     "gd_general_norm", "grad_coord", "graphs", "incidence_apply", "lcd_steps",
     "local_smoothness", "make_rng", "mirrorprox", "phase_iterates", "plain_cd",
     "prox_outer_iterate", "read_dimacs",

@@ -15,14 +15,13 @@ from helpers import (
     sup_norm_gap,
 )
 from linfflow.cdsolver import (
-    ProxOuterState,
     SubproblemSolver,
-    dual_response,
     lcd_steps,
     prox_outer_iterate,
     solve_box_linf,
 )
 from linfflow.core import RegressionInstance, SparseMatrix, sign_double
+from linfflow.errors import SolverFault
 from linfflow.sampling import BufferedUniforms, CoordSampler, make_rng
 from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState, objective_value
 
@@ -137,7 +136,7 @@ class TestSolveSubproblem:
                            gap=sup_norm_gap(params, 1e-4),
                            fail_prob=1e-3, uniforms=uniforms(6))
         assert res.certified
-        np.testing.assert_allclose(res.x, x_bar, atol=1e-4)
+        np.testing.assert_allclose(solver.state.x, x_bar, atol=1e-4)
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(2)
@@ -163,7 +162,7 @@ class TestSolveSubproblem:
         h_vals = smax + (alpha / (2 * s)) * (pts ** 2).sum(axis=1)
         x_grid = pts[int(np.argmin(h_vals))]
         # compare against the grid point; grid resolution dominates
-        assert np.abs(res.x - x_grid).max() <= 2e-3
+        assert np.abs(solver.state.x - x_grid).max() <= 2e-3
 
     def test_empty_column_moves_only_to_center(self):
         m = SparseMatrix.from_triplets([(0, 0, 1.0), (1, 0, -1.0)], 2, 2)
@@ -174,7 +173,7 @@ class TestSolveSubproblem:
                            x_start=np.array([0.0, -0.8]),
                            gap=sup_norm_gap(params, 1e-6),
                            fail_prob=1e-3, uniforms=uniforms(8))
-        assert res.x[1] == pytest.approx(0.25, abs=1e-5)
+        assert solver.state.x[1] == pytest.approx(0.25, abs=1e-5)
 
     def test_budget_exhaustion_flags_result(self):
         rng = np.random.default_rng(3)
@@ -207,77 +206,45 @@ class TestSolveSubproblem:
                            fail_prob=1e-3, uniforms=uniforms(10))
         assert res.certified and res.iterations > 0
         # the certificate recomputed from a fresh state at the returned point
-        assert solver._certificate(SoftmaxState(d, b2, alpha, x0=res.x), center) <= gap
-
-
-class TestDualResponse:
-    def test_uniform_fixed_point(self):
-        m = dense_to_sparse(np.eye(3))
-        x = np.array([0.5, 0.5, 0.5])
-        b = m.dot(x)
-        logp = np.full(3, -math.log(3))
-        out = dual_response(m, x, b, logp, alpha=1.0)
-        np.testing.assert_allclose(np.exp(out), 1.0 / 3.0, atol=1e-12)
-
-    def test_large_alpha_keeps_previous(self):
-        rng = np.random.default_rng(4)
-        m = dense_to_sparse(rng.normal(size=(4, 3)))
-        logp = np.log(np.array([0.4, 0.3, 0.2, 0.1]))
-        out = dual_response(m, rng.uniform(-1, 1, 3), rng.normal(size=4), logp,
-                            alpha=1e6)
-        tv = 0.5 * np.abs(np.exp(out) - np.exp(logp)).sum()
-        assert tv <= 1e-5
-
-    def test_first_order_optimality_among_perturbations(self):
-        rng = np.random.default_rng(5)
-        m = dense_to_sparse(rng.normal(size=(5, 3)))
-        x = rng.uniform(-1, 1, 3)
-        b = rng.normal(size=5)
-        logp_prev = np.log(rng.dirichlet(np.ones(5)))
-        alpha = 0.7
-        out = np.exp(dual_response(m, x, b, logp_prev, alpha))
-        resid = m.dot(x) - b
-
-        def score(p):
-            kl = float((p * (np.log(p) - logp_prev)).sum())
-            return float(p @ resid) - alpha * kl
-
-        best = score(out)
-        for _ in range(10_000):
-            q = rng.dirichlet(np.ones(5))
-            assert score(q) <= best + 1e-9
+        assert solver._certificate(SoftmaxState(d, b2, alpha, x0=solver.state.x),
+                                   center) <= gap
 
 
 class TestProxOuter:
     def make_outer(self, matrix, b, alpha, s, eps):
+        """``(solver, outer)``: ``outer`` carries the pair ``prox_outer_iterate``
+        steps, ``step(outer, u)`` advances it."""
         n2 = 2 * matrix.n_rows
         params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
         solver = SubproblemSolver(matrix, alpha, params)
-        return ProxOuterState(
-            matrix=matrix, b=b, alpha=alpha,
-            x=np.zeros(matrix.n_cols),
-            logp=np.full(n2, -math.log(n2)),
-            eps_iter=eps / 2, fail_prob=1e-4, solver=solver,
-        )
+        outer = SimpleNamespace(b=b, x=np.zeros(matrix.n_cols),
+                                logp=np.full(n2, -math.log(n2)), eps_iter=eps / 2)
+        return solver, outer
+
+    @staticmethod
+    def step(solver, outer, u):
+        outer.x, outer.logp, res = prox_outer_iterate(
+            solver, outer.b, outer.x, outer.logp, outer.eps_iter, 1e-4, u)
+        return res
 
     def test_zero_rhs_stays_at_zero(self):
         m = dense_to_sparse(np.eye(2))
-        outer = self.make_outer(m, np.zeros(2), alpha=1.0, s=2.0, eps=1e-2)
+        solver, outer = self.make_outer(m, np.zeros(2), alpha=1.0, s=2.0, eps=1e-2)
         u = uniforms(10)
         for _ in range(3):
-            prox_outer_iterate(outer, u)
+            self.step(solver, outer, u)
             np.testing.assert_allclose(outer.x, 0.0, atol=1e-6)
 
     def test_identity_instance_reaches_opt(self):
         m = dense_to_sparse(np.eye(2))
         b = np.array([2.0, -2.0])
         eps = 5e-2
-        outer = self.make_outer(m, b, alpha=1.0, s=2.0, eps=eps)
+        solver, outer = self.make_outer(m, b, alpha=1.0, s=2.0, eps=eps)
         u = uniforms(11)
         d, b2 = sign_double(m, b)
         vals = []
         for _ in range(40):
-            prox_outer_iterate(outer, u)
+            self.step(solver, outer, u)
             vals.append(float((d.dot(outer.x) - b2).max()))
         assert min(vals) <= 1.0 + eps
         # the tail of the trajectory keeps the value near the optimum
@@ -288,14 +255,14 @@ class TestProxOuter:
         m = dense_to_sparse(rng.normal(size=(3, 2)) * 0.5)
         b = rng.normal(size=3) * 0.3
         alpha, s, eps = 1.0, 2.0, 1e-2
-        outer = self.make_outer(m, b, alpha, s, eps)
+        solver, outer = self.make_outer(m, b, alpha, s, eps)
         d, b2 = sign_double(m, b)
         _, x_star = box_linf_opt(m.to_dense(), b)
         u = uniforms(12)
         t_outer = 12
         zs = []
         for _ in range(t_outer):
-            prox_outer_iterate(outer, u)
+            self.step(solver, outer, u)
             zs.append((outer.x.copy(), np.exp(outer.logp)))
         # g(z) = (A^T p, b - A x); u = (x*, e_best)
         total = 0.0
@@ -311,6 +278,50 @@ class TestProxOuter:
         avg = total / t_outer
         theta = 0.5 + math.log(d.n_rows)
         assert avg <= alpha * theta / t_outer + eps / 2 + 1e-9
+
+    def test_dual_is_the_closed_form_response(self):
+        # p' is proportional to exp((A x' - b)/alpha + log p) over the doubled
+        # rows [r; -r], r = A x' - b, after every step: the re-centred state's
+        # log-weights give the response with the rhs shift folded in
+        rng = np.random.default_rng(13)
+        m = dense_to_sparse(rng.normal(size=(5, 3)) * 0.5)
+        b = rng.normal(size=5) * 0.3
+        alpha = 0.7
+        solver, outer = self.make_outer(m, b, alpha, s=3.0, eps=1e-2)
+        u = uniforms(13)
+        for _ in range(6):
+            logp_prev = outer.logp
+            self.step(solver, outer, u)
+            r = m.dot(outer.x) - b
+            logw = np.concatenate([r, -r]) / alpha + logp_prev
+            mx = logw.max()
+            expected = logw - (mx + math.log(np.exp(logw - mx).sum()))
+            np.testing.assert_allclose(outer.logp, expected, rtol=0, atol=1e-9)
+
+    def test_state_and_sampler_built_once(self):
+        rng = np.random.default_rng(14)
+        m = dense_to_sparse(rng.normal(size=(4, 3)) * 0.5)
+        solver, outer = self.make_outer(m, rng.normal(size=4) * 0.3, 1.0, 3.0, 1e-2)
+        u = uniforms(14)
+        self.step(solver, outer, u)
+        state, sampler = solver.state, solver.sampler
+        for _ in range(3):
+            self.step(solver, outer, u)
+        assert solver.state is state and solver.sampler is sampler
+        assert sampler.state is state
+
+    def test_recenter_without_resync_raises(self):
+        rng = np.random.default_rng(15)
+        m = dense_to_sparse(rng.normal(size=(4, 3)) * 0.5)
+        b = rng.normal(size=4) * 0.3
+        solver, outer = self.make_outer(m, b, 1.0, 3.0, 1e-2)
+        self.step(solver, outer, uniforms(15))
+        state = solver.state
+        state.recenter(b, -b, m.dot(state.x))
+        with pytest.raises(SolverFault, match="out of sync"):
+            lcd_steps(state, solver.sampler, [0.0] * 3, uniforms(16), 1)
+        solver.sampler.resync()
+        lcd_steps(state, solver.sampler, [0.0] * 3, uniforms(16), 1)
 
 
 class TestSolveBoxLinf:
@@ -345,6 +356,19 @@ class TestSolveBoxLinf:
         np.testing.assert_array_equal(r1.x, r2.x)
         assert r1.transcript == r2.transcript
         assert r1.transcript_csv() == r2.transcript_csv()
+
+    @pytest.mark.parametrize("mode", ["l2", "diag"])
+    def test_one_state_and_sampler_per_solve(self, monkeypatch, mode):
+        builds = {"state": 0, "sampler": 0}
+        for cls, name in ((SoftmaxState, "state"), (CoordSampler, "sampler")):
+            def counted(self, *args, _init=cls.__init__, _name=name, **kwargs):
+                builds[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        inst = random_instance(np.random.default_rng(8), 10, 10, eps=1e-2)
+        res = solve_box_linf(inst, mode=mode, seed=3)
+        assert res.outer_iterations >= 3
+        assert builds == {"state": 1, "sampler": 1}
 
     def test_rejects_non_unit_radius(self):
         m = dense_to_sparse(np.eye(2))

@@ -239,6 +239,31 @@ def test_flag_a_command_does_not_read_exits_2(identity_instance, path_graph, cap
     assert list(tmp_path.glob("*.csv")) == list(tmp_path.glob("*.txt")) == []
 
 
+# input, output and grid arguments the CLI cannot use; "{id}" is the identity
+# instance, "{dir}" a temporary directory, "{bytes}" a file that is not UTF-8
+UNUSABLE_ARGS = {
+    "missing-input": ("regress", "--input", "{dir}/none.linf"),
+    "directory-input": ("regress", "--input", "{dir}"),
+    "non-utf8-input": ("regress", "--input", "{bytes}"),
+    "output-in-missing-dir": ("regress", "--input", "{id}", "--output", "{dir}/no/x.txt"),
+    "trace-in-missing-dir": ("regress", "--input", "{id}", "--trace", "{dir}/no/t.csv"),
+    "eps-grid-not-numbers": ("bench", "--input", "{id}", "--eps-grid", "abc"),
+    "eps-grid-empty": ("bench", "--input", "{id}", "--eps-grid", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_ARGS))
+def test_unusable_argument_exits_2(identity_instance, tmp_path, capsys, case):
+    binary = tmp_path / "latin1.linf"
+    binary.write_bytes(b"linf-matrix v1 1 1 1\n0 0 1.0\nb 0 \xe9\xff\n")
+    argv = [a.format(id=identity_instance, dir=tmp_path, bytes=binary)
+            for a in UNUSABLE_ARGS[case]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 class TestFlowCommands:
     def test_maxflow_path_graph(self, path_graph, capsys, tmp_path):
         flow_out = str(tmp_path / "f.txt")

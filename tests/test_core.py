@@ -232,6 +232,23 @@ class TestSparseLayout:
                 assert np.array_equal(getattr(d, name), getattr(ref, name))
             assert d.py_columns() == ref.py_columns()
 
+    def test_key_sort_is_the_lexsort_layout(self):
+        # duplicate pairs stay adjacent and in input order, which from_arrays'
+        # duplicate check needs; the private constructor takes them unchecked
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            n_rows, n_cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            nnz = int(rng.integers(0, 200))
+            rows = rng.integers(0, n_rows, nnz)
+            cols = rng.integers(0, n_cols, nnz)
+            vals = rng.normal(size=nnz)
+            m = SparseMatrix(n_rows, n_cols, rows, cols, vals, _private=True)
+            csc, csr = np.lexsort((rows, cols)), np.lexsort((cols, rows))
+            got = m.flat_entries() + m.row_entries()
+            want = (rows[csc], cols[csc], vals[csc], cols[csr], vals[csr])
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
     def test_views_are_read_only(self):
         m = SparseMatrix.from_triplets([(0, 1, 2.0), (1, 0, -1.0)], 2, 2)
         arrays = [*m.col(1), *m.row(0), *m.flat_entries(), *m.row_entries(),

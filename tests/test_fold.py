@@ -13,6 +13,7 @@ from scipy import stats
 from helpers import random_sparse
 from linfflow.cdsolver import SubproblemSolver
 from linfflow.core import sign_double
+from linfflow.errors import SolverFault
 from linfflow.sampling import BufferedUniforms, CoordSampler, make_rng
 from linfflow.smoothing import (
     LocalSmoothnessParams,
@@ -135,12 +136,17 @@ class TestFoldedSampler:
                     assert fs.weight(jj) == pytest.approx(ds.weight(jj), rel=1e-10)
         assert fs.total_mass() == pytest.approx(ds.total_mass(), rel=1e-10)
 
-    def test_rebind_tracks_fresh_state(self):
+    def test_resync_tracks_recentred_state(self):
         folded, fparams, _, _ = folded_and_doubled(8)
         sampler = CoordSampler(folded, fparams)
+        folded.x[:] = 0.0
+        folded.recenter(folded.b, -folded.b, None)
+        with pytest.raises(SolverFault, match="out of sync"):
+            sampler.sample(BufferedUniforms(make_rng(0)))
+        sampler.resync()
         fresh = SoftmaxState(folded.matrix, folded.b, folded.alpha,
                              x0=np.zeros(folded.matrix.n_cols), b_neg=-folded.b)
-        sampler.rebind(fresh)
+        np.testing.assert_array_equal(folded.w_array(), fresh.w_array())
         dense = sum(local_smoothness(fresh, j, fparams)
                     for j in range(fresh.matrix.n_cols))
         assert sampler.total_mass() == pytest.approx(dense, rel=1e-12)
