@@ -49,12 +49,7 @@ import numpy as np
 from .core import Certificate, residual_dual_bounds, weak_duality_bound
 from .errors import InputError, SolverFault
 from .sampling import BufferedUniforms, CoordSampler, make_rng
-from .smoothing import (
-    REBUILD_DRIFT,
-    LocalSmoothnessParams,
-    SoftmaxState,
-    sum_smoothness_bound,
-)
+from .smoothing import REBUILD_DRIFT, LocalSmoothnessParams, SoftmaxState
 
 # each subproblem stops at an objective gap of eps_iter over this divisor
 INNER_GAP_DIVISOR = 16
@@ -225,35 +220,30 @@ class SubproblemResult:
 class SubproblemSolver:
     """Reusable machinery for the regularized smoothed subproblems of one solve.
 
-    The matrix, alpha, and regularizer geometry are fixed across calls.  The
-    first call builds ``state`` and ``sampler``; later calls move ``state.x``
-    to the warm start, re-centre the state on the new rhs and resync the
-    sampler.  Callers read the iterate and its log-weights from ``state``.
+    The matrix and ``params`` (alpha, the regularizer) are fixed across
+    calls.  The first call builds ``state`` and ``sampler``; later calls move
+    ``state.x`` to the warm start, re-centre the state on the new rhs and
+    resync the sampler.  Callers read the iterate and its log-weights from
+    ``state``.
     """
 
-    def __init__(self, matrix, alpha, params):
+    def __init__(self, matrix, params):
         self.matrix = matrix
-        self.alpha = float(alpha)
         self.params = params
-        self.norm_a = matrix.norm_inf
-        self.s_bound = sum_smoothness_bound(matrix, alpha, params)
         self.state = None
         self.sampler = None
         self.total_steps = 0
         self.moving_steps = 0
 
     def range_bound(self):
-        n, m = self.params.rows, self.matrix.n_cols
-        p = self.params
-        if p.mode == "l2":
-            reg_range = self.alpha * m / (2.0 * p.scale)
-        else:
-            reg_range = self.alpha * float(p.d.sum()) / (2.0 * p.scale)
-        return self.alpha * math.log(max(n, 2)) + 2.0 * self.norm_a + reg_range
+        p, norm_a = self.params, self.matrix.norm_inf
+        reg_range = p.alpha * float(p.d.sum()) / (2.0 * p.scale)
+        return p.alpha * math.log(max(p.rows, 2)) + 2.0 * norm_a + reg_range
 
     def budget(self, gap, fail_prob):
         ratio = max(self.range_bound() / (gap * fail_prob), 2.0)
-        return max(1, math.ceil(2.0 * self.s_bound / self.params.mu * math.log(ratio)))
+        p = self.params
+        return max(1, math.ceil(2.0 * p.mass_bound / p.mu * math.log(ratio)))
 
     def _certificate(self, state, center):
         """Upper bound on the objective gap from the projected gradient."""
@@ -277,7 +267,7 @@ class SubproblemSolver:
         """
         state = self.state
         if state is None:
-            state = self.state = SoftmaxState(self.matrix, b_t, self.alpha,
+            state = self.state = SoftmaxState(self.matrix, b_t, self.params.alpha,
                                               x0=x_start, b_neg=b_neg)
             self.sampler = CoordSampler(state, self.params)
         else:
@@ -318,7 +308,7 @@ def prox_outer_iterate(solver, b, x, logp, eps_iter, fail_prob, uniforms,
     exponents, so the response is a pure normalization.
     """
     n = solver.matrix.n_rows
-    shift = solver.alpha * logp
+    shift = solver.params.alpha * logp
     res = solver.solve(b_t=b - shift[:n], b_neg=-b - shift[n:], center=x, x_start=x,
                        gap=eps_iter / INNER_GAP_DIVISOR, fail_prob=fail_prob,
                        uniforms=uniforms, stop_check=stop_check, ax=ax)
@@ -404,19 +394,16 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
 
     if mode == "l2":
         alpha = max(eps, math.sqrt(s / m) * norm_a)
-    else:
-        alpha = max(eps, math.sqrt(n2 / m) * norm_a)
-
-    if mode == "l2":
         params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
     else:
+        alpha = max(eps, math.sqrt(n2 / m) * norm_a)
         params = LocalSmoothnessParams.diag(matrix, alpha, d_floor=eps / m, rows=n2)
 
     t_planned = math.ceil(2.0 * alpha * (1.0 + math.log(n2)) / eps)
     if max_outer is not None:
         t_planned = min(t_planned, max_outer)
     fail_prob = 1.0 / (max(t_planned, 1) * n2 * n2)
-    solver = SubproblemSolver(matrix, alpha, params)
+    solver = SubproblemSolver(matrix, params)
     x = np.zeros(m) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1, 1)
     logp = np.full(n2, -math.log(n2))
     evaluate = inst.value_at

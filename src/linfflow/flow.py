@@ -1,12 +1,13 @@
 """Max-flow pipeline: congestion approximation, the regression reduction,
 rounding, augmenting paths, and the directed-to-undirected reduction.
 
-The approximate path routes demands by a recursion of box-constrained
-regression solves against a congestion approximator (a maximum-capacity
-spanning tree here, exact on trees), each solved by a certificate-driven
-bisection over the congestion radius.  The regression matrix depends only on
-the tree, so each approximator builds it once; a probe at radius r keeps that
-matrix and divides the rhs by r, since ``max|r A x - b| = r max|A x - b/r|``.
+The approximate path routes demands on undirected graphs by a recursion of
+box-constrained regression solves against a congestion approximator (a
+maximum-capacity spanning tree here, exact on trees), each solved by a
+certificate-driven bisection over the congestion radius.  The regression
+matrix depends only on the tree, so each approximator builds it once; a probe
+at radius r keeps that matrix and divides the rhs by r, since
+``max|r A x - b| = r max|A x - b/r|``.
 The approximator is built over index arrays: the spanning tree comes from
 Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``; Kruskal
 on small graphs), every graph edge's tree path is walked at once, one tree
@@ -15,7 +16,8 @@ level per pass, and the cut capacities are sums of positive terms only
 many orders of magnitude).  Augmenting paths walk the network's CSR incidence
 (``FlowNetwork.incidence``).
 Exact unit-capacity flows follow by scaling to feasibility, rounding the
-fractional flow with cycle cancellation, and finishing with augmenting paths.
+fractional flow with cycle cancellation, and finishing with augmenting paths;
+a digraph is reduced to an undirected graph first.
 A Dinic blocking-flow solver serves as the in-package oracle.
 """
 
@@ -218,10 +220,17 @@ class TreeApproximator:
 ROUTING_SOLVERS = ("cd-l2", "cd-diag", "mirror-prox")
 
 
-def _check_routing_solver(solver):
+def _check_routing_solver(solver, net=None):
+    """Reject a solver that cannot route flows, and a digraph ``net``: the
+    routing regresses against an undirected approximator, so it would let
+    flow run against an arc."""
     if solver not in ROUTING_SOLVERS:
         raise InputError(f"solver {solver} cannot route flows; use one of "
                          + ", ".join(ROUTING_SOLVERS))
+    if net is not None and net.directed:
+        raise InputError("approximate max flow needs an undirected graph: mark "
+                         "an undirected DIMACS file with a 'c undirected' line, "
+                         "or use --solver dinic or exact-flow on a digraph")
 
 
 @dataclass
@@ -252,7 +261,7 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     """
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
-    _check_routing_solver(solver)
+    _check_routing_solver(solver, net)
     d = np.asarray(d, dtype=np.float64)
     rd = approx.apply(d)
     rd_norm = float(np.abs(rd).max()) if len(rd) else 0.0
@@ -341,7 +350,7 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0, approx=None):
     ``TreeApproximator`` of ``net`` to reuse (and its regression matrix with
     it); by default one is built.
     """
-    _check_routing_solver(solver)
+    _check_routing_solver(solver, net)
     d = np.asarray(d, dtype=np.float64)
     if approx is None:
         approx = TreeApproximator(net)
@@ -654,7 +663,10 @@ def directed_reduce(net):
     Every arc (u, v) becomes undirected edges (s, v), (v, u), (u, t) of
     capacity one half; the initial flow pushes one half along each.  Returns
     (undirected network, f_init, recover) where recover maps an undirected
-    max flow back to an integral max flow of the digraph.
+    max flow back to an integral max flow of the digraph.  The undirected
+    network spans s, t and the endpoints of the kept arcs, relabelled in
+    increasing order.  With no arc kept the max flow is 0, and all three are
+    None.
     """
     if not net.directed:
         raise InputError("directed reduction expects a digraph")
@@ -666,18 +678,26 @@ def directed_reduce(net):
     # arcs into the source or out of the sink never carry flow in some maximum
     # flow (drop cycles in a decomposition); dropping them avoids degenerate
     # self-loop legs in the construction
-    kept = [k for k in range(net.m)
-            if int(net.heads[k]) != s and int(net.tails[k]) != t]
+    keep = (net.heads != s) & (net.tails != t)
+    kept = np.flatnonzero(keep).tolist()
+    if not kept:
+        return None, None, None
+    # dropping arcs can isolate vertices; an order-preserving relabelling
+    # keeps every lo < hi orientation below
+    verts = np.unique(np.concatenate(([s, t], net.tails[keep], net.heads[keep])))
+    label = np.zeros(net.n, dtype=np.int64)
+    label[verts] = np.arange(len(verts))
+    s, t = int(label[s]), int(label[t])
     edges = []
     init_along = []  # +1 when f_init follows the stored orientation
     for k in kept:
-        u, v = int(net.tails[k]), int(net.heads[k])
+        u, v = int(label[net.tails[k]]), int(label[net.heads[k]])
         for (a, b) in ((s, v), (v, u), (u, t)):
             lo, hi = (a, b) if a < b else (b, a)
             edges.append((lo, hi, 0.5))
             init_along.append(1.0 if (lo, hi) == (a, b) else -1.0)
     middle_of_arc = [3 * idx + 1 for idx in range(len(kept))]
-    und = FlowNetwork(net.n, edges, directed=False, source=s, sink=t)
+    und = FlowNetwork(len(verts), edges, directed=False, source=s, sink=t)
     f_init = 0.5 * np.array(init_along)
 
     def recover(f_final):
@@ -698,7 +718,7 @@ def directed_reduce(net):
         value = 0.0
         for _ in range(10 * net.m + 10):
             # walk a path s -> t through positive residual diff
-            adj = [[] for _ in range(net.n)]
+            adj = [[] for _ in range(und.n)]
             for e in range(und.m):
                 if abs(resid[e]) > 1e-9:
                     u, v = int(und.tails[e]), int(und.heads[e])
@@ -753,6 +773,8 @@ def exact_unit_maxflow(net, eps=None, solver="cd-l2", seed=0):
         raise InputError("max flow needs designated source and sink")
     if net.directed:
         und, _, recover = directed_reduce(net)
+        if und is None:  # a simple s-t path keeps all its arcs: there is none
+            return augment_to_max(net, np.zeros(net.m))
         # scale to a unit multigraph for the recursive undirected solve
         scaled = FlowNetwork(
             und.n, [(int(u), int(v), 1.0) for u, v in zip(und.tails, und.heads)],

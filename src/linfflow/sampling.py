@@ -187,14 +187,15 @@ def row_tables(matrix, w):
 class CoordSampler:
     """Samples coordinates proportionally to their current smoothness weights.
 
-    The weight of column j decomposes as ``static_j + (8/alpha) * sum_i p_i w_ij``
-    with everything except p precomputed: the static summand uses an alias
-    table; the dynamic summand routes through a row tree and a per-row alias
-    over the ``w_ij``.  A row of A and its mirrored row share their column
-    pattern and their |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) *
-    row_mass_i``.  The ``w_ij`` are computed for every entry at once, over the
-    matrix's row-major arrays, and ``row_tables`` builds each row's alias
-    table and ``row_mass`` from its slice.  The sampler stays in sync with its
+    The weight ``L_j(x) / d_j`` of column j, ``d`` the regularizer weights,
+    decomposes as ``static_j + (8/alpha) * sum_i p_i w_ij`` with everything
+    except p precomputed: the static summand uses an alias table; the dynamic
+    summand routes through a row tree and a per-row alias over the ``w_ij``.
+    A row of A and its mirrored row share their column pattern and their
+    |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) * row_mass_i``.
+    The ``w_ij`` are computed for every entry at once, over the matrix's
+    row-major arrays, and ``row_tables`` builds each row's alias table and
+    ``row_mass`` from its slice.  The sampler stays in sync with its
     SoftmaxState by being the single mutation path (``step``), and by
     ``resync`` after the state is re-centred; sampling with a stale state
     raises.
@@ -207,13 +208,10 @@ class CoordSampler:
         self.static_alias = StaticAlias(params.sample_static)
         self.static_mass = float(params.sample_static.sum())
         self.dyn_coeff = 8.0 / state.alpha
-        # per entry of the row-major arrays: |A_ij| * cm_j (l2), or that over
-        # d_j and 0 where d_j <= 0 (diag)
+        # per entry of the row-major arrays: |A_ij| * cm_j / d_j; an entry in
+        # column j makes cm_j > 0, and every constructor keeps d_j >= cm_j
         cols, vals = matrix.row_entries()
-        w = np.abs(vals) * matrix.col_maxabs[cols]
-        if params.mode != "l2":
-            d = params.d[cols]
-            w = np.where(d > 0, w / np.where(d > 0, d, 1.0), 0.0)
+        w = np.abs(vals) * matrix.col_maxabs[cols] / params.d[cols]
         self.row_alias, self.row_mass = row_tables(matrix, w)
         # Python-list copies for the fused step loop (cdsolver.lcd_steps)
         self._row_mass = self.row_mass.tolist()

@@ -1,11 +1,11 @@
 """Log-sum-exp smoothing of the max residual, with per-coordinate curvature bounds.
 
 The smoothed objective is ``alpha * log(sum_i exp((A x - b)_i / alpha))`` plus a
-quadratic pull toward a center point; two regularizer geometries are supported
-("l2" and a column-weighted "diag" variant).  The max-abs residual is the max
-over the sign-doubled rows ``[A; -A]``; a state keeps such a system folded, one
-weight pair per row of A: ``(A x - b)_i`` and its mirror ``(-A x - b_neg)_i``,
-whose rhs differs once a proximal shift is applied.  Without a mirrored rhs the
+quadratic pull toward a center point, weighted per coordinate by
+``LocalSmoothnessParams``.  The max-abs residual is the max over the
+sign-doubled rows ``[A; -A]``; a state keeps such a system folded, one weight
+pair per row of A: ``(A x - b)_i`` and its mirror ``(-A x - b_neg)_i``, whose
+rhs differs once a proximal shift is applied.  Without a mirrored rhs the
 mirror weights are identically zero and the state is the one-sided smoothing
 of ``A x - b``.
 
@@ -154,34 +154,41 @@ class SoftmaxState:
 class LocalSmoothnessParams:
     """Precomputed pieces of the per-coordinate curvature bounds.
 
+    The regularizer is ``(alpha / scale) * sum_j d_j (x_j - c_j)^2 / 2``, and
+    only the constructors tell the geometries apart: ``l2`` has ``d = 1``,
+    ``scale = s``; ``diag`` the floored column maxima, ``scale = rows * ||A||``.
     ``curvature[j]`` is the regularizer's second derivative along coordinate j;
     ``static_l[j]`` is the x-independent part of the smoothness bound L_j;
-    ``sample_static[j]`` is the static summand of the sampling weight
-    (L_j itself in l2 mode, L_j / d_j in diag mode); ``row_entry_weight``
-    scales |A_ij| inside the dynamic summand.  ``rows`` counts the smoothed
+    ``sample_static[j]`` is ``L_j / d_j``'s static summand, and
+    ``row_entry_weight`` scales |A_ij| inside its dynamic one; ``mass_bound``
+    bounds ``sum_j L_j(x) / d_j`` at every x.  ``rows`` counts the smoothed
     rows: ``2 * n_rows`` when the state folds the sign-doubled system, which
     keeps every size-dependent constant that of the doubled system.
     """
 
-    mode: str
     alpha: float
     scale: float
     rows: int
     curvature: np.ndarray
     static_l: np.ndarray
     sample_static: np.ndarray
-    d: np.ndarray | None = None
+    d: np.ndarray
+    mass_bound: float
 
     @classmethod
     def l2(cls, matrix, alpha, s, rows=None):
         if s <= 0:
             raise InputError("s must be positive")
         m = matrix.n_cols
+        n = matrix.n_rows if rows is None else int(rows)
+        norm_a = matrix.norm_inf
         curv = np.full(m, alpha / s)
         static_l = 16.0 * matrix.col_maxabs / s + alpha / s
-        return cls(mode="l2", alpha=float(alpha), scale=float(s),
-                   rows=matrix.n_rows if rows is None else int(rows),
-                   curvature=curv, static_l=static_l, sample_static=static_l)
+        mass = ((8.0 / alpha) * norm_a ** 2 + 16.0 * min(m, n) * norm_a / s
+                + m * alpha / s)
+        return cls(alpha=float(alpha), scale=float(s), rows=n, curvature=curv,
+                   static_l=static_l, sample_static=static_l, d=np.ones(m),
+                   mass_bound=mass)
 
     @classmethod
     def diag(cls, matrix, alpha, d_floor=0.0, rows=None):
@@ -194,18 +201,16 @@ class LocalSmoothnessParams:
         curv = alpha * d / scale
         static_l = (16.0 * matrix.col_maxabs * d + alpha * d) / scale
         sample_static = np.where(d > 0, static_l / np.where(d > 0, d, 1.0), 0.0)
-        return cls(mode="diag", alpha=float(alpha), scale=float(scale), rows=n,
-                   curvature=curv, static_l=static_l, sample_static=sample_static,
-                   d=d)
+        mass = (8.0 / alpha) * norm_a + float(sample_static.sum())
+        return cls(alpha=float(alpha), scale=float(scale), rows=n, curvature=curv,
+                   static_l=static_l, sample_static=sample_static, d=d,
+                   mass_bound=mass)
 
     def row_entry_weight(self, j, vals):
-        """Weights |A_ij| * colmax_j (l2) or |A_ij| * colmax_j / d_j (diag)."""
+        """Weights |A_ij| * colmax_j / d_j; an entry makes d_j >= colmax_j > 0."""
         vals = np.asarray(vals, dtype=np.float64)
         cm = np.abs(vals).max() if len(vals) else 0.0
-        if self.mode == "l2":
-            return np.abs(vals) * cm
-        dj = self.d[j]
-        return np.abs(vals) * (cm / dj) if dj > 0 else np.abs(vals) * 0.0
+        return np.abs(vals) * (cm / self.d[j])
 
     @property
     def mu(self):
@@ -282,22 +287,5 @@ def hessian_diag_upper(state, j, params):
 def objective_value(state, center, params):
     """Regularized objective: smax plus the quadratic pull toward center."""
     diff = state.x - center
-    if params.mode == "l2":
-        reg = 0.5 * params.mu * float(diff @ diff)
-    else:
-        reg = 0.5 * (params.alpha / params.scale) * float((params.d * diff) @ diff)
+    reg = 0.5 * params.mu * float((params.d * diff) @ diff)
     return float(state.smax()) + reg
-
-
-def sum_smoothness_bound(matrix, alpha, params):
-    """Iterate-independent bound on the total smoothness mass.
-
-    l2 mode bounds sum_j L_j(x); diag mode bounds sum_j L_j(x)/d_j.
-    """
-    norm_a = matrix.norm_inf
-    m = matrix.n_cols
-    n = params.rows
-    if params.mode == "l2":
-        s = params.scale
-        return (8.0 / alpha) * norm_a ** 2 + 16.0 * min(m, n) * norm_a / s + m * alpha / s
-    return (8.0 / alpha) * norm_a + float(params.sample_static.sum())

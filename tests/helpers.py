@@ -67,13 +67,10 @@ def sup_norm_gap(params, delta_x):
     """The subproblem objective gap that puts its point within ``delta_x`` of
     the optimum in the sup norm.
 
-    The subproblem is strongly convex with modulus mu (l2 mode) or
-    (alpha / scale) * min d (diag mode), so a gap of at most half the modulus
-    times delta_x squared bounds the l2 distance, and so the sup-norm
-    distance, by delta_x.
+    The subproblem is strongly convex with modulus (alpha / scale) * min d,
+    so a gap of at most half the modulus times delta_x squared bounds the l2
+    distance, and so the sup-norm distance, by delta_x.
     """
-    if params.mode == "l2":
-        return 0.5 * params.mu * delta_x * delta_x
     d_min = float(params.d.min())
     assert d_min > 0, "diag mode needs a positive d floor"
     return 0.5 * (params.alpha / params.scale) * d_min * delta_x * delta_x

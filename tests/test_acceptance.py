@@ -43,7 +43,6 @@ from linfflow.smoothing import (
     local_smoothness,
     objective_value,
     smax_hessian_diag,
-    sum_smoothness_bound,
 )
 from simplex_maintainer import SimplexMaintainer
 
@@ -119,11 +118,7 @@ def test_criterion_03_trace_bound():
 def _subproblem_opt(matrix2, b2, alpha, params, center, iters=40_000):
     """High-accuracy minimizer of the regularized subproblem (dense oracle)."""
     a = matrix2.to_dense()
-    m = a.shape[1]
-    if params.mode == "l2":
-        curv = np.full(m, params.mu)
-    else:
-        curv = params.curvature
+    curv = params.curvature
     lips = matrix2.norm_inf ** 2 / alpha + float(curv.max())
     x = center.copy()
     for _ in range(iters):
@@ -162,7 +157,7 @@ def test_criterion_04_cd_expected_progress():
         h_star = _subproblem_opt(m2, b2, alpha, params, center)
         # per-coordinate outcomes of one step
         lj = np.array([local_smoothness(st, j, params) for j in range(m)])
-        weights = lj.copy() if mode == "l2" else lj / params.d
+        weights = lj / params.d
         h_next = np.empty(m)
         for j in range(m):
             g = grad_coord(st, j, center, params)
@@ -176,7 +171,7 @@ def test_criterion_04_cd_expected_progress():
         samples = h_next[draws]
         mean = float(samples.mean())
         se = float(samples.std(ddof=1)) / math.sqrt(len(samples))
-        s_bound = sum_smoothness_bound(m2, alpha, params)
+        s_bound = params.mass_bound
         bound = h_star + (1.0 - mu / (2.0 * s_bound)) * (h_x - h_star)
         assert mean <= bound + 3.0 * se + 1e-9, (mode, mean, bound, se)
     report(4, "cd expected progress", time.perf_counter() - start, 120.0)

@@ -131,7 +131,7 @@ class TestSolveSubproblem:
         d, b2 = sign_double(m, m.dot(x_bar))
         alpha = 10.0
         params = LocalSmoothnessParams.l2(d, alpha, 3.0)
-        solver = SubproblemSolver(d, alpha, params)
+        solver = SubproblemSolver(d, params)
         res = solver.solve(b_t=b2, center=x_bar, x_start=x_bar,
                            gap=sup_norm_gap(params, 1e-4),
                            fail_prob=1e-3, uniforms=uniforms(6))
@@ -146,7 +146,7 @@ class TestSolveSubproblem:
         d, b2 = sign_double(m, b)
         alpha, s = 0.5, 2.0
         params = LocalSmoothnessParams.l2(d, alpha, s)
-        solver = SubproblemSolver(d, alpha, params)
+        solver = SubproblemSolver(d, params)
         center = np.zeros(2)
         res = solver.solve(b_t=b2, center=center, x_start=center,
                            gap=sup_norm_gap(params, 1e-4),
@@ -168,7 +168,7 @@ class TestSolveSubproblem:
         m = SparseMatrix.from_triplets([(0, 0, 1.0), (1, 0, -1.0)], 2, 2)
         center = np.array([0.0, 0.25])
         params = LocalSmoothnessParams.l2(m, 1.0, 2.0)
-        solver = SubproblemSolver(m, 1.0, params)
+        solver = SubproblemSolver(m, params)
         res = solver.solve(b_t=np.zeros(2), center=center,
                            x_start=np.array([0.0, -0.8]),
                            gap=sup_norm_gap(params, 1e-6),
@@ -181,7 +181,7 @@ class TestSolveSubproblem:
         m = dense_to_sparse(a)
         d, b2 = sign_double(m, rng.normal(size=4))
         params = LocalSmoothnessParams.l2(d, 0.05, 4.0)
-        solver = SubproblemSolver(d, 0.05, params)
+        solver = SubproblemSolver(d, params)
         solver.budget = lambda gap, fail_prob: 3
         res = solver.solve(b_t=b2, center=np.zeros(4), x_start=np.zeros(4),
                            gap=sup_norm_gap(params, 1e-9), fail_prob=1e-6,
@@ -199,7 +199,7 @@ class TestSolveSubproblem:
             params = LocalSmoothnessParams.l2(d, alpha, 5.0)
         else:
             params = LocalSmoothnessParams.diag(d, alpha, d_floor=0.02)
-        solver = SubproblemSolver(d, alpha, params)
+        solver = SubproblemSolver(d, params)
         center = rng.uniform(-0.5, 0.5, 5)
         gap = sup_norm_gap(params, 1e-3)
         res = solver.solve(b_t=b2, center=center, x_start=np.zeros(5), gap=gap,
@@ -216,7 +216,7 @@ class TestProxOuter:
         steps, ``step(outer, u)`` advances it."""
         n2 = 2 * matrix.n_rows
         params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
-        solver = SubproblemSolver(matrix, alpha, params)
+        solver = SubproblemSolver(matrix, params)
         outer = SimpleNamespace(b=b, x=np.zeros(matrix.n_cols),
                                 logp=np.full(n2, -math.log(n2)), eps_iter=eps / 2)
         return solver, outer
@@ -388,7 +388,6 @@ class TestRateProperties:
         from linfflow.sampling import CoordSampler
         from linfflow.smoothing import (
             LocalSmoothnessParams, SoftmaxState, objective_value,
-            sum_smoothness_bound,
         )
 
         matrix = random_sparse(rng, 4, 4, per_col=2)
@@ -422,7 +421,7 @@ class TestRateProperties:
         keep = gaps > 1e-8
         ks = 10.0 * np.arange(len(gaps))[keep]
         slope = float(np.polyfit(ks, np.log(gaps[keep]), 1)[0])
-        s_bound = sum_smoothness_bound(d, alpha, params)
+        s_bound = params.mass_bound
         mu = alpha / s
         assert slope <= -mu / (4.0 * s_bound), (slope, -mu / (4 * s_bound))
 

@@ -310,7 +310,8 @@ class TestFlowCommands:
     def test_tiny_capacities_route(self, tmp_path, capsys, solver):
         # an absolute residual test of 1e-9 closed every arc: dinic printed 0.0
         path = tmp_path / "tiny.dimacs"
-        path.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 1e-10\na 2 3 1e-10\n")
+        path.write_text("c undirected\np max 3 2\nn 1 s\nn 3 t\n"
+                        "a 1 2 1e-10\na 2 3 1e-10\n")
         code, out, _ = run(capsys, "maxflow", "--input", str(path), "--solver", solver)
         assert code == 0
         assert out.splitlines()[0] == "value 1e-10"
@@ -402,6 +403,41 @@ class TestFlowCommands:
         assert code == 2
         assert out == ""
         assert "solver dinic cannot route flows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("maxflow", "--solver", "cd-l2", "--eps", "0.2"),
+        ("maxflow", "--solver", "cd-diag", "--eps", "0.2"),
+        ("maxflow", "--solver", "mirror-prox", "--eps", "0.2"),
+        ("bench", "--eps-grid", "0.2"),
+    ], ids=["cd-l2", "cd-diag", "mirror-prox", "bench"])
+    def test_routing_rejects_digraph(self, tmp_path, capsys, argv):
+        # routed as undirected, arc 3->2 carried flow -1 and the value read 2.0
+        path = tmp_path / "dig.dimacs"
+        path.write_text("p max 3 3\nn 1 s\nn 3 t\na 1 2 1\na 3 2 1\na 1 3 1\n")
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        for hint in ("c undirected", "--solver dinic", "exact-flow"):
+            assert hint in err
+        for command in (("maxflow", "--solver", "dinic"), ("exact-flow",)):
+            code, out, _ = run(capsys, *command, "--input", str(path))
+            assert code == 0
+            assert out.splitlines()[0] == "value 1.0"
+
+    @pytest.mark.parametrize("arcs, expect", [
+        ("p max 3 2\nn 1 s\nn 2 t\na 1 2 1\na 3 1 1\n", 1.0),  # 3 isolated
+        ("p max 2 1\nn 1 s\nn 2 t\na 2 1 1\n", 0.0),  # no arc kept
+    ], ids=["isolated-vertex", "no-arc-kept"])
+    def test_exact_flow_on_digraph_reduced_apart(self, tmp_path, capsys, arcs, expect):
+        # dropping arcs into s and out of t left the reduction disconnected
+        path = tmp_path / "dig.dimacs"
+        path.write_text(arcs)
+        values = []
+        for command in (("maxflow", "--solver", "dinic"), ("exact-flow",)):
+            code, out, err = run(capsys, *command, "--input", str(path))
+            assert code == 0, err
+            values.append(out.splitlines()[0])
+        assert values == [f"value {expect!r}"] * 2
 
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     @pytest.mark.parametrize("eps", ["7", "0", "1", "nan"])

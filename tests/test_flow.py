@@ -600,6 +600,23 @@ class TestDirectedReduce:
         assert out.value == pytest.approx(dinic_oracle(net).value)
         assert (out.flow >= -1e-9).all()
 
+    def test_vertices_left_without_arcs_are_dropped(self):
+        # arc 3->1 enters s: dropping it isolates vertex 2 (0-indexed)
+        net = FlowNetwork(3, [(0, 1, 1.0), (2, 0, 1.0)], directed=True,
+                          source=0, sink=1)
+        und, f_init, recover = directed_reduce(net)
+        assert (und.n, und.m, und.source, und.sink) == (2, 3, 0, 1)
+        assert (und.tails < und.heads).all()
+        assert dinic_oracle(und).value == pytest.approx(1.5)
+        assert exact_unit_maxflow(net, seed=0).value == 1.0
+
+    def test_no_kept_arc(self):
+        net = FlowNetwork(2, [(1, 0, 1.0)], directed=True, source=0, sink=1)
+        assert directed_reduce(net)[0] is None
+        out = exact_unit_maxflow(net, seed=0)
+        assert out.value == 0.0
+        np.testing.assert_array_equal(out.flow, [0.0])
+
     def test_reduction_value_identity(self):
         rng = np.random.default_rng(8)
         for k in range(5):
@@ -618,6 +635,14 @@ class TestExactPipeline:
         net = FlowNetwork(2, [(0, 1, 1.0)], source=0, sink=1)
         with pytest.raises(InputError, match=f"solver {solver} cannot route flows"):
             exact_unit_maxflow(net, solver=solver)
+
+    def test_routing_rejects_digraph(self):
+        net = FlowNetwork(3, [(0, 1, 1.0), (2, 1, 1.0), (0, 2, 1.0)], directed=True,
+                          source=0, sink=2)
+        with pytest.raises(InputError, match="c undirected"):
+            flow_to_regress(net, net.st_demand(1.0), 0.2)
+        with pytest.raises(InputError, match="c undirected"):
+            almost_route(net, net.st_demand(1.0), TreeApproximator(net), 0.2)
 
     def test_star_variants(self):
         net = FlowNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True,

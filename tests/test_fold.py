@@ -169,9 +169,9 @@ class TestFoldedCertificate:
     def test_certificate_matches_doubled(self, mode):
         folded, fparams, doubled, dparams = folded_and_doubled(10, mode=mode)
         center = np.zeros(folded.matrix.n_cols)
-        fsolver = SubproblemSolver(folded.matrix, folded.alpha, fparams)
-        dsolver = SubproblemSolver(doubled.matrix, doubled.alpha, dparams)
+        fsolver = SubproblemSolver(folded.matrix, fparams)
+        dsolver = SubproblemSolver(doubled.matrix, dparams)
         assert fsolver._certificate(folded, center) == pytest.approx(
             dsolver._certificate(doubled, center), rel=1e-10, abs=1e-12)
         assert fsolver.range_bound() == dsolver.range_bound()
-        assert fsolver.s_bound == dsolver.s_bound
+        assert fparams.mass_bound == dparams.mass_bound

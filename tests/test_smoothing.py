@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff_grad, dense_to_sparse, random_sparse
+from linfflow.cdsolver import SubproblemSolver
 from linfflow.core import sign_double
+from linfflow.sampling import CoordSampler, row_tables
 from linfflow.smoothing import (
     LocalSmoothnessParams,
     SoftmaxState,
@@ -17,7 +19,6 @@ from linfflow.smoothing import (
     local_smoothness,
     objective_value,
     smax_hessian_diag,
-    sum_smoothness_bound,
 )
 
 
@@ -186,12 +187,65 @@ class TestLocalSmoothness:
         m = random_sparse(rng, 10, 12, per_col=3)
         alpha, s = 0.7, 5.0
         params = LocalSmoothnessParams.l2(m, alpha, s)
-        bound = sum_smoothness_bound(m, alpha, params)
+        bound = params.mass_bound
         for _ in range(20):
             st_ = SoftmaxState(m, rng.normal(size=10), alpha,
                                x0=rng.uniform(-1, 1, 12))
             total = sum(local_smoothness(st_, j, params) for j in range(12))
             assert total <= bound * (1 + 1e-12)
+
+
+class TestL2IsUnitDiag:
+    """The l2 geometry is the weighted one with unit weights: each consumer's
+    one formula gives the l2 closed forms bit for bit."""
+
+    def cases(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            matrix = random_sparse(rng, n, m, per_col=int(rng.integers(1, 6)),
+                                   scale=float(10.0 ** rng.uniform(-3, 3)))
+            alpha = float(10.0 ** rng.uniform(-2, 1))
+            s = float(rng.uniform(0.5, 2.0 * m))
+            rows = n if rng.random() < 0.5 else 2 * n
+            yield rng, matrix, alpha, s, LocalSmoothnessParams.l2(matrix, alpha, s,
+                                                                  rows=rows)
+
+    def test_unit_weights_and_mass_bound(self):
+        for _, matrix, alpha, s, params in self.cases():
+            m, n, norm_a = matrix.n_cols, params.rows, matrix.norm_inf
+            assert params.d.dtype == np.float64
+            assert np.array_equal(params.d, np.ones(m))
+            assert params.mass_bound == ((8.0 / alpha) * norm_a ** 2
+                                         + 16.0 * min(m, n) * norm_a / s + m * alpha / s)
+
+    def test_range_bound(self):
+        for _, matrix, alpha, s, params in self.cases():
+            m, n, norm_a = matrix.n_cols, params.rows, matrix.norm_inf
+            assert SubproblemSolver(matrix, params).range_bound() == (
+                alpha * math.log(max(n, 2)) + 2.0 * norm_a + alpha * m / (2.0 * s))
+
+    def test_objective_value(self):
+        for rng, matrix, alpha, s, params in self.cases():
+            m = matrix.n_cols
+            st_ = SoftmaxState(matrix, rng.normal(size=matrix.n_rows), alpha,
+                               x0=rng.uniform(-1, 1, m))
+            center = rng.uniform(-1, 1, m)
+            diff = st_.x - center
+            assert objective_value(st_, center, params) == (
+                float(st_.smax()) + 0.5 * params.mu * float(diff @ diff))
+
+    def test_sampler_entry_weights(self):
+        for rng, matrix, alpha, s, params in self.cases():
+            st_ = SoftmaxState(matrix, rng.normal(size=matrix.n_rows), alpha)
+            sampler = CoordSampler(st_, params)
+            cols, vals = matrix.row_entries()
+            _, mass = row_tables(matrix, np.abs(vals) * matrix.col_maxabs[cols])
+            assert np.array_equal(sampler.row_mass, mass)
+            for j in range(matrix.n_cols):
+                _, col_vals = matrix.col(j)
+                assert np.array_equal(params.row_entry_weight(j, col_vals),
+                                      np.abs(col_vals) * np.abs(col_vals).max())
 
 
 class TestTraceBound:
