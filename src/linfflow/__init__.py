@@ -71,12 +71,7 @@ from .sampling import (
     make_rng,
 )
 from .simplexmaint import ReferenceSimplex
-from .smoothing import (
-    LocalSmoothnessParams,
-    SoftmaxState,
-    grad_coord,
-    local_smoothness,
-)
+from .smoothing import LocalSmoothnessParams, SoftmaxState
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

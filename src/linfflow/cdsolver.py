@@ -36,7 +36,7 @@ The steps between two certificate checks run in one call of ``lcd_steps``, a
 fused kernel that inlines the sampler draw, the column scan, the clamped step,
 the weight-pair update and the tree refresh over local Python lists.  It
 leaves every cache, counter and random draw exactly as the step-by-step
-primitives in ``sampling`` and ``smoothing`` would.
+primitives in ``sampling`` and ``tests/reference_steps.py`` would.
 """
 
 from __future__ import annotations
@@ -65,12 +65,13 @@ def lcd_steps(state, sampler, center, uniforms, count):
 
     The iterate, its softmax caches, the sampler tree with its counters and the
     uniform cursor end exactly as ``CoordSampler.sample``, ``grad_coord`` /
-    ``local_smoothness``, the clamp and ``CoordSampler.step`` leave them one
-    step at a time.  Their bodies are inlined here over local lists, because
-    the call chain cost more than the O(c) work of a step.  The kernel is the
-    only mutator while it runs, so the sync check is made once, at entry; a
-    drift rebuild writes x back, rebuilds the state and resyncs the sampler.
-    ``center`` is any float sequence (a list is fastest).
+    ``local_smoothness`` (test oracles in ``tests/reference_steps.py``), the
+    clamp and ``CoordSampler.step`` leave them one step at a time.  Their
+    bodies are inlined here over local lists, because the call chain cost
+    more than the O(c) work of a step.  The kernel is the only mutator while
+    it runs, so the sync check is made once, at entry; a drift rebuild writes
+    x back, rebuilds the state and resyncs the sampler.  ``center`` is any
+    float sequence (a list is fastest).
     """
     if sampler.state is not state or state.version != sampler._synced_version:
         raise SolverFault("sampler out of sync with its softmax state")

@@ -25,6 +25,7 @@ from .core import (
 from .errors import InfeasibleError, InputError, SolverFault
 from .flow import (
     TreeApproximator,
+    _check_routing_solver,
     augment_to_max,
     dinic_oracle,
     exact_unit_maxflow,
@@ -196,6 +197,7 @@ def _run_bench(args):
     fmt = _sniff_format(args.input, args.format)
     if fmt == "dimacs":
         net = _flow_common(args)
+        _check_routing_solver(args.solver, net)  # as flow_to_regress would, but first
         approx = TreeApproximator(net)  # and its regression matrix, for every row
     else:
         matrix, b = read_matrix_file(args.input)
@@ -274,15 +276,16 @@ def _run_verify(args):
         dv = dinic_oracle(net).value
         av = augment_to_max(net, np.zeros(net.m)).value
         report("dinic-vs-augmenting", abs(dv - av) <= 1e-9 * max(dv, av))
-        approx = TreeApproximator(net)
-        d = net.st_demand(1.0)
-        f_tree = approx.tree_route(d)
-        report("tree-routes-exactly",
-               bool(np.allclose(incidence_apply(net, f_tree), d, atol=1e-9)))
-        rd = float(np.abs(approx.apply(d)).max())
-        cong = float(np.abs(f_tree / net.caps).max())
-        report("approximator-sandwich", rd <= cong * (1.0 + 1e-9)
-               and cong <= approx.alpha * rd * (1.0 + 1e-9))
+        if not net.directed:  # no command routes a digraph on an approximator
+            approx = TreeApproximator(net)
+            d = net.st_demand(1.0)
+            f_tree = approx.tree_route(d)
+            report("tree-routes-exactly",
+                   bool(np.allclose(incidence_apply(net, f_tree), d, atol=1e-9)))
+            rd = float(np.abs(approx.apply(d)).max())
+            cong = float(np.abs(f_tree / net.caps).max())
+            report("approximator-sandwich", rd <= cong * (1.0 + 1e-9)
+                   and cong <= approx.alpha * rd * (1.0 + 1e-9))
     return 3 if failures else 0
 
 

@@ -773,7 +773,7 @@ def exact_unit_maxflow(net, eps=None, solver="cd-l2", seed=0):
         raise InputError("max flow needs designated source and sink")
     if net.directed:
         und, _, recover = directed_reduce(net)
-        if und is None:  # a simple s-t path keeps all its arcs: there is none
+        if und is None:  # no arc kept: each enters s or leaves t, so the max flow is 0
             return augment_to_max(net, np.zeros(net.m))
         # scale to a unit multigraph for the recursive undirected solve
         scaled = FlowNetwork(

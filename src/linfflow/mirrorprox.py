@@ -38,7 +38,10 @@ can finish (its length grows with n), numpy's per-call overhead on 2- to
 a few hundred rows the interpreted O(n) passes start to cost more than
 numpy's would (CHANGES.md).  ``sample_pj`` is the reference draw the kernel
 is tested against; ``simplexmaint.ReferenceSimplex`` over the doubled rows
-is the reference recursion.  The paper's implicit structure for the dual,
+is the reference recursion.  The plain phase, which runs to its drawn
+length with no in-phase check, is a test oracle in
+``tests/reference_steps.py``, and the dense law y over the doubled rows is
+``tests/helpers.doubled_law``.  The paper's implicit structure for the dual,
 ``SimplexMaintainer``, was measured slower at every size tried (CHANGES.md);
 it is kept as a tested reference under ``tests/``, not in the package.
 """
@@ -153,11 +156,6 @@ class PhaseState:
         self.c = config.eps / (4.0 * config.kappa * max(math.log(2 * n), 1.0))
         self.delta = (b - matrix.dot(self.x)) / config.kappa
         self.iteration = 0
-
-    def exact_y(self):
-        """The law y over the 2n rows of ``[A; -A]``: the rows of A, then the mirrors."""
-        y = np.concatenate(_signed_exp(self.u))
-        return y / y.sum()
 
 
 def _signed_exp(u, power=1.0):
@@ -385,13 +383,13 @@ def aggregate_point(phase):
     return x_out, u_out
 
 
-def run_phase(phase, t_star, uniforms, stop=None):
-    """Run t_star - 1 iterations, then materialize the aggregate point.
+def run_phase(phase, t_star, uniforms, stop):
+    """Run up to t_star - 1 iterations, checking ``stop`` on aggregate points.
 
-    Returns ``aggregate_point(phase)`` after the last iteration run.  With a
-    ``stop`` predicate the iterations run in chunks: the aggregate point is
-    formed after 64 iterations, then after every further ``max(64, done // 4)``
-    and at t_star, so a phase makes O(log t_star) checks and runs at most
+    Returns ``aggregate_point(phase)`` after the last iteration run.  The
+    iterations run in chunks: the aggregate point is formed after 64
+    iterations, then after every further ``max(64, done // 4)`` and at
+    t_star, so a phase makes O(log t_star) checks and runs at most
     max(64, 25%) past the first iterate that would pass.  ``stop(x_out,
     u_out)`` is called on each, and the phase ends at the first where it
     holds; ``phase.iteration`` counts the iterations run.  Chunking leaves
@@ -399,9 +397,6 @@ def run_phase(phase, t_star, uniforms, stop=None):
     that never holds changes nothing.
     """
     count = t_star - 1
-    if stop is None:
-        phase_iterates(phase, uniforms, count)
-        return aggregate_point(phase)
     done = 0
     while True:
         chunk = min(max(64, done // 4), count - done)

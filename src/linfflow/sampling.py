@@ -10,10 +10,13 @@ randomness flows through counter-based Philox generators keyed by
 (seed, stream), so every run is replayable.
 
 ``CoordSampler.sample`` and ``CoordSampler.step`` are the reference
-primitives, and the baselines and the law tests call them.  The prox-CD hot
-loop (``cdsolver.lcd_steps``) inlines both over the same tables, with the same
-draws in the same order; for it the sampler keeps Python-list copies of the
-row masses and the curvature parameters.
+primitives, and the law tests call them; the baselines draw from a
+``StaticAlias`` only.  The prox-CD hot loop (``cdsolver.lcd_steps``) inlines
+both over the same tables, with the same draws in the same order; for it the
+sampler keeps Python-list copies of the row masses and the curvature
+parameters.  No solver reads a column's weight or the total mass on its
+own: those step-by-step forms (``sampler_weight``, ``total_mass``,
+``tree_total``) are test oracles in ``tests/reference_steps.py``.
 """
 
 from __future__ import annotations
@@ -80,10 +83,6 @@ class DynamicTree:
         self.nodes = nodes
         self.touched_nodes = 0
         self.update_count = 0
-
-    @property
-    def total(self):
-        return self.nodes[1]
 
     def update(self, i, weight):
         """Set leaf i; refreshes the ancestor sums along one path.
@@ -244,18 +243,11 @@ class CoordSampler:
             update(i, (expw[i] + expw_neg[i]) * mass[i])
         self._synced_version = state.version
 
-    def dynamic_mass(self):
-        return self.dyn_coeff * self.tree.total / self.state.z
-
-    def total_mass(self):
-        """Current sum of sampling weights over all columns."""
-        return self.static_mass + self.dynamic_mass()
-
     def sample(self, uniforms):
         """Draw a column index j proportionally to its current weight."""
         if self.state.version != self._synced_version:
             raise SolverFault("sampler out of sync with its softmax state")
-        dyn = self.dyn_coeff * self.tree.total
+        dyn = self.dyn_coeff * self.tree.nodes[1]
         stat = self.static_mass * self.state.z
         if stat <= 0 and dyn <= 0:
             raise SolverFault("sampler has zero total mass")
@@ -264,16 +256,3 @@ class CoordSampler:
         i = self.tree.sample(uniforms)
         cols, alias = self.row_alias[i]
         return cols[alias.sample(uniforms)]
-
-    def weight(self, j):
-        """Current sampling weight of column j (matches the drawn law exactly)."""
-        rows, vals = self.state.matrix.col(j)
-        if len(rows) == 0:
-            dyn = 0.0
-        else:
-            w = self.params.row_entry_weight(j, vals)
-            expw, expw_neg = self.state.expw, self.state.expw_neg
-            p = np.array([expw[int(i)] + expw_neg[int(i)] for i in rows]) / self.state.z
-            dyn = self.dyn_coeff * float(w @ p)
-        return dyn + float(self.params.sample_static[j])
-

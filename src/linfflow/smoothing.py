@@ -18,6 +18,11 @@ hygiene).
 The per-row caches are plain Python lists: coordinate steps touch only a
 handful of entries, where list indexing beats numpy call overhead by an order
 of magnitude.  Dense views are materialized on demand.
+
+The coordinate gradient and the curvature bound L_j(x) are computed only
+inside the fused kernel ``cdsolver.lcd_steps``; their step-by-step forms
+(``grad_coord``, ``local_smoothness``, the Hessian-diagonal bounds and
+``objective_value``) are test oracles in ``tests/reference_steps.py``.
 """
 
 from __future__ import annotations
@@ -159,8 +164,8 @@ class LocalSmoothnessParams:
     ``scale = s``; ``diag`` the floored column maxima, ``scale = rows * ||A||``.
     ``curvature[j]`` is the regularizer's second derivative along coordinate j;
     ``static_l[j]`` is the x-independent part of the smoothness bound L_j;
-    ``sample_static[j]`` is ``L_j / d_j``'s static summand, and
-    ``row_entry_weight`` scales |A_ij| inside its dynamic one; ``mass_bound``
+    ``sample_static[j]`` is ``L_j / d_j``'s static summand, and its dynamic
+    one weighs |A_ij| by ``colmax_j / d_j``; ``mass_bound``
     bounds ``sum_j L_j(x) / d_j`` at every x.  ``rows`` counts the smoothed
     rows: ``2 * n_rows`` when the state folds the sign-doubled system, which
     keeps every size-dependent constant that of the doubled system.
@@ -206,86 +211,8 @@ class LocalSmoothnessParams:
                    static_l=static_l, sample_static=sample_static, d=d,
                    mass_bound=mass)
 
-    def row_entry_weight(self, j, vals):
-        """Weights |A_ij| * colmax_j / d_j; an entry makes d_j >= colmax_j > 0."""
-        vals = np.asarray(vals, dtype=np.float64)
-        cm = np.abs(vals).max() if len(vals) else 0.0
-        return np.abs(vals) * (cm / self.d[j])
-
     @property
     def mu(self):
         """Strong convexity of the regularized objective in its own norm."""
         return self.alpha / self.scale
 
-
-def grad_coord(state, j, center, params):
-    """Partial derivative of the regularized objective along coordinate j."""
-    rows, vals = state._cols[j]
-    expw, expw_neg = state.expw, state.expw_neg
-    acc = 0.0
-    for k in range(len(rows)):
-        i = rows[k]
-        acc += vals[k] * (expw[i] - expw_neg[i])
-    return acc / state.z + float(params.curvature[j]) * (state.x[j] - center[j])
-
-
-def local_smoothness(state, j, params):
-    """Curvature bound valid over the step a coordinate iteration takes from x.
-
-    Never smaller than the regularizer curvature along j.
-    """
-    rows, vals = state._cols[j]
-    if rows:
-        expw, expw_neg = state.expw, state.expw_neg
-        acc = 0.0
-        cm = 0.0
-        for k in range(len(rows)):
-            i = rows[k]
-            v = vals[k]
-            av = v if v >= 0 else -v
-            if av > cm:
-                cm = av
-            acc += av * (expw[i] + expw_neg[i])
-        dyn = (8.0 / state.alpha) * cm * acc / state.z
-    else:
-        dyn = 0.0
-    return dyn + float(params.static_l[j])
-
-
-def smax_hessian_diag(state, j):
-    """Exact second derivative of the smoothed residual alone along coordinate j."""
-    rows, vals = state._cols[j]
-    if not rows:
-        return 0.0
-    expw, expw_neg = state.expw, state.expw_neg
-    first = 0.0
-    second = 0.0
-    for k in range(len(rows)):
-        i = rows[k]
-        p, p_neg = expw[i] / state.z, expw_neg[i] / state.z
-        first += vals[k] * vals[k] * (p + p_neg)
-        second += vals[k] * (p - p_neg)
-    return (first - second * second) / state.alpha
-
-
-def hessian_diag_upper(state, j, params):
-    """Upper envelope (1/alpha) * sum_i A_ij^2 (p_i + p_neg_i) plus the
-    regularizer curvature.
-
-    This is the bound the smoothness certificates are checked against; it
-    dominates the exact diagonal.
-    """
-    rows, vals = state._cols[j]
-    quad = 0.0
-    expw, expw_neg = state.expw, state.expw_neg
-    for k in range(len(rows)):
-        i = rows[k]
-        quad += vals[k] * vals[k] * (expw[i] + expw_neg[i])
-    return quad / (state.z * state.alpha) + float(params.curvature[j])
-
-
-def objective_value(state, center, params):
-    """Regularized objective: smax plus the quadratic pull toward center."""
-    diff = state.x - center
-    reg = 0.5 * params.mu * float((params.d * diff) @ diff)
-    return float(state.smax()) + reg

@@ -30,18 +30,17 @@ from linfflow.mirrorprox import (
     MirrorProxConfig,
     PhaseState,
     phase_iterates,
-    run_phase,
     solve_flow_regress,
 )
 from linfflow.sampling import BufferedUniforms, make_rng
 from linfflow.simplexmaint import ReferenceSimplex
-from linfflow.smoothing import (
-    LocalSmoothnessParams,
-    SoftmaxState,
+from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState
+from reference_steps import (
     grad_coord,
     hessian_diag_upper,
     local_smoothness,
     objective_value,
+    plain_phase,
     smax_hessian_diag,
 )
 from simplex_maintainer import SimplexMaintainer
@@ -228,7 +227,7 @@ def _mirror_prox_count(matrix, b, opt, eps, seed, check=25):
             if total % check == 0:
                 if float(np.abs(matrix.dot(phase.x) - b).max()) <= target:
                     return total
-        x_out, u_out = run_phase(phase, 1, u)
+        x_out, u_out = plain_phase(phase, 1, u)
         phase = PhaseState(matrix, b, cfg, x0=x_out, u0=u_out)
     return total
 
@@ -356,7 +355,7 @@ def test_criterion_08_phase_halving():
             phase = PhaseState(matrix, b, cfg)
             v_in = div(phase.x, np.full(n2, 1.0 / n2))
             t_star = int(rng_k.integers(1, cfg.t_per_phase + 1))
-            x_out, u_out = run_phase(phase, t_star, u)
+            x_out, u_out = plain_phase(phase, t_star, u)
             ratios.append(div(x_out, doubled_law(u_out)) / v_in)
         mean_ratio = float(np.mean(ratios))
         assert mean_ratio <= 0.6, f"mean divergence ratio {mean_ratio:.3f}"

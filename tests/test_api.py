@@ -15,8 +15,8 @@ EXPORTS = [
     "SubproblemSolver", "TreeApproximator", "almost_route", "augment_to_max",
     "baselines", "cdsolver", "core", "dinic_oracle", "directed_reduce",
     "errors", "exact_unit_maxflow", "flow", "flow_to_regress",
-    "gd_general_norm", "grad_coord", "graphs", "incidence_apply", "lcd_steps",
-    "local_smoothness", "make_rng", "mirrorprox", "phase_iterates", "plain_cd",
+    "gd_general_norm", "graphs", "incidence_apply", "lcd_steps",
+    "make_rng", "mirrorprox", "phase_iterates", "plain_cd",
     "prox_outer_iterate", "read_dimacs",
     "read_matrix_file", "reduce_to_unit_box", "round_to_integral", "run_phase",
     "sample_pj", "sampling", "sign_double", "simplexmaint", "smoothing",

@@ -23,7 +23,8 @@ from linfflow.cdsolver import (
 from linfflow.core import RegressionInstance, SparseMatrix, sign_double
 from linfflow.errors import SolverFault
 from linfflow.sampling import BufferedUniforms, CoordSampler, make_rng
-from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState, objective_value
+from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState
+from reference_steps import grad_coord, local_smoothness, objective_value
 
 
 def uniforms(seed=0, stream=0):
@@ -104,7 +105,6 @@ class TestLcdStep:
         alpha, s = 0.6, 4.0
         it = make_iterate(d, b2, alpha=alpha, s=s)
         u = uniforms(5)
-        from linfflow.smoothing import grad_coord, local_smoothness
 
         for _ in range(200):
             before = objective_value(it.state, it.center, it.params)
@@ -386,9 +386,6 @@ class TestRateProperties:
         rng = np.random.default_rng(77)
         from helpers import random_sparse
         from linfflow.sampling import CoordSampler
-        from linfflow.smoothing import (
-            LocalSmoothnessParams, SoftmaxState, objective_value,
-        )
 
         matrix = random_sparse(rng, 4, 4, per_col=2)
         b = rng.normal(size=4) * 0.5

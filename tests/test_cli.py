@@ -536,6 +536,20 @@ class TestBench:
         assert len(builds) == 1
         assert out == "\n".join(expected) + "\n"
 
+    def test_digraph_rejected_before_the_tree_build(self, tmp_path, capsys,
+                                                    monkeypatch):
+        path = tmp_path / "dig.dimacs"
+        path.write_text("p max 3 3\nn 1 s\nn 3 t\na 1 2 1\na 3 2 1\na 1 3 1\n")
+
+        def refuse(self, net):
+            raise AssertionError("bench built a TreeApproximator of a digraph")
+
+        monkeypatch.setattr(TreeApproximator, "__init__", refuse)
+        code, out, err = run(capsys, "bench", "--input", str(path), "--eps-grid", "0.2")
+        assert code == 2
+        assert out == ""
+        assert "approximate max flow needs an undirected graph" in err
+
     def test_bad_eps_rejected(self, identity_instance, capsys):
         code, _, err = run(capsys, "bench", "--input", identity_instance,
                            "--eps-grid", "2.0")
@@ -578,6 +592,15 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--input", path)
             assert code == 0
             assert out.splitlines() == [f"check {name} ok" for name in names]
+
+    def test_digraph_checks_are_pinned(self, tmp_path, capsys):
+        # no command routes a digraph on a TreeApproximator, so verify builds none
+        path = tmp_path / "dig.dimacs"
+        path.write_text("p max 3 3\nn 1 s\nn 3 t\na 1 2 1\na 3 2 1\na 1 3 1\n")
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert out.splitlines() == ["check incidence-apply ok",
+                                    "check dinic-vs-augmenting ok"]
 
     def test_matrix_checks(self, identity_instance, capsys):
         code, out, _ = run(capsys, "verify", "--input", identity_instance)

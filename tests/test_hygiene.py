@@ -4,7 +4,9 @@ scipy and networkx serve the tests as oracles only, so the package imports
 numpy and the standard library alone.  Every ``def`` and ``class`` in the
 package is referred to by name somewhere in ``src/``, ``tests/`` or
 ``linfbench/``, other than by its own definition: a helper nothing names is
-dead code.
+dead code.  A module-level function or class must moreover be named from the
+package itself (``__init__.py`` aside) or from ``linfbench/``: one that only
+tests name is a test oracle, and it belongs under ``tests/``.
 
 A method is referred to by an attribute read ``r.m`` of its name.  When
 several types have an attribute of that name (two classes define it, or
@@ -246,6 +248,24 @@ def test_every_definition_is_referenced():
         elif not reads[name]:
             unreferenced.append(f"{module}.{cls}.{name}")
     assert unreferenced == []
+
+
+# module-level definitions that only tests name, kept in the package on purpose
+TEST_ONLY_NAMES = (
+    "reduce_to_unit_box", "write_matrix_file",  # library entry points
+    "sample_pj", "ReferenceSimplex",  # span names the benchmark still reads
+)
+
+
+def test_no_definition_serves_only_the_tests():
+    trees = [parse(path) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    trees += [parse(path) for path in sorted((ROOT / "linfbench").rglob("*.py"))
+              if "out" not in path.relative_to(ROOT / "linfbench").parts]
+    names = set().union(*(mentioned(tree) for tree in trees))
+    test_only = [f"{module}.{name}" for module, cls, name in package_definitions()
+                 if cls is None and name not in names and name not in TEST_ONLY_NAMES]
+    assert test_only == []
 
 
 def test_every_cli_flag_is_read_by_its_command():

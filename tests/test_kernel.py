@@ -1,9 +1,10 @@
 """The fused coordinate-step kernel against the step-by-step primitives.
 
 ``lcd_steps`` inlines ``CoordSampler.sample``, ``grad_coord`` /
-``local_smoothness``, the clamp and ``CoordSampler.step``.  These tests drive
-two identical setups, one through the kernel and one through the primitives,
-and require the two to end bit for bit alike.
+``local_smoothness`` (``reference_steps``), the clamp and
+``CoordSampler.step``.  These tests drive two identical setups, one through
+the kernel and one through the primitives, and require the two to end bit
+for bit alike.
 """
 
 import numpy as np
@@ -14,12 +15,8 @@ from linfflow.cdsolver import lcd_steps, solve_box_linf
 from linfflow.core import RegressionInstance, SparseMatrix
 from linfflow.errors import InputError, SolverFault
 from linfflow.sampling import BufferedUniforms, CoordSampler, make_rng
-from linfflow.smoothing import (
-    LocalSmoothnessParams,
-    SoftmaxState,
-    grad_coord,
-    local_smoothness,
-)
+from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState
+from reference_steps import grad_coord, local_smoothness
 
 
 def reference_step(state, sampler, center, uniforms):

@@ -29,6 +29,7 @@ from linfflow.mirrorprox import (
     solve_flow_regress,
 )
 from linfflow.sampling import BufferedUniforms, StaticAlias, make_rng
+from reference_steps import plain_phase
 
 
 def uniforms(seed=0, stream=0):
@@ -163,7 +164,7 @@ class TestSamplePj:
             psum[j] = pj
         # dense law: same mixture computed from the exact y; a row of A and
         # its mirror share q_ij
-        y = phase.exact_y()
+        y = doubled_law(phase.u)
         sq = np.sqrt(y)
         pair = sq[:6] + sq[6:]
         p_dyn = np.zeros(9)
@@ -195,7 +196,7 @@ class TestPhaseIterate:
         m = SparseMatrix.from_triplets([(0, 0, 0.5)], 1, 1)
         phase, cfg = make_phase(m, np.array([0.3]), eps=0.25, s=1.0)
         kappa, eps, s = cfg.kappa, cfg.eps, cfg.s
-        y = phase.exact_y()
+        y = doubled_law(phase.u)
         a_col = np.array([0.5, -0.5])
         ay = float(a_col @ y)
         g = (ay + 0.0) / (kappa * 1.0)
@@ -238,10 +239,10 @@ class TestPhaseIterate:
         matrix, b = flow_shaped(rng, 4, 6)
         phase, cfg = make_phase(matrix, b, eps=0.3)
         u = uniforms(8)
-        y_prev = phase.exact_y()
+        y_prev = doubled_law(phase.u)
         for _ in range(200):
             phase_iterates(phase, u, 1)
-            y_now = phase.exact_y()
+            y_now = doubled_law(phase.u)
             assert (y_now / y_prev).max() <= 8.0
             y_prev = y_now
 
@@ -315,7 +316,7 @@ class TestRunPhase:
     def test_t_star_one_zero_rhs_fixed_point(self):
         m = SparseMatrix.from_triplets([(0, 0, 0.5), (1, 1, 0.5)], 2, 2)
         phase, _ = make_phase(m, np.zeros(2), eps=0.25)
-        x_out, u_out = run_phase(phase, t_star=1, uniforms=uniforms(10))
+        x_out, u_out = plain_phase(phase, t_star=1, uniforms=uniforms(10))
         np.testing.assert_allclose(x_out, 0.0, atol=1e-12)
         np.testing.assert_allclose(u_out, 0.0, atol=1e-12)
 
@@ -323,7 +324,7 @@ class TestRunPhase:
         rng = np.random.default_rng(11)
         matrix, b = flow_shaped(rng, 3, 5)
         phase, cfg = make_phase(matrix, b, eps=0.4)
-        x_out, u_out = run_phase(phase, t_star=50, uniforms=uniforms(11))
+        x_out, u_out = plain_phase(phase, t_star=50, uniforms=uniforms(11))
         assert (np.abs(x_out) <= 1.0).all()
         assert u_out.shape == (3,) and np.isfinite(u_out).all()
         y_out = doubled_law(u_out)
@@ -342,7 +343,7 @@ class TestRunPhase:
             checks.append(checked.iteration)
             return False
 
-        x_plain, v_plain = run_phase(plain, 1000, u_plain)
+        x_plain, v_plain = plain_phase(plain, 1000, u_plain)
         x_checked, v_checked = run_phase(checked, 1000, u_checked, stop=never)
         # after 64 iterations, then every max(64, done // 4), and at t_star
         assert checks == [64, 128, 192, 256, 320, 400, 500, 625, 781, 976, 999]
@@ -442,7 +443,7 @@ class TestPhaseHalving:
             phase = PhaseState(matrix, b, cfg)
             v_in = div(phase.x, np.full(matrix2.n_rows, 1.0 / matrix2.n_rows))
             t_star = int(rng_k.integers(1, cfg.t_per_phase + 1))
-            x_out, u_out = run_phase(phase, t_star, u)
+            x_out, u_out = plain_phase(phase, t_star, u)
             ratios.append(div(x_out, doubled_law(u_out)) / v_in)
         assert float(np.mean(ratios)) <= 0.75
 
@@ -459,7 +460,7 @@ class TestSqrtSmoothnessSum:
         for k in range(150):
             phase_iterates(phase, u, 1)
             if k % 10 == 0:
-                y = phase.exact_y()
+                y = doubled_law(phase.u)
                 total = float(np.sqrt(lj_tilde(m2, y, cfg.s, cfg.eps)).sum())
                 assert total <= bound + 1e-9
 

@@ -11,13 +11,13 @@ from helpers import central_diff_grad, dense_to_sparse, random_sparse
 from linfflow.cdsolver import SubproblemSolver
 from linfflow.core import sign_double
 from linfflow.sampling import CoordSampler, row_tables
-from linfflow.smoothing import (
-    LocalSmoothnessParams,
-    SoftmaxState,
+from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState
+from reference_steps import (
     grad_coord,
     hessian_diag_upper,
     local_smoothness,
     objective_value,
+    row_entry_weight,
     smax_hessian_diag,
 )
 
@@ -244,7 +244,7 @@ class TestL2IsUnitDiag:
             assert np.array_equal(sampler.row_mass, mass)
             for j in range(matrix.n_cols):
                 _, col_vals = matrix.col(j)
-                assert np.array_equal(params.row_entry_weight(j, col_vals),
+                assert np.array_equal(row_entry_weight(params, j, col_vals),
                                       np.abs(col_vals) * np.abs(col_vals).max())
 
 
