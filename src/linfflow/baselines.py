@@ -1,4 +1,4 @@
-"""Reference first-order methods: gradient descent in a chosen norm and plain
+"""Reference first-order methods: sup-norm gradient descent and plain
 coordinate descent with global smoothness constants.
 
 Comparators and test oracles only; they consume the same smoothed objective
@@ -50,29 +50,23 @@ class BaselineTrace:
     steps: int = 0
 
 
-def gd_general_norm(objective, smoothness, iterations, x0=None, norm="linf"):
-    """Unaccelerated gradient descent with steepest steps in the chosen norm.
+def gd_general_norm(objective, smoothness, iterations):
+    """Unaccelerated gradient descent from 0 with steepest sup-norm steps.
 
-    The sup-norm variant steps along the sign pattern scaled by the dual
-    (l1) norm of the gradient, which is the minimizer of the smoothness upper
-    bound; descent is monotone by construction.
+    Each step goes along the sign pattern scaled by the dual (l1) norm of the
+    gradient, which is the minimizer of the smoothness upper bound; descent is
+    monotone by construction.
     """
     if iterations < 1:
         raise InputError("iteration budget must be at least 1")
-    if norm not in ("linf", "l2"):
-        raise InputError(f"unsupported norm {norm!r}")
-    m = objective.matrix.n_cols
-    x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(objective.matrix.n_cols)
     trace = BaselineTrace(x=x, values=[objective.value(x)])
     for _ in range(iterations):
         g = objective.grad(x)
-        if norm == "linf":
-            dual = float(np.abs(g).sum())
-            if dual == 0.0:
-                break
-            x = x - (dual / smoothness) * np.sign(g)
-        else:
-            x = x - g / smoothness
+        dual = float(np.abs(g).sum())
+        if dual == 0.0:
+            break
+        x = x - (dual / smoothness) * np.sign(g)
         trace.values.append(objective.value(x))
         trace.steps += 1
     trace.x = x

@@ -17,7 +17,8 @@ many orders of magnitude).  Augmenting paths walk the network's CSR incidence
 (``FlowNetwork.incidence``).
 Exact unit-capacity flows follow by scaling to feasibility, rounding the
 fractional flow with cycle cancellation, and finishing with augmenting paths;
-a digraph is reduced to an undirected graph first.
+a digraph is reduced to a unit-capacity undirected graph first, and the flow
+found there is decomposed into s-t paths over the digraph's own incidence.
 A Dinic blocking-flow solver serves as the in-package oracle.
 """
 
@@ -513,18 +514,19 @@ def _find_cycle(n, adj):
     return None
 
 
-def augment_to_max(net, flow, rounds=None):
+def augment_to_max(net, flow):
     """BFS augmenting rounds on the capacitated residual graph (Edmonds-Karp).
 
     An edge has residual ``cap - f`` along its orientation and ``f - lo cap``
     against it, with lo = 0 on digraphs and -1 on undirected graphs.  A
     direction is open while its residual exceeds 1e-9 times the edge's
     capacity (a bound on f, computed once per edge), so scaling every
-    capacity scales the answer.  Runs until no augmenting path remains, or
-    for at most ``rounds`` augmentations.
+    capacity scales the answer.  Runs until no augmenting path remains.
     """
     if net.source is None or net.sink is None:
         raise InputError("augmenting needs designated source and sink")
+    if net.source == net.sink:
+        raise InputError("max flow needs a source distinct from the sink")
     f = np.asarray(flow, dtype=np.float64).tolist()
     caps = net.caps.tolist()
     lo = 0.0 if net.directed else -1.0
@@ -533,8 +535,7 @@ def augment_to_max(net, flow, rounds=None):
     low = (lo * net.caps + 1e-9 * net.caps).tolist()
     ptr, neighbor, edge, sign = (a.tolist() for a in net.incidence())
     s, t = net.source, net.sink
-    done = 0
-    while rounds is None or done < rounds:
+    while True:
         # BFS; prev[w] is the vertex w was reached from, slot[w] the entry
         prev = [-1] * net.n
         slot = [0] * net.n
@@ -567,7 +568,6 @@ def augment_to_max(net, flow, rounds=None):
             bottleneck = min(bottleneck, residual)
         for k in path:
             f[edge[k]] += sign[k] * bottleneck
-        done += 1
     return FlowSolution.from_flow(net, np.array(f))
 
 
@@ -658,15 +658,15 @@ def dinic_oracle(net):
 
 
 def directed_reduce(net):
-    """Unit digraph -> undirected triple construction with a half-saturating start.
+    """Unit digraph -> undirected triple construction with a saturating start.
 
-    Every arc (u, v) becomes undirected edges (s, v), (v, u), (u, t) of
-    capacity one half; the initial flow pushes one half along each.  Returns
-    (undirected network, f_init, recover) where recover maps an undirected
-    max flow back to an integral max flow of the digraph.  The undirected
-    network spans s, t and the endpoints of the kept arcs, relabelled in
-    increasing order.  With no arc kept the max flow is 0, and all three are
-    None.
+    Every arc (u, v) becomes unit-capacity undirected edges (s, v), (v, u),
+    (u, t); the initial flow pushes one unit along each (the paper's
+    half-capacity network scaled by 2).  Returns (undirected network, f_init,
+    recover) where recover maps an undirected max flow back to an integral
+    max flow of the digraph.  The undirected network spans s, t and the
+    endpoints of the kept arcs, relabelled in increasing order.  With no arc
+    kept the max flow is 0, and all three are None.
     """
     if not net.directed:
         raise InputError("directed reduction expects a digraph")
@@ -679,115 +679,92 @@ def directed_reduce(net):
     # flow (drop cycles in a decomposition); dropping them avoids degenerate
     # self-loop legs in the construction
     keep = (net.heads != s) & (net.tails != t)
-    kept = np.flatnonzero(keep).tolist()
-    if not kept:
+    if not keep.any():
         return None, None, None
     # dropping arcs can isolate vertices; an order-preserving relabelling
     # keeps every lo < hi orientation below
     verts = np.unique(np.concatenate(([s, t], net.tails[keep], net.heads[keep])))
     label = np.zeros(net.n, dtype=np.int64)
     label[verts] = np.arange(len(verts))
-    s, t = int(label[s]), int(label[t])
+    ls, lt = int(label[s]), int(label[t])
     edges = []
     init_along = []  # +1 when f_init follows the stored orientation
-    for k in kept:
-        u, v = int(label[net.tails[k]]), int(label[net.heads[k]])
-        for (a, b) in ((s, v), (v, u), (u, t)):
+    for u, v in zip(label[net.tails[keep]].tolist(), label[net.heads[keep]].tolist()):
+        for (a, b) in ((ls, v), (v, u), (u, lt)):
             lo, hi = (a, b) if a < b else (b, a)
-            edges.append((lo, hi, 0.5))
+            edges.append((lo, hi, 1.0))
             init_along.append(1.0 if (lo, hi) == (a, b) else -1.0)
-    middle_of_arc = [3 * idx + 1 for idx in range(len(kept))]
-    und = FlowNetwork(len(verts), edges, directed=False, source=s, sink=t)
-    f_init = 0.5 * np.array(init_along)
+    und = FlowNetwork(len(verts), edges, directed=False, source=ls, sink=lt)
+    f_init = np.array(init_along)
+    half_along = -0.5 * f_init[1::3]  # f_init runs each middle edge against its arc
+    ptr, neighbor, edge, sign = (a.tolist() for a in net.incidence())
 
     def recover(f_final):
-        diff = np.asarray(f_final, dtype=np.float64) - f_init
-        # decompose diff into s->t paths, dropping cycles
-        resid = diff.copy()
-        f_rec = np.zeros(net.m)
-        arc_of_middle = {}
-        dir_sign = {}
-        for idx, k in enumerate(kept):
-            e = middle_of_arc[idx]
-            arc_of_middle[e] = k
-            # the init flow runs v -> u on the middle edge; recovered usage of
-            # the arc (u, v) cancels it, i.e. traverses the middle edge u -> v
-            u, v = int(net.tails[k]), int(net.heads[k])
-            lo, hi = (v, u) if v < u else (u, v)
-            dir_sign[e] = 1.0 if (lo, hi) == (u, v) else -1.0
-        value = 0.0
+        # f_init saturates every leg away from s or toward t, so the flow
+        # beyond it crosses a leg only into s or out of t: its s-t paths are
+        # the digraph's directed s-t paths, each middle edge along its arc.
+        # Decompose them on the digraph, in its units (half the reduction's).
+        g = np.zeros(net.m)
+        g[keep] = half_along * (np.asarray(f_final, dtype=np.float64) - f_init)[1::3]
+        g = g.tolist()
+        f_rec = [0.0] * net.m
         for _ in range(10 * net.m + 10):
-            # walk a path s -> t through positive residual diff
-            adj = [[] for _ in range(und.n)]
-            for e in range(und.m):
-                if abs(resid[e]) > 1e-9:
-                    u, v = int(und.tails[e]), int(und.heads[e])
-                    if resid[e] > 0:
-                        adj[u].append((v, e, 1.0))
-                    else:
-                        adj[v].append((u, e, -1.0))
-            parent = {s: None}
-            q = deque([s])
-            while q and t not in parent:
-                u = q.popleft()
-                for (w, e, sgn) in adj[u]:
-                    if w not in parent:
-                        parent[w] = (u, e, sgn)
-                        q.append(w)
-            if t not in parent:
+            # BFS over out-arcs with flow left, as in augment_to_max
+            prev = [-1] * net.n
+            slot = [0] * net.n
+            prev[s] = s
+            queue = [s]
+            for u in queue:
+                if prev[t] >= 0:
+                    break
+                for k in range(ptr[u], ptr[u + 1]):
+                    w = neighbor[k]
+                    if prev[w] < 0 and sign[k] > 0 and g[edge[k]] > 1e-9:
+                        prev[w] = u
+                        slot[w] = k
+                        queue.append(w)
+            if prev[t] < 0:
                 break
-            bottleneck = math.inf
-            w = t
             path = []
-            while parent[w] is not None:
-                u, e, sgn = parent[w]
-                bottleneck = min(bottleneck, abs(resid[e]))
-                path.append((e, sgn))
-                w = u
-            for e, sgn in path:
-                resid[e] -= sgn * bottleneck
-                if e in arc_of_middle and sgn == dir_sign[e]:
-                    f_rec[arc_of_middle[e]] += bottleneck
-            value += bottleneck
+            w = t
+            while w != s:
+                path.append(edge[slot[w]])
+                w = prev[w]
+            bottleneck = min(g[e] for e in path)
+            for e in path:
+                g[e] -= bottleneck
+                f_rec[e] += bottleneck
         f_rec = np.clip(f_rec, 0.0, 1.0)
         if np.abs(f_rec - np.round(f_rec)).max() > 1e-6:
-            rounded = round_to_integral(net, f_rec)
-            f_rec = rounded.flow
-        else:
-            f_rec = np.round(f_rec)
-        return f_rec
+            return round_to_integral(net, f_rec).flow
+        return np.round(f_rec)
 
     return und, f_init, recover
 
 
-def exact_unit_maxflow(net, eps=None, solver="cd-l2", seed=0):
+def exact_unit_maxflow(net, solver="cd-l2", seed=0):
     """Exact integral max flow on unit-capacity graphs via the full pipeline.
 
     Approximate route, scale to feasibility, round, then augmenting paths.
-    Directed inputs go through the undirected reduction first.
+    Directed inputs are solved through the unit-capacity undirected reduction:
+    ``meta["f_final"]`` holds the reduction's flow, in its units.
     """
     _check_routing_solver(solver)
     if not np.allclose(net.caps, 1.0):
         raise InputError("exact pipeline expects unit capacities")
     if net.source is None or net.sink is None:
         raise InputError("max flow needs designated source and sink")
+    if net.source == net.sink:
+        raise InputError("max flow needs a source distinct from the sink")
     if net.directed:
         und, _, recover = directed_reduce(net)
         if und is None:  # no arc kept: each enters s or leaves t, so the max flow is 0
             return augment_to_max(net, np.zeros(net.m))
-        # scale to a unit multigraph for the recursive undirected solve
-        scaled = FlowNetwork(
-            und.n, [(int(u), int(v), 1.0) for u, v in zip(und.tails, und.heads)],
-            directed=False, source=und.source, sink=und.sink,
-        )
-        inner = exact_unit_maxflow(scaled, eps=eps, solver=solver, seed=seed)
-        f_final = inner.flow * 0.5
-        f_rec = recover(f_final)
-        aug = augment_to_max(net, f_rec)
+        f_final = exact_unit_maxflow(und, solver=solver, seed=seed).flow
+        aug = augment_to_max(net, recover(f_final))
         aug.meta["f_final"] = f_final
         return aug
-    if eps is None:
-        eps = min(0.25, max(0.02, net.n ** 0.25 / max(net.m, 1) ** 0.75))
+    eps = min(0.25, max(0.02, net.n ** 0.25 / max(net.m, 1) ** 0.75))
     d = net.st_demand(1.0)
     sol = flow_to_regress(net, d, eps, solver=solver, seed=seed)
     congestion = sol.max_congestion

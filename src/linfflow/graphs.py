@@ -114,19 +114,20 @@ def _merge_labels(label, tails, heads):
 
 
 class FlowNetwork:
-    """Capacitated graph with a fixed edge orientation and a demand vector.
+    """Capacitated graph with a fixed edge orientation, source and sink optional.
 
     Undirected edges are stored with ``u < v`` (lexicographic orientation), so
     the sign of an edge's flow does not depend on the order its endpoints were
     given in.  Parallel edges are allowed; self loops are not.  Capacities must
-    be positive and finite, a designated source or sink must be a vertex, the
-    demand vector must sum to zero and the underlying graph must be
-    connected.  A subnormal capacity is rejected: congestions divide by it.
+    be positive and finite, a designated source or sink must be a vertex, and
+    the underlying graph must be connected.  A subnormal capacity is
+    rejected: congestions divide by it.  Demands are passed to the routines
+    that route them (``st_demand`` builds the s-t one).
     """
 
-    __slots__ = ("n", "tails", "heads", "caps", "directed", "demand", "source", "sink")
+    __slots__ = ("n", "tails", "heads", "caps", "directed", "source", "sink")
 
-    def __init__(self, n, edges, directed=False, demand=None, source=None, sink=None):
+    def __init__(self, n, edges, directed=False, source=None, sink=None):
         self.n = int(n)
         if self.n < 1:
             raise InputError(f"a flow network needs at least one vertex; got {self.n}")
@@ -144,14 +145,6 @@ class FlowNetwork:
                     f"(0-indexed)")
         self.source = source
         self.sink = sink
-        if demand is None:
-            demand = np.zeros(self.n)
-        demand = np.asarray(demand, dtype=np.float64)
-        if demand.shape != (self.n,):
-            raise InputError("demand length does not match vertex count")
-        if abs(demand.sum()) > 1e-9 * max(1.0, np.abs(demand).max()):
-            raise InputError("demand entries must sum to zero")
-        self.demand = demand
         if self.n > 1 and not self._connected():
             raise InputError("underlying graph must be connected")
 

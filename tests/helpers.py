@@ -76,9 +76,9 @@ def sup_norm_gap(params, delta_x):
     return 0.5 * (params.alpha / params.scale) * d_min * delta_x * delta_x
 
 
-def min_congestion_opt(net, d=None):
+def min_congestion_opt(net, d):
     """Exact min congestion routing of demand d via LP (variables f, t)."""
-    d = net.demand if d is None else np.asarray(d, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
     m, n = net.m, net.n
     b_mat = np.zeros((n, m))
     for e, (u, v) in enumerate(zip(net.tails, net.heads)):

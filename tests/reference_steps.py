@@ -9,12 +9,18 @@ its own, one coordinate at a time, over the package's objects
 them against finite differences, the sign-doubled system and the drawn laws.
 ``plain_phase`` is a mirror-prox phase without in-phase checks, the
 reference for ``mirrorprox.run_phase``; the dense dual law of a phase is
-``helpers.doubled_law(phase.u)``.  This file lives under a name pytest does
-not collect.
+``helpers.doubled_law(phase.u)``.  ``reduction_recover`` decomposes a flow
+of ``flow.directed_reduce``'s undirected network on that network, the
+reference for the ``recover`` that decomposes it on the digraph.  This file
+lives under a name pytest does not collect.
 """
+
+import math
+from collections import deque
 
 import numpy as np
 
+from linfflow.flow import round_to_integral
 from linfflow.mirrorprox import aggregate_point, phase_iterates
 
 
@@ -131,3 +137,63 @@ def plain_phase(phase, t_star, uniforms):
     never holds."""
     phase_iterates(phase, uniforms, t_star - 1)
     return aggregate_point(phase)
+
+
+def reduction_recover(net, und, f_init, f_final):
+    """Integral digraph flow recovered from a flow ``f_final`` of
+    ``directed_reduce(net)``'s network ``und``, decomposed on ``und``.
+
+    ``f_final - f_init``, halved into the digraph's units, is split into s-t
+    paths by BFS over the reduction's edges, rebuilding its adjacency for
+    each path; a middle edge crossed along its arc adds the path's flow to
+    that arc.  The result is clipped and rounded as ``recover`` does.
+    """
+    kept = np.flatnonzero((net.heads != net.source) & (net.tails != net.sink)).tolist()
+    s, t = und.source, und.sink
+    resid = 0.5 * (np.asarray(f_final, dtype=np.float64) - f_init)
+    f_rec = np.zeros(net.m)
+    arc_of_middle = {}
+    dir_sign = {}
+    for idx, k in enumerate(kept):
+        e = 3 * idx + 1
+        arc_of_middle[e] = k
+        # the init flow runs v -> u on the middle edge; recovered usage of
+        # the arc (u, v) cancels it, i.e. traverses the middle edge u -> v
+        u, v = int(net.tails[k]), int(net.heads[k])
+        lo, hi = (v, u) if v < u else (u, v)
+        dir_sign[e] = 1.0 if (lo, hi) == (u, v) else -1.0
+    for _ in range(10 * net.m + 10):
+        adj = [[] for _ in range(und.n)]
+        for e in range(und.m):
+            if abs(resid[e]) > 1e-9:
+                u, v = int(und.tails[e]), int(und.heads[e])
+                if resid[e] > 0:
+                    adj[u].append((v, e, 1.0))
+                else:
+                    adj[v].append((u, e, -1.0))
+        parent = {s: None}
+        q = deque([s])
+        while q and t not in parent:
+            u = q.popleft()
+            for (w, e, sgn) in adj[u]:
+                if w not in parent:
+                    parent[w] = (u, e, sgn)
+                    q.append(w)
+        if t not in parent:
+            break
+        bottleneck = math.inf
+        w = t
+        path = []
+        while parent[w] is not None:
+            u, e, sgn = parent[w]
+            bottleneck = min(bottleneck, abs(resid[e]))
+            path.append((e, sgn))
+            w = u
+        for e, sgn in path:
+            resid[e] -= sgn * bottleneck
+            if e in arc_of_middle and sgn == dir_sign[e]:
+                f_rec[arc_of_middle[e]] += bottleneck
+    f_rec = np.clip(f_rec, 0.0, 1.0)
+    if np.abs(f_rec - np.round(f_rec)).max() > 1e-6:
+        return round_to_integral(net, f_rec).flow
+    return np.round(f_rec)

@@ -430,10 +430,11 @@ def test_criterion_10_directed_reduction_identity():
         # recovered optimum via the exact pipeline
         out = exact_unit_maxflow(net, seed=5000 + k)
         f_value = out.value
-        # reconstruct the undirected maximum flow the pipeline worked from
+        # reconstruct the undirected maximum flow the pipeline worked from; the
+        # reduction has unit capacities, twice the paper's half capacities
         inner = out.meta.get("f_final")
         assert inner is not None
-        dist = float(((f_init - inner) ** 2).sum())
+        dist = float(((0.5 * (f_init - inner)) ** 2).sum())
         assert dist == pytest.approx(f_value, abs=1e-6), (dist, f_value)
 
 

@@ -30,18 +30,10 @@ def test_objective_is_the_smoothed_doubled_system():
 
 
 class TestGdGeneralNorm:
-    def test_quadratic_one_step_l2(self):
-        # f(x) = smax on a 1x1 system is not quadratic; use the l2 variant on
-        # a symmetric instance where one step lands at the optimum sign-wise
-        rng = np.random.default_rng(0)
-        obj, _, _ = make_objective(rng, 4, 3)
-        tr = gd_general_norm(obj, obj.linf_smoothness, 50, norm="l2")
-        assert tr.values[-1] <= tr.values[0]
-
     def test_monotone_descent_every_step(self):
         rng = np.random.default_rng(1)
         obj, _, _ = make_objective(rng, 6, 5)
-        tr = gd_general_norm(obj, obj.linf_smoothness, 200, norm="linf")
+        tr = gd_general_norm(obj, obj.linf_smoothness, 200)
         diffs = np.diff(np.array(tr.values))
         assert (diffs <= 1e-12).all()
 
@@ -62,7 +54,7 @@ class TestGdGeneralNorm:
         rng = np.random.default_rng(3)
         obj, matrix, b = make_objective(rng, 5, 4, alpha=0.2)
         T = 400
-        tr = gd_general_norm(obj, obj.linf_smoothness, T, norm="linf")
+        tr = gd_general_norm(obj, obj.linf_smoothness, T)
         # f* bounded below by OPT of the underlying residual problem
         opt, xstar = box_linf_opt(matrix.to_dense(), b, radius=50.0)
         fstar_ub = obj.value(xstar)

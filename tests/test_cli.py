@@ -1,6 +1,10 @@
 """CLI: commands, exit statuses, determinism of emitted artifacts."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +442,23 @@ class TestFlowCommands:
             assert code == 0, err
             values.append(out.splitlines()[0])
         assert values == [f"value {expect!r}"] * 2
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["digraph", "undirected"])
+    def test_exact_flow_source_is_sink_exits_2(self, tmp_path, directed):
+        # the digraph keeps no arc, and augmenting from s found t at once with
+        # an empty path, for ever: a subprocess, so that a hang fails the test
+        path = tmp_path / "st.dimacs"
+        path.write_text(("" if directed else "c undirected\n")
+                        + "p max 2 1\nn 1 s\nn 1 t\na 1 2 1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "linfflow.cli", "exact-flow", "--input", str(path)],
+            capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "source distinct from the sink" in proc.stderr
 
     @pytest.mark.parametrize("command", ["maxflow", "exact-flow"])
     @pytest.mark.parametrize("eps", ["7", "0", "1", "nan"])

@@ -501,10 +501,6 @@ class TestFlowNetwork:
         with pytest.raises(InputError):
             incidence_apply(net, np.array([1.0, 2.0]))
 
-    def test_rejects_unbalanced_demand(self):
-        with pytest.raises(InputError, match="sum to zero"):
-            FlowNetwork(2, [(0, 1, 1.0)], demand=np.array([1.0, 0.0]))
-
     def test_rejects_disconnected(self):
         with pytest.raises(InputError, match="connected"):
             FlowNetwork(4, [(0, 1, 1.0), (2, 3, 1.0)])

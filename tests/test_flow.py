@@ -28,6 +28,7 @@ from linfflow.flow import (
     round_to_integral,
 )
 from linfflow.graphs import FlowNetwork, incidence_apply
+from reference_steps import reduction_recover
 
 
 def path_net(k, cap=1.0):
@@ -449,7 +450,7 @@ class TestAugmentToMax:
 
     def test_empty_flow_on_path(self):
         net = path_net(2)
-        out = augment_to_max(net, np.zeros(2), rounds=1)
+        out = augment_to_max(net, np.zeros(2))
         assert out.value == 1.0
 
     def test_reaches_exact_value(self):
@@ -474,6 +475,13 @@ class TestAugmentToMax:
             out = augment_to_max(net, np.zeros(net.m))
             assert out.value == pytest.approx(dinic_oracle(net).value, abs=1e-9)
             assert (np.abs(out.flow) <= net.caps + 1e-9).all()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_rejects_source_equal_to_sink(self, directed):
+        # t was found at once, the path was empty and nothing was pushed
+        net = FlowNetwork(2, [(0, 1, 1.0)], directed=directed, source=0, sink=0)
+        with pytest.raises(InputError, match="source distinct from the sink"):
+            augment_to_max(net, np.zeros(1))
 
     def test_capacitated_flow_against_orientation(self):
         # undirected edges are stored as u < v: from source 2 to sink 0 the
@@ -588,9 +596,10 @@ class TestDirectedReduce:
         net = FlowNetwork(2, [(0, 1, 1.0)], directed=True, source=0, sink=1)
         und, f_init, recover = directed_reduce(net)
         assert und.m == 3
-        np.testing.assert_allclose(und.caps, 0.5)
-        # undirected max-flow value is F + m/2 = 1.5
-        assert dinic_oracle(und).value == pytest.approx(1.5)
+        np.testing.assert_array_equal(und.caps, 1.0)
+        np.testing.assert_array_equal(np.abs(f_init), 1.0)
+        # undirected max-flow value is 2F + (kept arcs) = 3
+        assert dinic_oracle(und).value == pytest.approx(3.0)
 
     def test_antiparallel_decoy(self):
         # path s->a->t plus decoy arc a->s; recovered flow ignores the decoy
@@ -607,7 +616,7 @@ class TestDirectedReduce:
         und, f_init, recover = directed_reduce(net)
         assert (und.n, und.m, und.source, und.sink) == (2, 3, 0, 1)
         assert (und.tails < und.heads).all()
-        assert dinic_oracle(und).value == pytest.approx(1.5)
+        assert dinic_oracle(und).value == pytest.approx(3.0)
         assert exact_unit_maxflow(net, seed=0).value == 1.0
 
     def test_no_kept_arc(self):
@@ -617,6 +626,49 @@ class TestDirectedReduce:
         assert out.value == 0.0
         np.testing.assert_array_equal(out.flow, [0.0])
 
+    def test_recover_matches_reduction_decomposition(self):
+        # recover decomposes on the digraph what reduction_recover decomposes
+        # on the reduction: the same paths, bottlenecks and floats
+        rng = np.random.default_rng(14)
+        for k in range(400):
+            n = int(rng.integers(3, 12))
+            base = random_unit_digraph(rng, n)
+            s, t = base.source, base.sink
+            if k % 3 == 0:  # any other ordered pair, arcs into s and out of t included
+                s, t = (int(v) for v in rng.choice(n, 2, replace=False))
+            net = FlowNetwork(n, list(zip(base.tails.tolist(), base.heads.tolist(),
+                                          base.caps.tolist())),
+                              directed=True, source=s, sink=t)
+            und, f_init, recover = directed_reduce(net)  # every one keeps an arc
+            for f_final in (dinic_oracle(und).flow, augment_to_max(und, f_init).flow,
+                            augment_to_max(und, np.zeros(und.m)).flow):
+                expect = reduction_recover(net, und, f_init, f_final)
+                assert recover(f_final).tobytes() == expect.tobytes()
+
+    def test_recover_rounds_a_fractional_decomposition(self, monkeypatch):
+        # s=0 -> 1 -> 3 and s -> 2 -> 3 meet at 3 -> t=4: f_init plus one
+        # unit along each path's middle edges is half a digraph path each
+        net = FlowNetwork(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0),
+                              (3, 4, 1.0)], directed=True, source=0, sink=4)
+        und, f_init, recover = directed_reduce(net)
+        along = -f_init[1::3]  # f_init runs each middle edge against its arc
+        f_final = f_init.copy()
+        for path in ([0, 2, 4], [1, 3, 4]):
+            f_final[3 * np.array(path) + 1] += along[path]
+        assert np.abs(f_final).max() <= 1.0
+        np.testing.assert_array_equal(
+            np.delete(incidence_apply(und, f_final), [und.source, und.sink]), 0.0)
+        rounded = []
+        monkeypatch.setattr(flow_module, "round_to_integral",
+                            lambda *a: rounded.append(a) or round_to_integral(*a))
+        out = recover(f_final)
+        assert len(rounded) == 1
+        np.testing.assert_array_equal(rounded[0][1], [0.5, 0.5, 0.5, 0.5, 1.0])
+        np.testing.assert_array_equal(out, np.round(out))
+        achieved = incidence_apply(net, out)
+        np.testing.assert_array_equal(np.delete(achieved, [0, 4]), 0.0)
+        assert achieved[4] == dinic_oracle(net).value == 1.0
+
     def test_reduction_value_identity(self):
         rng = np.random.default_rng(8)
         for k in range(5):
@@ -625,7 +677,7 @@ class TestDirectedReduce:
             f_measure = dinic_oracle(net).value
             kept = und.m // 3  # arcs into s / out of t are dropped
             assert dinic_oracle(und).value == pytest.approx(
-                f_measure + kept / 2.0, abs=1e-9
+                2.0 * f_measure + kept, abs=1e-9
             )
 
 
@@ -643,6 +695,12 @@ class TestExactPipeline:
             flow_to_regress(net, net.st_demand(1.0), 0.2)
         with pytest.raises(InputError, match="c undirected"):
             almost_route(net, net.st_demand(1.0), TreeApproximator(net), 0.2)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_rejects_source_equal_to_sink(self, directed):
+        net = FlowNetwork(2, [(0, 1, 1.0)], directed=directed, source=0, sink=0)
+        with pytest.raises(InputError, match="source distinct from the sink"):
+            exact_unit_maxflow(net)
 
     def test_star_variants(self):
         net = FlowNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True,

@@ -18,6 +18,10 @@ or ``r = f(...)`` with ``f`` returning ``C(...)``).
 The benchmark's span tracer (``linfbench/spans.py``) imports every module
 named in its ``MODULES`` by name, so each must stay importable.
 
+Every parameter with a default, of a package function or method, is set by
+some call in ``src/`` (outside the function itself) or in ``linfbench/``,
+apart from a commented list of test seams and library entry points.
+
 Each CLI command declares only the flags it reads: every flag of a
 subparser is read as ``args.<dest>`` by the ``_run_*`` function that
 ``cli.main`` dispatches the command to, or by a function of ``cli.py`` that
@@ -300,3 +304,78 @@ def test_every_cli_flag_is_read_by_its_command():
         unread += [f"{command} --{dest.replace('_', '-')}"
                    for dest in sorted(declared - reads(dispatch[command], set()))]
     assert unread == []
+
+
+# defaulted parameters that no package or benchmark call sets, kept on purpose
+UNSET_DEFAULTS = (
+    # test seams that reach real stop reasons and refills
+    "solve_box_linf.max_outer", "solve_flow_regress.max_phases",
+    "plain_cd.x0", "plain_cd.uniforms", "BufferedUniforms.__init__.block",
+    # library entry points
+    "reduce_to_unit_box.x0", "write_matrix_file.b",
+)
+
+
+def sets_parameter(call, index, name):
+    """True when ``call`` passes the parameter at positional ``index`` (None
+    for keyword-only) or named ``name``, or splats arguments it may hold."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    """Each option doubles the configurations to test: a parameter with a
+    default that no call in ``src/`` (outside its own function) or in
+    ``linfbench/`` sets is an option no caller takes.  A call is matched to
+    a definition by name, and sets a parameter by keyword, by position or
+    through a splat.  Every exception must still be one."""
+    trees = {path: parse(path) for top in (ROOT / "src", ROOT / "linfbench")
+             for path in sorted(top.rglob("*.py"))
+             if "out" not in path.relative_to(top).parts}
+    calls = defaultdict(list)  # callee key -> (call, the defs enclosing it)
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing + (node,)
+        elif isinstance(node, ast.Call) and key(node.func) is not None:
+            calls[key(node.func)].append((node, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for tree in trees.values():
+        visit(tree, ())
+    unset, excused = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = trees[path]
+        owner = {}  # method def -> its class name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((item, node.name) for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or (
+                    func not in owner and func not in tree.body):
+                continue  # a closure: its callers are in its own function
+            cls = owner.get(func)
+            static = any(key(d) == "staticmethod" for d in func.decorator_list)
+            skip = 1 if cls is not None and not static else 0  # self / cls
+            callee = cls if func.name == "__init__" else func.name
+            positional = func.args.posonlyargs + func.args.args
+            defaulted = [(positional.index(a) - skip, a.arg) for a in
+                         positional[len(positional) - len(func.args.defaults):]]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None]
+            for index, name in defaulted:
+                label = ".".join(filter(None, (cls, func.name, name)))
+                if any(sets_parameter(call, index, name)
+                       for call, enclosing in calls[callee] if func not in enclosing):
+                    continue
+                if label in UNSET_DEFAULTS:
+                    excused.add(label)
+                else:
+                    unset.append(f"{path.stem}.{label}")
+    assert unset == []
+    assert excused == set(UNSET_DEFAULTS)
