@@ -42,6 +42,7 @@ primitives in ``sampling`` and ``tests/reference_steps.py`` would.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,8 @@ def lcd_steps(state, sampler, center, uniforms, count):
     curvature, static_l, row_mass = (sampler._curvature, sampler._static_l,
                                      sampler._row_mass)
     static_mass, dyn_coeff = sampler.static_mass, sampler.dyn_coeff
-    row_alias = sampler.row_alias
-    s_n, s_prob, s_alias = (sampler.static_alias.n, sampler.static_alias.prob,
-                            sampler.static_alias.alias)
+    row_cdf = sampler.row_cdf
+    s_cum, s_n = sampler.static_alias.cum, sampler.static_alias.n
     tree = sampler.tree
     nodes, size = tree.nodes, tree.size
     rng, block, buf, pos = uniforms.rng, uniforms.block, uniforms._buf, uniforms._pos
@@ -95,7 +95,8 @@ def lcd_steps(state, sampler, center, uniforms, count):
     j, delta = -1, 0.0
     try:
         for _ in range(count):
-            # draw j: the static summand or the row tree, then the row alias
+            # draw j: the static summand or the row tree, then the row's
+            # prefix sums; each fixed law is bisected with one uniform
             total = nodes[1]
             dyn = dyn_coeff * total
             stat = static_mass * z
@@ -108,12 +109,8 @@ def lcd_steps(state, sampler, center, uniforms, count):
             if u * (stat + dyn) < stat:
                 if pos == block:
                     buf, pos = rng.random(block).tolist(), 0
-                r = buf[pos] * s_n
+                j = bisect_right(s_cum, buf[pos] * s_cum[-1], 0, s_n - 1)
                 pos += 1
-                k = int(r)
-                if k == s_n:
-                    k -= 1
-                j = k if (r - k) < s_prob[k] else s_alias[k]
             else:
                 if total <= 0.0:
                     raise SolverFault("sampling from an empty tree")
@@ -124,15 +121,11 @@ def lcd_steps(state, sampler, center, uniforms, count):
                     u = buf[pos] * nodes[k]
                     pos += 1
                     k = 2 * k if u < nodes[2 * k] else 2 * k + 1
-                row_cols, alias = row_alias[k - size]
+                row_cols, cum = row_cdf[k - size]
                 if pos == block:
                     buf, pos = rng.random(block).tolist(), 0
-                r = buf[pos] * alias.n
+                j = row_cols[bisect_right(cum, buf[pos] * cum[-1], 0, len(cum) - 1)]
                 pos += 1
-                k = int(r)
-                if k == alias.n:
-                    k -= 1
-                j = row_cols[k if (r - k) < alias.prob[k] else alias.alias[k]]
 
             # one column scan: gradient and curvature bound, then the clamp
             rows, vals = cols[j]

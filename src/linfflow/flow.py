@@ -9,8 +9,8 @@ matrix depends only on the tree, so each approximator builds it once; a probe
 at radius r keeps that matrix and divides the rhs by r, since
 ``max|r A x - b| = r max|A x - b/r|``.
 The approximator is built over index arrays: the spanning tree comes from
-Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``; Kruskal
-on small graphs), every graph edge's tree path is walked at once, one tree
+Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``), every
+graph edge's tree path is walked at once, one tree
 level per pass, and the cut capacities are sums of positive terms only
 (subtracting at the LCA would cancel catastrophically when capacities span
 many orders of magnitude).  Augmenting paths walk the network's CSR incidence
@@ -55,8 +55,7 @@ class TreeApproximator:
 
     The tree is ``net.max_spanning_tree()``: Kruskal's tree under decreasing
     capacity with ties broken by edge index, picked by Borůvka rounds over
-    numpy arrays from ``graphs._BULK_EDGES`` edges on and by Kruskal's
-    union-find below, with ``tree_edges`` in Kruskal's order either way.  A
+    numpy arrays, with ``tree_edges`` in Kruskal's order.  A
     stack DFS from vertex 0 over the tree edges, in that order, gives
     ``tree_parent``, ``depth`` and ``post_order``; the post order fixes the
     float order of ``subtree_sums``.
@@ -312,7 +311,8 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
         # fetched only here: when the tree already routes at congestion 1, no
         # probe runs and the approximator never builds its matrix
         matrix, rhs = approx.regression_parts(d_scaled)
-        ok_lo, rejected, x_lo = probe(lo, 1, warm=best_x * (best_r / lo))
+        # each probe draws from stream = the number of probes before it
+        ok_lo, rejected, x_lo = probe(lo, probes, warm=best_x * (best_r / lo))
         probes += 1
         if ok_lo:
             best_r, best_x = lo, x_lo

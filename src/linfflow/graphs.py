@@ -14,7 +14,7 @@ _MIN_CAP = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
 # from this many edges on, the graph setup works on numpy arrays (parsing,
-# edge checks, connectivity, the spanning tree), as do SparseMatrix's entry
+# edge checks, connectivity), as do SparseMatrix's entry
 # checks from this many entries: below it, the fixed cost of numpy's calls
 # exceeds a loop
 _BULK_EDGES = 64
@@ -174,37 +174,20 @@ class FlowNetwork:
         """Edge indices of the maximum-capacity spanning tree, in Kruskal order.
 
         Kruskal's order is decreasing capacity with ties broken by edge index,
-        a strict total order, so the tree is unique.  Below ``_BULK_EDGES``
-        edges Kruskal's union-find picks it.  From there on Borůvka rounds do:
-        every component picks its first crossing edge in that order
-        (``np.minimum.at`` over the edges' ranks), ``_merge_labels`` merges
-        along the picks, and edges inside a component drop out.  Sorted by
-        rank, the picks are the edges Kruskal keeps, in the order it keeps
-        them.  On a disconnected graph the result is a spanning forest.
+        a strict total order, so the tree is unique.  Borůvka rounds pick it
+        at every size: every component picks its first crossing edge in that
+        order (``np.minimum.at`` over the edges' ranks), ``_merge_labels``
+        merges along the picks, and edges inside a component drop out.
+        Sorted by rank, the picks are the edges Kruskal keeps, in the order
+        it keeps them.  On a disconnected graph the result is a spanning
+        forest.
         """
         n, m = self.n, self.m
         order = np.lexsort((np.arange(m), -self.caps))
-        if m < _BULK_EDGES:
-            tails, heads = self.tails.tolist(), self.heads.tolist()
-            parent = list(range(n))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            tree = []
-            for e in order.tolist():
-                ra, rb = find(tails[e]), find(heads[e])
-                if ra != rb:
-                    parent[ra] = rb
-                    tree.append(e)
-            return np.array(tree, dtype=np.int64)
         tails, heads = self.tails[order], self.heads[order]  # by rank
         label = np.arange(n)
         live = np.arange(m)  # ranks of the edges between two components
-        picked = []
+        picked = [live[:0]]  # keeps the concatenation defined with no edges
         while True:
             lt, lh = label[tails[live]], label[heads[live]]
             apart = lt != lh

@@ -29,7 +29,10 @@ next phase starts from the one at the drawn length, as the halving argument
 requires.
 
 The sampling tables depend only on (matrix, s, eps), so ``PhaseTables`` is
-built once per solve and shared by every phase.  The iterations between two
+built once per solve and shared by every phase; each fixed law in them, the
+static branch and every row's conditional law, is a list of prefix sums that
+a draw bisects with one uniform, as the row-pair draw over the dense
+sqrt(y) weights does.  The iterations between two
 aggregate points run in one call of the fused kernel ``phase_iterates``,
 which inlines the draw, the exact p_j, both coordinate reads and clamps, and
 the dense dual recursion over Python lists.  On the small instances a phase
@@ -92,13 +95,13 @@ class PhaseTables:
 
     ``cols[j]`` is column j as ``(rows, vals)`` tuples.  The dynamic branch
     draws a row i of A by the sqrt(y) mass of its pair {i, i + n}, then j
-    from ``row_alias[i] = (cols, alias)``, a Walker table over
+    from ``row_cdf[i] = (cols, cum)``, the prefix sums of
     sqrt(s cm_j |A_ij|) that the pair shares; ``qij[j] = (rows, q)`` holds
     the conditional law q_ij of j given each row of column j, normalized per
     row.  ``sampling.row_tables`` builds the row tables over the matrix's
-    row-major arrays.  The static branch draws j from ``static_alias`` with
-    law ``p_static`` proportional to sqrt(eps cm_j).  ``w_dyn`` / ``w_static``
-    weigh the two branches by the masses of 2n rows.  ``q_rows``, ``q_cols``
+    row-major arrays.  The static branch draws j from the prefix sums of
+    ``static_alias`` with law ``p_static`` proportional to sqrt(eps cm_j).
+    ``w_dyn`` / ``w_static`` weigh the two branches by the masses of 2n rows.  ``q_rows``, ``q_cols``
     and ``q`` are the q_ij as flat arrays, for the aggregate step's dense p_j.
     """
 
@@ -107,9 +110,9 @@ class PhaseTables:
         s, eps = config.s, config.eps
         cm = matrix.col_maxabs
         cols, vals = matrix.row_entries()
-        self.row_alias, row_w = row_tables(matrix, np.sqrt(s * cm[cols] * np.abs(vals)))
-        if None in self.row_alias:
-            i = self.row_alias.index(None)
+        self.row_cdf, row_w = row_tables(matrix, np.sqrt(s * cm[cols] * np.abs(vals)))
+        if None in self.row_cdf:
+            i = self.row_cdf.index(None)
             raise InputError(f"row {i} of the instance is " + (
                 "empty; drop constant rows before solving"
                 if matrix.row_ptr[i] == matrix.row_ptr[i + 1] else
@@ -190,11 +193,10 @@ def sample_pj(phase, uniforms):
             j -= 1
     else:
         if uniforms.next() * total_mass < tables.mass_dyn:
-            cdf = np.cumsum(weights)
-            i = min(int(np.searchsorted(cdf, uniforms.next() * cdf[-1], side="right")),
-                    phase.n - 1)
-            cols, alias = tables.row_alias[i]
-            j = cols[alias.sample(uniforms)]
+            cdf = np.cumsum(weights).tolist()
+            i = bisect_right(cdf, uniforms.next() * cdf[-1], 0, phase.n - 1)
+            cols, cum = tables.row_cdf[i]
+            j = cols[bisect_right(cum, uniforms.next() * cum[-1], 0, len(cum) - 1)]
         else:
             j = tables.static_alias.sample(uniforms)
     # exact probability of j under the mixture
@@ -229,9 +231,9 @@ def phase_iterates(phase, uniforms, count):
     kappa, s = cfg.kappa, cfg.s
     reg = cfg.eps / (2.0 * s)
     tables = phase.tables
-    cols, qij, row_alias, p_static = (tables.cols, tables.qij, tables.row_alias,
-                                      tables.p_static)
-    static_alias = tables.static_alias
+    cols, qij, row_cdf, p_static = (tables.cols, tables.qij, tables.row_cdf,
+                                    tables.p_static)
+    static_cum = tables.static_alias.cum
     mass_dyn, w_dyn, w_static = tables.mass_dyn, tables.w_dyn, tables.w_static
     total_mass = mass_dyn + tables.mass_static
     m, n = phase.m, phase.n
@@ -248,7 +250,7 @@ def phase_iterates(phase, uniforms, count):
     try:
         for _ in range(count):
             # draw j (sample_pj): uniform, or a row pair by sqrt(y) then the
-            # row's alias, or static
+            # row's prefix sums, or the static prefix sums
             top = max(max(u), -min(u))
             e_half = [exp(0.5 * (ui - top)) + exp(0.5 * (-ui - top)) for ui in u]
             sum_half = sum(e_half)
@@ -269,21 +271,15 @@ def phase_iterates(phase, uniforms, count):
                     cdf = list(accumulate(e_half))
                     if pos == block:
                         buf, pos = rng.random(block).tolist(), 0
-                    i = bisect_right(cdf, buf[pos] * cdf[-1])
+                    i = bisect_right(cdf, buf[pos] * cdf[-1], 0, n - 1)
                     pos += 1
-                    if i >= n:
-                        i = n - 1
-                    row_cols, alias = row_alias[i]
+                    row_cols, cum = row_cdf[i]
                 else:
-                    row_cols, alias = None, static_alias
+                    row_cols, cum = None, static_cum
                 if pos == block:
                     buf, pos = rng.random(block).tolist(), 0
-                r = buf[pos] * alias.n
+                k = bisect_right(cum, buf[pos] * cum[-1], 0, len(cum) - 1)
                 pos += 1
-                k = int(r)
-                if k == alias.n:
-                    k -= 1
-                k = k if (r - k) < alias.prob[k] else alias.alias[k]
                 j = k if row_cols is None else row_cols[k]
             q_rows, q = qij[j]
             p_dyn = 0.0

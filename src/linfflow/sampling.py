@@ -1,13 +1,17 @@
-"""Dynamic weighted sampling: sum trees, alias tables, and the two-summand mixture.
+"""Dynamic weighted sampling: sum trees, prefix sums, and the two-summand mixture.
 
 Coordinate selection needs to track weights of the form
 ``static_j + coeff * sum_i p_i(x) * w_ij`` as x changes one coordinate at a
-time.  The static summand lives in a precomputed alias table; the dynamic
-summand is sampled by descending a sum tree over rows (leaf weight
-``(expw_i + expw_neg_i) * row_mass_i``, one leaf for a row and its mirror)
-and then drawing from a per-row alias table over the ``w_ij``.  All
-randomness flows through counter-based Philox generators keyed by
-(seed, stream), so every run is replayable.
+time.  The dynamic summand is sampled by descending a sum tree over rows
+(leaf weight ``(expw_i + expw_neg_i) * row_mass_i``, one leaf for a row and
+its mirror) and then drawing j from the row's ``w_ij``.  Every fixed law,
+the static summand and each row's ``w_ij``, is drawn by inverse CDF: one
+uniform, bisected into the law's prefix sums as
+``bisect_right(cum, u * cum[-1], 0, n - 1)``.  Building prefix sums costs
+one ``accumulate`` per law, and a draw costs about what a Walker alias
+draw does at the law sizes these solvers see, so the package keeps no alias
+tables.  All randomness flows through counter-based Philox generators keyed
+by (seed, stream), so every run is replayable.
 
 ``CoordSampler.sample`` and ``CoordSampler.step`` are the reference
 primitives, and the law tests call them; the baselines draw from a
@@ -20,6 +24,9 @@ own: those step-by-step forms (``sampler_weight``, ``total_mass``,
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -128,59 +135,49 @@ class DynamicTree:
 
 
 class StaticAlias:
-    """Walker alias table over a fixed nonnegative weight vector; O(1) draws."""
+    """Inverse-CDF sampler over a fixed nonnegative weight vector.
 
-    __slots__ = ("n", "prob", "alias", "total")
+    It holds the prefix sums ``cum`` of the weights, and a draw is one
+    bisection of ``u * total`` into them, ``hi = n - 1`` keeping the index
+    in range even where ``u * total`` rounds up to ``total``.  A weight-0
+    entry repeats its predecessor's prefix sum, so no uniform maps to it.
+    The name predates the prefix sums (the package exports it, and the span
+    tracer wraps ``StaticAlias.sample``).
+    """
+
+    __slots__ = ("n", "cum", "total")
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=np.float64)
         if len(weights) == 0:
-            raise InputError("alias table needs at least one weight")
+            raise InputError("a fixed law needs at least one weight")
         if (weights < 0).any():
-            raise InputError("alias weights must be nonnegative")
-        total = float(weights.sum())
-        if total <= 0:
-            raise InputError("alias table needs positive total weight")
-        self.n = len(weights)
-        self.total = total
-        scaled = weights * (self.n / total)
-        prob = np.ones(self.n)
-        alias = np.arange(self.n)
-        small = [i for i in range(self.n) if scaled[i] < 1.0]
-        large = [i for i in range(self.n) if scaled[i] >= 1.0]
-        scaled = scaled.tolist()
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = scaled[g] - (1.0 - scaled[s])
-            (small if scaled[g] < 1.0 else large).append(g)
-        self.prob = prob.tolist()
-        self.alias = alias.tolist()
+            raise InputError("a fixed law's weights must be nonnegative")
+        self.cum = list(accumulate(weights.tolist()))
+        self.n = len(self.cum)
+        self.total = self.cum[-1]
+        if self.total <= 0:
+            raise InputError("a fixed law needs positive total weight")
 
     def sample(self, uniforms):
-        r = uniforms.next() * self.n
-        i = int(r)
-        if i == self.n:
-            i -= 1
-        return i if (r - i) < self.prob[i] else self.alias[i]
+        return bisect_right(self.cum, uniforms.next() * self.total, 0, self.n - 1)
 
 
 def row_tables(matrix, w):
-    """``(row_alias, row_mass)`` over the row-major entry weights ``w``:
-    ``row_mass[i]`` sums row i's slice, and ``row_alias[i]`` is ``(column
-    ids as a list, alias over the slice)``, or None where that sum is 0."""
+    """``(row_cdf, row_mass)`` over the row-major entry weights ``w``:
+    ``row_cdf[i]`` is ``(column ids, prefix sums of the weights)`` of row i's
+    slice as lists, or None where its mass is 0, and ``row_mass[i]`` is the
+    last prefix sum (0 for an empty row)."""
     ptr = matrix.row_ptr.tolist()
     cols = matrix.row_entries()[0].tolist()
-    row_alias = []
-    row_mass = np.zeros(matrix.n_rows)
-    for i in range(matrix.n_rows):
-        a, b = ptr[i], ptr[i + 1]
-        if a < b:
-            row_mass[i] = w[a:b].sum()
-        row_alias.append((cols[a:b], StaticAlias(w[a:b])) if row_mass[i] > 0 else None)
-    return row_alias, row_mass
+    w = w.tolist()
+    row_cdf, row_mass = [], []
+    for a, b in zip(ptr, ptr[1:]):
+        cum = list(accumulate(w[a:b]))
+        mass = cum[-1] if cum else 0.0
+        row_mass.append(mass)
+        row_cdf.append((cols[a:b], cum) if mass > 0 else None)
+    return row_cdf, np.array(row_mass)
 
 
 class CoordSampler:
@@ -188,12 +185,13 @@ class CoordSampler:
 
     The weight ``L_j(x) / d_j`` of column j, ``d`` the regularizer weights,
     decomposes as ``static_j + (8/alpha) * sum_i p_i w_ij`` with everything
-    except p precomputed: the static summand uses an alias table; the dynamic
-    summand routes through a row tree and a per-row alias over the ``w_ij``.
+    except p precomputed: the static summand is drawn from the prefix sums of
+    ``static_alias``; the dynamic summand routes through a row tree, then
+    bisects the prefix sums of the row's ``w_ij`` in ``row_cdf``.
     A row of A and its mirrored row share their column pattern and their
     |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) * row_mass_i``.
     The ``w_ij`` are computed for every entry at once, over the matrix's
-    row-major arrays, and ``row_tables`` builds each row's alias table and
+    row-major arrays, and ``row_tables`` builds each row's prefix sums and
     ``row_mass`` from its slice.  The sampler stays in sync with its
     SoftmaxState by being the single mutation path (``step``), and by
     ``resync`` after the state is re-centred; sampling with a stale state
@@ -211,7 +209,7 @@ class CoordSampler:
         # column j makes cm_j > 0, and every constructor keeps d_j >= cm_j
         cols, vals = matrix.row_entries()
         w = np.abs(vals) * matrix.col_maxabs[cols] / params.d[cols]
-        self.row_alias, self.row_mass = row_tables(matrix, w)
+        self.row_cdf, self.row_mass = row_tables(matrix, w)
         # Python-list copies for the fused step loop (cdsolver.lcd_steps)
         self._row_mass = self.row_mass.tolist()
         self._curvature = params.curvature.tolist()
@@ -253,6 +251,5 @@ class CoordSampler:
             raise SolverFault("sampler has zero total mass")
         if uniforms.next() * (stat + dyn) < stat:
             return self.static_alias.sample(uniforms)
-        i = self.tree.sample(uniforms)
-        cols, alias = self.row_alias[i]
-        return cols[alias.sample(uniforms)]
+        cols, cum = self.row_cdf[self.tree.sample(uniforms)]
+        return cols[bisect_right(cum, uniforms.next() * cum[-1], 0, len(cum) - 1)]

@@ -736,16 +736,19 @@ def golden_operations(tmp_path):
 
 
 # sha256 of stdout, then of each file written, of every golden operation; a
-# refactor that keeps the CLI's output byte-identical keeps them.  The prox-CD
-# hashes were recorded when each subproblem began to stop at an objective gap
-# of eps_iter / 16, the mirror-prox hashes when its dual was folded to the
-# rows of A (its draws and sums run over n rows, not 2n), and the exact-flow
-# and bench hashes before the flow pipeline stopped setting each
-# ``FlowSolution.value`` twice
+# refactor that keeps the CLI's output byte-identical keeps them.  Every hash
+# but exact-flow-directed's was recorded when the fixed laws (prox-CD's static
+# summand and row tables, mirror-prox's static and row branches) began to be
+# drawn by bisecting one uniform into prefix sums instead of through Walker
+# alias tables, and the radius-1 flow probe got a stream of its own: the laws
+# stayed, but the map from a uniform to an index and the last bits of the row
+# masses moved.  exact-flow-directed's did not move (its one probe's
+# fractional flow rounds to the same integral flow); it was recorded before
+# the flow pipeline stopped setting each ``FlowSolution.value`` twice
 GOLDEN = {
     "bench-cd-diag": [
-        "5385ef5240b6b8549f18ccb4949a96490d1783ac060fef7aa6eb74e9667e19dd",
-        "5385ef5240b6b8549f18ccb4949a96490d1783ac060fef7aa6eb74e9667e19dd",
+        "77c8be8705936092317f58611be24b52d65d44b0f86974dba922bfe9ff655781",
+        "77c8be8705936092317f58611be24b52d65d44b0f86974dba922bfe9ff655781",
     ],
     "exact-flow-directed": [
         "54a8b53579ec63d9f25abf3de1161c75124276d6a6adba5792c0b52dce538516",
@@ -753,30 +756,30 @@ GOLDEN = {
     ],
     "exact-flow-undirected": [
         "70c85b2b3359625b0f1eb30f368b6ded6f3d80871fd52bf03ecba522c8d75d08",
-        "985ef00a7f053df6e2647eb3677173e687769a3b803b5c65982d0381ee5e52aa",
+        "939ed4728cc7834ddd687821fc84b4339b9c88f3d84b54f985bab13015d50b33",
     ],
     "maxflow-cd-diag": [
-        "bc35dd121ccd0a142bdabc7ae3a0da92821071b8b4c59db968630bc9b040fea7",
-        "1085761a83a15986f9054c50ed055c67e1c644917423ea7fd24c9fd03b2b1e2e",
+        "73e0dd81a033edb66f6b9591be714614d4e5b53a40b7b25b050c1dc40b938dd1",
+        "d0d1c5e9c96a7c468d1a76a642e6b8e5e12e11c055c0b363c2279a0fdf7d52e0",
     ],
     "maxflow-cd-l2": [
-        "0fd82bc2c2893a4c137f88adc7ecb771883ce49e24252775bf5aeda5c3b51a2b",
-        "30adce953f250d2aa05ea4290684a19a1ec6189d2592872c44bb79ccb04ec6fc",
+        "9c016e74b55063a82d1ae5f9ecfa1a9797817343c20d22ff8e519497351f64c4",
+        "b5a8157c68f5cd13b26bbe24f7f79e0b14dcdbef7751b22ecfc120f95415b8fa",
     ],
     "regress-cd-diag": [
         "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
-        "2c308798d1b00ff1f020d39bba078efe9cfe316439f8c1328adf802f178c6a65",
-        "55b0d3dba113a8fa550212b57fb6327319bb8a878aa55e65d0862884e70f97c7",
+        "338e3ce5ed01e2b49ac4d81ef9a0c59120aee1a96d409db88215036b52eb1da8",
+        "d0376e49fcd68961a63655bf5d2e95d217337d3841e6847262936332bc2326cd",
     ],
     "regress-cd-l2": [
         "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
-        "0e58604fa794afda3bb1f37e177099ab2bdfcee5c5fb61f100bbdaa573f6925c",
-        "9d75727fa7bf5030d86ffe2198e6e0fb1e8025235173c03e4cb0c04af6a05e64",
+        "13c222a3126adb1f3acd44d110bc56d85ece7f61c6867bae8ded613ed334275d",
+        "d787597428a3c9cb44d4ac38b7e32101c73581a9256211ad810d513d6b1997e9",
     ],
     "regress-mirror-prox": [
-        "95178539b0ae03192bc4d3cbb2c91aae5827e5b68fc0d3a12aae9b2c3eb24011",
-        "abf97c29742180ebdd08429e4fa4652d224486201329b0c925216d4f766ed0e7",
-        "3fd505f7a6c7b8aa028cde117fb446f7f1b04e5e4f308a16ee19e59b7ac18cd3",
+        "b311e291949dae1f9869b77597e48bd95dfb21856eed7f01d645a680beb7978a",
+        "99539b65f8af01df7a6694e4678e4ce31dab0f31417fff3e98ec549370e35745",
+        "227a9ba1863facf291edb4f38b586ed23be13b05d493538d44ab74647cd0f0a1",
     ],
 }
 
@@ -786,29 +789,31 @@ def test_golden_outputs(tmp_path, capsys, name):
     argv, written = golden_operations(tmp_path)[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    digests = [hashlib.sha256(out.encode()).hexdigest()]
-    digests += [hashlib.sha256(path.read_bytes()).hexdigest() for path in written]
-    assert digests == GOLDEN[name]
-    # the recorded value passes its oracle: a regression value (each bench row's
-    # too) lies within eps above the LP optimum, an approximate flow value
-    # within a factor (1 - eps) of Dinic's, and an exact flow value is Dinic's
-    path = argv[argv.index("--input") + 1]
+    # the output passes its oracle before its hash is compared, so a hash that
+    # moves comes with proof that the new output is still correct: a
+    # regression value (each bench row's too) lies within eps above the LP
+    # optimum, an approximate flow value within a factor (1 - eps) of
+    # Dinic's, and an exact flow value is Dinic's
+    source = argv[argv.index("--input") + 1]
     if name.startswith("bench"):
-        matrix, b = read_matrix_file(path)
+        matrix, b = read_matrix_file(source)
         opt, _ = box_linf_opt(matrix.to_dense(), b)
         for row in out.splitlines()[1:]:
             eps, _, value = (float(v) for v in row.split(","))
             assert opt - 1e-9 <= value <= opt + eps
-        return
-    value = float(out.splitlines()[0].removeprefix("value "))
-    if name.startswith("exact-flow"):
-        assert value == dinic_oracle(read_dimacs(path)).value
-        return
-    eps = float(argv[argv.index("--eps") + 1])
-    if name.startswith("regress"):
-        matrix, b = read_matrix_file(path)
-        opt, _ = box_linf_opt(matrix.to_dense(), b)
-        assert opt - 1e-9 <= value <= opt + eps
     else:
-        flow_value = dinic_oracle(read_dimacs(path)).value
-        assert (1.0 - eps) * flow_value <= value <= flow_value + 1e-9
+        value = float(out.splitlines()[0].removeprefix("value "))
+        if name.startswith("exact-flow"):
+            assert value == dinic_oracle(read_dimacs(source)).value
+        elif name.startswith("regress"):
+            eps = float(argv[argv.index("--eps") + 1])
+            matrix, b = read_matrix_file(source)
+            opt, _ = box_linf_opt(matrix.to_dense(), b)
+            assert opt - 1e-9 <= value <= opt + eps
+        else:
+            eps = float(argv[argv.index("--eps") + 1])
+            flow_value = dinic_oracle(read_dimacs(source)).value
+            assert (1.0 - eps) * flow_value <= value <= flow_value + 1e-9
+    digests = [hashlib.sha256(out.encode()).hexdigest()]
+    digests += [hashlib.sha256(path.read_bytes()).hexdigest() for path in written]
+    assert digests == GOLDEN[name]

@@ -311,9 +311,11 @@ class TestAlmostRoute:
     def route(self, monkeypatch, middle):
         eps = 0.1
         probes = []  # (max |rhs|, matrix) per probe; the first is at r = 1
+        self.streams = []  # the random stream of each probe
 
-        def probe(inst, value_target, **_):
+        def probe(inst, value_target, stream, **_):
             probes.append((float(np.abs(inst.b).max()), inst.matrix))
+            self.streams.append(stream)
             r = probes[0][0] / probes[-1][0]  # a probe at radius r sees rhs b / r
             verdict = "accept" if r >= 1.6 else "reject" if r < 1.3 else middle
             value, gap = {"accept": (0.0, 0.0), "reject": (2 * value_target, 0.0),
@@ -347,6 +349,13 @@ class TestAlmostRoute:
         lb_undecided = undecided.meta["opt_lower"] / rd_norm
         assert 1.3 <= lb_certified < 1.6
         assert 1.0 <= lb_undecided < 1.3 and lb_undecided < lb_certified
+
+    def test_each_probe_draws_its_own_stream(self, monkeypatch):
+        # the radius-1 probe and the bisection's probes never replay each
+        # other's uniforms: a probe's stream counts the probes before it
+        route, _ = self.route(monkeypatch, "reject")
+        assert route.probes >= 2
+        assert self.streams == list(range(route.probes))
 
 
 class TestFlowToRegress:

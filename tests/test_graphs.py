@@ -2,7 +2,8 @@
 
 Each bulk path is checked against the loop it replaces above
 ``graphs._BULK_EDGES``: the tests set that crossover out of reach to get the
-loop's answer on the same input.
+loop's answer on the same input.  The spanning tree has no loop; it is
+checked against ``helpers.kruskal_tree`` at every size.
 """
 
 import numpy as np
@@ -152,22 +153,15 @@ def tree_graphs(kind):
 class TestSpanningTree:
     @pytest.mark.parametrize("kind", ["tied", "distinct", "wide"])
     def test_tree_edges_are_kruskals(self, kind):
-        bulk = 0
+        # Borůvka's rounds at every size, the smallest graphs included
         for net in tree_graphs(kind):
-            bulk += net.m >= graphs_module._BULK_EDGES
             expected = kruskal_tree(net)
             assert net.max_spanning_tree().tolist() == expected
             assert TreeApproximator(net).tree_edges.tolist() == expected
-        assert bulk >= 8  # Borůvka's rounds ran, not only the union-find
 
-    def test_boruvka_and_union_find_agree(self, monkeypatch):
-        # every graph both ways, the smallest ones included
-        nets = list(tree_graphs("tied"))
-        monkeypatch.setattr(graphs_module, "_BULK_EDGES", 10 ** 9)
-        trees = [net.max_spanning_tree() for net in nets]
-        monkeypatch.setattr(graphs_module, "_BULK_EDGES", 1)
-        for net, tree in zip(nets, trees):
-            np.testing.assert_array_equal(net.max_spanning_tree(), tree)
+    def test_edgeless_graph_has_an_empty_tree(self):
+        tree = FlowNetwork(1, []).max_spanning_tree()
+        assert tree.dtype == np.int64 and tree.tolist() == []
 
 
 class TestConnectivity:

@@ -1,4 +1,4 @@
-"""Sum tree, alias table, and the smoothness-weight mixture sampler."""
+"""Sum tree, prefix-sum laws, and the smoothness-weight mixture sampler."""
 
 import math
 
@@ -109,6 +109,87 @@ class TestStaticAlias:
             StaticAlias([0.0, 0.0])
 
 
+# the extreme uniforms: the largest float below 1 maps to the top of a law
+LAST_U = 1.0 - 2.0 ** -53
+
+
+class FixedUniforms:
+    """Hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def next(self):
+        return next(self.values)
+
+
+class TestZeroWeights:
+    """A weight-0 entry repeats its predecessor's prefix sum, so no uniform
+    draws it, at either end of [0, 1) and wherever it sits in the law."""
+
+    LAWS = ([0.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [3.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.5], [0.0, 4.0, 0.0])
+
+    def test_static_alias(self):
+        for w in self.LAWS:
+            a = StaticAlias(w)
+            for u in (0.0, LAST_U):
+                assert w[a.sample(FixedUniforms([u]))] > 0.0
+
+    def test_subnormal_total_stays_in_range(self):
+        # u * total rounds up to total, past every prefix sum
+        for w in ([5e-324], [5e-324, 0.0], [1e-320, 0.0, 0.0], [0.0, 1e-310]):
+            a = StaticAlias(w)
+            assert LAST_U * a.total == a.total
+            assert a.sample(FixedUniforms([LAST_U])) < len(w)
+
+    def sampler(self, trips, n_cols, mode, alpha=0.5):
+        from linfflow.core import SparseMatrix
+
+        matrix = SparseMatrix.from_triplets(trips, 1, n_cols)
+        state = SoftmaxState(matrix, np.zeros(1), alpha)
+        if mode == "l2":
+            params = LocalSmoothnessParams.l2(matrix, alpha, 1.0)
+        else:
+            params = LocalSmoothnessParams.diag(matrix, alpha, d_floor=0.0)
+        return CoordSampler(state, params)
+
+    @staticmethod
+    def last_u_takes_dynamic_branch(sampler):
+        dyn = sampler.dyn_coeff * sampler.tree.nodes[1]
+        stat = sampler.static_mass * sampler.state.z
+        return not LAST_U * (stat + dyn) < stat
+
+    def test_coord_sampler_row_law(self):
+        # |A_0j| * colmax_j underflows to 0 in columns 0, 2 and 4
+        tiny = 1e-200
+        sampler = self.sampler([(0, j, tiny if j % 2 == 0 else 1.0) for j in range(5)],
+                               5, "l2")
+        assert sampler.row_cdf[0] == ([0, 1, 2, 3, 4], [0.0, 1.0, 1.0, 2.0, 2.0])
+        assert self.last_u_takes_dynamic_branch(sampler)
+        for u in (0.0, LAST_U):
+            # one row, so no tree descent
+            assert sampler.sample(FixedUniforms([LAST_U, u])) in (1, 3)
+
+    def test_coord_sampler_static_law(self):
+        # diag with a zero floor gives the empty columns 0, 2 and 4 no weight
+        sampler = self.sampler([(0, 1, 1.0), (0, 3, -2.0)], 5, "diag")
+        assert [w > 0 for w in sampler.params.sample_static] == [
+            False, True, False, True, False]
+        for u in (0.0, LAST_U):
+            # 0 takes the static branch
+            assert sampler.sample(FixedUniforms([0.0, u])) in (1, 3)
+
+    def test_coord_sampler_subnormal_row_total(self):
+        # the row's weights are 1e-320 and 0; a tiny alpha keeps the dynamic
+        # branch's mass above 0
+        sampler = self.sampler([(0, 0, 1e-160), (0, 1, 1e-200)], 2, "l2", alpha=1e-300)
+        _, cum = sampler.row_cdf[0]
+        assert cum[-1] < np.finfo(float).tiny and LAST_U * cum[-1] == cum[-1]
+        assert self.last_u_takes_dynamic_branch(sampler)
+        assert sampler.sample(FixedUniforms([LAST_U, LAST_U])) < 2
+
+
 class TestMixtureSampler:
     def make(self, rng, n, m, alpha=0.5, s=None, mode="l2", per_col=3):
         matrix = random_sparse(rng, n, m, per_col=per_col)
@@ -202,31 +283,19 @@ class TestMixtureSampler:
 
 
 def reference_row_tables(matrix, params):
-    """The per-row alias tables and row masses, built entry by entry over the
+    """The per-row prefix sums and row masses, built entry by entry over the
     per-row copies of ``ReferenceSparse``."""
     ref = ReferenceSparse(matrix.n_rows, matrix.n_cols, *matrix.flat_entries())
     tables, mass = [], np.zeros(matrix.n_rows)
     for i in range(matrix.n_rows):
         cols, vals = ref.row(i)
-        if len(cols) == 0:
-            tables.append(None)
-            continue
-        w = np.empty(len(cols))
-        for k, (j, v) in enumerate(zip(cols, vals)):
-            w[k] = abs(v) * ref.col_maxabs[j] / params.d[j]
-        mass[i] = w.sum()
-        tables.append((cols.tolist(), StaticAlias(w)) if mass[i] > 0 else None)
+        cum, total = [], 0.0
+        for j, v in zip(cols, vals):
+            total += float(abs(v) * ref.col_maxabs[j] / params.d[j])
+            cum.append(total)
+        mass[i] = total
+        tables.append((cols.tolist(), cum) if total > 0 else None)
     return tables, mass
-
-
-def assert_same_row_tables(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        if w is None:
-            assert g is None
-            continue
-        assert g[0] == w[0]
-        assert (g[1].prob, g[1].alias, g[1].total) == (w[1].prob, w[1].alias, w[1].total)
 
 
 class TestRowTables:
@@ -247,7 +316,7 @@ class TestRowTables:
             sampler = CoordSampler(state, params)
             tables, mass = reference_row_tables(matrix, params)
             assert np.array_equal(sampler.row_mass, mass)
-            assert_same_row_tables(sampler.row_alias, tables)
+            assert sampler.row_cdf == tables
 
     def test_diag_with_zero_d_floor(self):
         for matrix, state in self.cases():
@@ -255,7 +324,7 @@ class TestRowTables:
             sampler = CoordSampler(state, params)
             tables, mass = reference_row_tables(matrix, params)
             assert np.array_equal(sampler.row_mass, mass)
-            assert_same_row_tables(sampler.row_alias, tables)
+            assert sampler.row_cdf == tables
 
 
 def test_make_rng_streams_differ_and_reproduce():
