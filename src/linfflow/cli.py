@@ -147,16 +147,9 @@ def _run_regress(args):
     return 0
 
 
-def _flow_common(args):
-    net = read_dimacs(args.input)
-    if net.source is None or net.sink is None:
-        raise InputError("flow commands need source and sink lines")
-    return net
-
-
 def _run_maxflow(args):
     _check_eps(args.eps)
-    net = _flow_common(args)
+    net = read_dimacs(args.input)
     if args.solver == "dinic":
         sol = dinic_oracle(net)
     else:
@@ -176,7 +169,7 @@ def _run_maxflow(args):
 
 def _run_exact_flow(args):
     _check_eps(args.eps)
-    net = _flow_common(args)
+    net = read_dimacs(args.input)
     sol = exact_unit_maxflow(net, solver=args.solver, seed=args.seed)
     if args.output:
         write_flow_file(args.output, net, sol)
@@ -196,7 +189,7 @@ def _run_bench(args):
         _check_eps(eps)
     fmt = _sniff_format(args.input, args.format)
     if fmt == "dimacs":
-        net = _flow_common(args)
+        net = read_dimacs(args.input)
         _check_routing_solver(args.solver, net)  # as flow_to_regress would, but first
         approx = TreeApproximator(net)  # and its regression matrix, for every row
     else:

@@ -16,7 +16,8 @@ level per pass, and the cut capacities are sums of positive terms only
 many orders of magnitude).  Augmenting paths walk the network's CSR incidence
 (``FlowNetwork.incidence``).
 Exact unit-capacity flows follow by scaling to feasibility, rounding the
-fractional flow with cycle cancellation, and finishing with augmenting paths;
+fractional flow with cycle cancellation (each cycle closed by one forward
+walk over the fractional edges), and finishing with augmenting paths;
 a digraph is reduced to a unit-capacity undirected graph first, and the flow
 found there is decomposed into s-t paths over the digraph's own incidence.
 A Dinic blocking-flow solver serves as the in-package oracle.
@@ -78,12 +79,10 @@ class TreeApproximator:
         if len(tree) != n - 1:
             raise InputError("graph must be connected")
         adj = [[] for _ in range(n)]
-        for e, u, v in zip(tree.tolist(), net.tails[tree].tolist(),
-                           net.heads[tree].tolist()):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
+        for u, v in zip(net.tails[tree].tolist(), net.heads[tree].tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
         tree_parent = [-1] * n
-        tree_parent_edge = [-1] * n
         depth = [0] * n
         order_v = []
         stack = [0]
@@ -92,11 +91,10 @@ class TreeApproximator:
         while stack:
             u = stack.pop()
             order_v.append(u)
-            for w, e in adj[u]:
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
                     tree_parent[w] = u
-                    tree_parent_edge[w] = e
                     depth[w] = depth[u] + 1
                     stack.append(w)
         self.post_order = order_v[::-1]
@@ -104,7 +102,6 @@ class TreeApproximator:
         self._child_parent = [(u, tree_parent[u]) for u in self.post_order
                               if tree_parent[u] >= 0]
         self.tree_parent = np.array(tree_parent, dtype=np.int64)
-        self.tree_parent_edge = np.array(tree_parent_edge, dtype=np.int64)
         self.depth = np.array(depth, dtype=np.int64)
         t, h = net.tails[tree], net.heads[tree]
         self.row_vertex = np.where(self.depth[t] > self.depth[h], t, h)
@@ -284,8 +281,8 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
         inst = RegressionInstance(matrix=matrix, b=rhs / r,
                                   epsilon=max(eps / 4.0, 1e-12 / r))
         if solver == "mirror-prox":
-            res = solve_flow_regress(inst, seed=seed, value_target=target,
-                                     lb_target=target)
+            res = solve_flow_regress(inst, seed=seed, stream=stream,
+                                     value_target=target, lb_target=target)
         else:
             mode = "diag" if solver == "cd-diag" else "l2"
             res = solve_box_linf(inst, mode=mode, seed=seed, stream=stream,
@@ -405,8 +402,13 @@ def round_to_integral(net, f):
 
     Unit capacities; works for undirected (signed flows in [-1, 1]) and
     directed (flows in [0, 1]) networks.  Cycle cancellation through a virtual
-    return edge: each push rounds at least one edge to an integer and never
-    decreases the value.
+    return edge t -> s: each push rounds at least one edge to an integer and
+    never decreases the value.  With the return edge counted, every vertex
+    has integral net flow, so a vertex on the fractional support has a second
+    fractional edge; each cycle is closed by one forward walk that never
+    leaves a vertex by the edge it came in on, with no search.  A vertex left
+    with a single fractional edge (conservation holds only to a tolerance)
+    raises ``SolverFault``.
     """
     f = np.asarray(f, dtype=np.float64).copy()
     if net.source is None or net.sink is None:
@@ -425,7 +427,7 @@ def round_to_integral(net, f):
 
     m = net.m
     tails, heads = net.tails.tolist(), net.heads.tolist()
-    # adjacency over edges incl. the virtual return edge index m (t -> s)
+
     def frac(v):
         return abs(v - round(v)) > 1e-9
 
@@ -435,6 +437,7 @@ def round_to_integral(net, f):
         frac_edges = np.flatnonzero(np.abs(f - np.round(f)) > 1e-9).tolist()
         if not frac_edges and not frac(ret):
             break
+        # (neighbor, edge, sign) over the fractional edges and the return edge m
         adj = [[] for _ in range(net.n)]
         for e in frac_edges:
             u, v = tails[e], heads[e]
@@ -443,9 +446,18 @@ def round_to_integral(net, f):
         if frac(ret):
             adj[net.sink].append((net.source, m, 1.0))
             adj[net.source].append((net.sink, m, -1.0))
-        cycle = _find_cycle(net.n, adj)
-        if cycle is None:
-            raise SolverFault("fractional support without a cycle")
+        # a walk from the lowest vertex on the support that never leaves by the
+        # edge it came in on closes a cycle where it first revisits a vertex
+        u, in_edge = next(v for v in range(net.n) if adj[v]), -1
+        walk, pos = [], {}  # steps (vertex reached, edge, sign); vertex -> step
+        while u not in pos:
+            pos[u] = len(walk)
+            arc = next((a for a in adj[u] if a[1] != in_edge), None)
+            if arc is None:
+                raise SolverFault("fractional support without a cycle")
+            walk.append(arc)
+            u, in_edge = arc[0], arc[1]
+        cycle = walk[pos[u]:]
         # orient the push to increase the return edge if it participates
         direction = 1.0
         for _, e, sgn in cycle:
@@ -456,9 +468,8 @@ def round_to_integral(net, f):
         for _, e, sgn in cycle:
             val = ret if e == m else f[e]
             step = sgn * direction
+            # f lies in [lo, 1], so the next integer is a capacity bound or inside
             room = (math.ceil(val - 1e-12) - val) if step > 0 else (val - math.floor(val + 1e-12))
-            if e != m:
-                room = min(room, (1.0 - val) if step > 0 else (val - lo))
             delta = min(delta, room)
         if delta <= 1e-12:
             raise SolverFault("degenerate rounding cycle")
@@ -471,47 +482,6 @@ def round_to_integral(net, f):
     if out.value < math.floor(fval - 1e-6):
         raise SolverFault("rounding lost flow value")
     return out
-
-
-def _find_cycle(n, adj):
-    """Any cycle in the multigraph given by adjacency (neighbor, edge, sign)."""
-    color = [0] * n
-    for start in range(n):
-        if color[start] or not adj[start]:
-            continue
-        stack = [(start, -1, iter(adj[start]))]
-        color[start] = 1
-        path = [(start, None)]
-        on_path = {start: 0}
-        while stack:
-            u, in_edge, it = stack[-1]
-            advanced = False
-            for (w, e, sgn) in it:
-                if e == in_edge:
-                    continue
-                if w in on_path:
-                    # found a cycle: slice the path from w onward
-                    k = on_path[w]
-                    cyc = [(path[i][0], path[i][1][0], path[i][1][1])
-                           for i in range(k + 1, len(path))]
-                    cyc.append((w, e, sgn))
-                    return cyc
-                if color[w] == 0:
-                    color[w] = 1
-                    path.append((w, (e, sgn)))
-                    on_path[w] = len(path) - 1
-                    stack.append((w, e, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                stack.pop()
-                dropped = path.pop()
-                del on_path[dropped[0]]
-        # reset path bookkeeping between components
-        path.clear()
-        on_path.clear()
-    return None
 
 
 def augment_to_max(net, flow):

@@ -432,13 +432,14 @@ class FlowRegressResult:
         return "\n".join(lines) + "\n"
 
 
-def solve_flow_regress(inst, seed=0, value_target=None, max_phases=None,
+def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_phases=None,
                        lb_target=None):
     """Approximately minimize a flow-shaped instance to additive epsilon.
 
     The instance is rescaled so the matrix and rhs sup norms are at most one
-    and solved by phases over its folded sign-doubled system, phase k on
-    seed stream k; requires the (rescaled) epsilon to exceed (2n)^-3.  The
+    and solved by phases over its folded sign-doubled system, phase k on the
+    seed's Philox stream ``stream * 2**32 + k``, which is k for stream 0;
+    requires the (rescaled) epsilon to exceed (2n)^-3.  The
     rescaled matrix and the sampling tables are built once and shared by
     every phase.  Every aggregate point is offered to one ``Certificate``
     seeded with x = 0, its value ``max |A x - b|`` and its dual folded to
@@ -487,7 +488,7 @@ def solve_flow_regress(inst, seed=0, value_target=None, max_phases=None,
     for k in range(cfg.phases):
         # each phase starts from the previous phase's aggregate point
         phase = PhaseState(matrix, b, cfg, x0=x_in, u0=u_in, tables=tables)
-        rng = make_rng(seed, stream=k)
+        rng = make_rng(seed, stream=(stream << 32) + k)
         uniforms = BufferedUniforms(rng)
         t_star = int(rng.integers(1, cfg.t_per_phase + 1))
         phase_val, phase_lb = math.inf, -math.inf  # this phase's row

@@ -11,8 +11,10 @@ them against finite differences, the sign-doubled system and the drawn laws.
 reference for ``mirrorprox.run_phase``; the dense dual law of a phase is
 ``helpers.doubled_law(phase.u)``.  ``reduction_recover`` decomposes a flow
 of ``flow.directed_reduce``'s undirected network on that network, the
-reference for the ``recover`` that decomposes it on the digraph.  This file
-lives under a name pytest does not collect.
+reference for the ``recover`` that decomposes it on the digraph.
+``search_round`` rounds a fractional flow by depth-first cycle search, the
+reference for ``flow.round_to_integral``'s forward walk.  This file lives
+under a name pytest does not collect.
 """
 
 import math
@@ -20,7 +22,9 @@ from collections import deque
 
 import numpy as np
 
-from linfflow.flow import round_to_integral
+from linfflow.errors import InputError, SolverFault
+from linfflow.flow import _ROUND_TOL, round_to_integral
+from linfflow.graphs import FlowSolution, incidence_apply
 from linfflow.mirrorprox import aggregate_point, phase_iterates
 
 
@@ -197,3 +201,119 @@ def reduction_recover(net, und, f_init, f_final):
     if np.abs(f_rec - np.round(f_rec)).max() > 1e-6:
         return round_to_integral(net, f_rec).flow
     return np.round(f_rec)
+
+
+def search_round(net, f):
+    """``flow.round_to_integral`` as it was before its forward walk: each
+    cycle is found by ``find_cycle``'s depth-first search, and each push is
+    clamped to the capacity bounds as well as to the next integer.
+
+    Unit capacities; works for undirected (signed flows in [-1, 1]) and
+    directed (flows in [0, 1]) networks.  Cycle cancellation through a virtual
+    return edge: each push rounds at least one edge to an integer and never
+    decreases the value.
+    """
+    f = np.asarray(f, dtype=np.float64).copy()
+    if net.source is None or net.sink is None:
+        raise InputError("rounding needs designated source and sink")
+    if not np.allclose(net.caps, 1.0):
+        raise InputError("rounding requires unit capacities")
+    lo = 0.0 if net.directed else -1.0
+    if (f > 1.0 + _ROUND_TOL).any() or (f < lo - _ROUND_TOL).any():
+        raise InputError("input flow violates capacities")
+    f = np.clip(f, lo, 1.0)
+    achieved = incidence_apply(net, f)
+    inner = np.delete(achieved, [net.source, net.sink])
+    if len(inner) and np.abs(inner).max() > _ROUND_TOL:
+        raise InputError("input flow violates conservation")
+    fval = float(achieved[net.sink])
+
+    m = net.m
+    tails, heads = net.tails.tolist(), net.heads.tolist()
+    # adjacency over edges incl. the virtual return edge index m (t -> s)
+    def frac(v):
+        return abs(v - round(v)) > 1e-9
+
+    ret = fval
+    for _ in range(m + 2):
+        # np.round rounds half to even, as round does in frac
+        frac_edges = np.flatnonzero(np.abs(f - np.round(f)) > 1e-9).tolist()
+        if not frac_edges and not frac(ret):
+            break
+        adj = [[] for _ in range(net.n)]
+        for e in frac_edges:
+            u, v = tails[e], heads[e]
+            adj[u].append((v, e, 1.0))   # traverse along orientation
+            adj[v].append((u, e, -1.0))  # traverse against orientation
+        if frac(ret):
+            adj[net.sink].append((net.source, m, 1.0))
+            adj[net.source].append((net.sink, m, -1.0))
+        cycle = find_cycle(net.n, adj)
+        if cycle is None:
+            raise SolverFault("fractional support without a cycle")
+        # orient the push to increase the return edge if it participates
+        direction = 1.0
+        for _, e, sgn in cycle:
+            if e == m and sgn < 0:
+                direction = -1.0
+                break
+        delta = math.inf
+        for _, e, sgn in cycle:
+            val = ret if e == m else f[e]
+            step = sgn * direction
+            room = (math.ceil(val - 1e-12) - val) if step > 0 else (val - math.floor(val + 1e-12))
+            if e != m:
+                room = min(room, (1.0 - val) if step > 0 else (val - lo))
+            delta = min(delta, room)
+        if delta <= 1e-12:
+            raise SolverFault("degenerate rounding cycle")
+        for _, e, sgn in cycle:
+            if e == m:
+                ret += sgn * direction * delta
+            else:
+                f[e] += sgn * direction * delta
+    out = FlowSolution.from_flow(net, np.round(f))
+    if out.value < math.floor(fval - 1e-6):
+        raise SolverFault("rounding lost flow value")
+    return out
+
+
+def find_cycle(n, adj):
+    """Any cycle in the multigraph given by adjacency (neighbor, edge, sign)."""
+    color = [0] * n
+    for start in range(n):
+        if color[start] or not adj[start]:
+            continue
+        stack = [(start, -1, iter(adj[start]))]
+        color[start] = 1
+        path = [(start, None)]
+        on_path = {start: 0}
+        while stack:
+            u, in_edge, it = stack[-1]
+            advanced = False
+            for (w, e, sgn) in it:
+                if e == in_edge:
+                    continue
+                if w in on_path:
+                    # found a cycle: slice the path from w onward
+                    k = on_path[w]
+                    cyc = [(path[i][0], path[i][1][0], path[i][1][1])
+                           for i in range(k + 1, len(path))]
+                    cyc.append((w, e, sgn))
+                    return cyc
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append((w, (e, sgn)))
+                    on_path[w] = len(path) - 1
+                    stack.append((w, e, iter(adj[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[u] = 2
+                stack.pop()
+                dropped = path.pop()
+                del on_path[dropped[0]]
+        # reset path bookkeeping between components
+        path.clear()
+        on_path.clear()
+    return None

@@ -701,16 +701,22 @@ def golden_operations(tmp_path):
             break
     small = tmp_path / "small.linf"
     write_matrix_file(small, matrix, b=rng.uniform(-0.8, 0.8, 3))
-    graph = tmp_path / "graph.dimacs"
-    net = random_connected_graph(np.random.default_rng(33), 8, extra_edges=6)
-    graph.write_text(f"c undirected\np max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
-                     + "".join(f"a {u + 1} {v + 1} 1\n"
-                               for u, v in zip(net.tails, net.heads)))
-    digraph = tmp_path / "digraph.dimacs"
-    net = random_unit_digraph(np.random.default_rng(39), 6, extra_arcs=5)
-    digraph.write_text(f"p max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
-                       + "".join(f"a {u + 1} {v + 1} 1\n"
-                                 for u, v in zip(net.tails, net.heads)))
+
+    def write_dimacs(name, net):
+        path = tmp_path / name
+        path.write_text(("" if net.directed else "c undirected\n")
+                        + f"p max {net.n} {net.m}\nn 1 s\nn {net.n} t\n"
+                        + "".join(f"a {u + 1} {v + 1} 1\n"
+                                  for u, v in zip(net.tails, net.heads)))
+        return path
+
+    graph = write_dimacs("graph.dimacs", random_connected_graph(
+        np.random.default_rng(33), 8, extra_edges=6))
+    digraph = write_dimacs("digraph.dimacs", random_unit_digraph(
+        np.random.default_rng(39), 6, extra_arcs=5))
+    # a graph whose mirror-prox routes bisect over five probes each
+    small_graph = write_dimacs("small-graph.dimacs", random_connected_graph(
+        np.random.default_rng(4), 5))
     ops = {}
     for name, path, solver, eps in (("cd-l2", sparse, "cd-l2", "0.05"),
                                     ("cd-diag", sparse, "cd-diag", "0.05"),
@@ -719,10 +725,11 @@ def golden_operations(tmp_path):
         ops[f"regress-{name}"] = (["regress", "--input", str(path), "--solver", solver,
                                    "--eps", eps, "--seed", "3", "--output", str(out),
                                    "--trace", str(trace)], [out, trace])
-    for solver in ("cd-l2", "cd-diag"):
+    for solver, path, eps in (("cd-l2", graph, "0.2"), ("cd-diag", graph, "0.2"),
+                              ("mirror-prox", small_graph, "0.5")):
         out = tmp_path / f"maxflow-{solver}.flow"
-        ops[f"maxflow-{solver}"] = (["maxflow", "--input", str(graph), "--solver",
-                                     solver, "--eps", "0.2", "--seed", "5",
+        ops[f"maxflow-{solver}"] = (["maxflow", "--input", str(path), "--solver",
+                                     solver, "--eps", eps, "--seed", "5",
                                      "--output", str(out)], [out])
     for name, path in (("undirected", graph), ("directed", digraph)):
         out = tmp_path / f"exact-{name}.flow"
@@ -744,7 +751,10 @@ def golden_operations(tmp_path):
 # stayed, but the map from a uniform to an index and the last bits of the row
 # masses moved.  exact-flow-directed's did not move (its one probe's
 # fractional flow rounds to the same integral flow); it was recorded before
-# the flow pipeline stopped setting each ``FlowSolution.value`` twice
+# the flow pipeline stopped setting each ``FlowSolution.value`` twice.
+# maxflow-mirror-prox's was recorded once each mirror-prox probe drew from a
+# stream of its own (before, every probe of a route replayed the first one's
+# uniforms, and the value was 1.8954 where it is now 1.9368)
 GOLDEN = {
     "bench-cd-diag": [
         "77c8be8705936092317f58611be24b52d65d44b0f86974dba922bfe9ff655781",
@@ -765,6 +775,10 @@ GOLDEN = {
     "maxflow-cd-l2": [
         "9c016e74b55063a82d1ae5f9ecfa1a9797817343c20d22ff8e519497351f64c4",
         "b5a8157c68f5cd13b26bbe24f7f79e0b14dcdbef7751b22ecfc120f95415b8fa",
+    ],
+    "maxflow-mirror-prox": [
+        "46ea4ad3702fd0cceec9620adbf292dbb300b817c3b21a5ff64982bfb11bbab6",
+        "be34183a4746f041e70515c37aeaa91883b683f8419230e62a76480b45768ce9",
     ],
     "regress-cd-diag": [
         "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",

@@ -16,7 +16,7 @@ from helpers import (
 )
 from linfflow import flow as flow_module
 from linfflow import graphs as graphs_module
-from linfflow.errors import InputError
+from linfflow.errors import InputError, SolverFault
 from linfflow.flow import (
     TreeApproximator,
     almost_route,
@@ -28,12 +28,34 @@ from linfflow.flow import (
     round_to_integral,
 )
 from linfflow.graphs import FlowNetwork, incidence_apply
-from reference_steps import reduction_recover
+from reference_steps import reduction_recover, search_round
 
 
 def path_net(k, cap=1.0):
     return FlowNetwork(k + 1, [(i, i + 1, cap) for i in range(k)],
                        source=0, sink=k)
+
+
+def mixed_fractional_flow(rng, directed):
+    """A random unit graph on 4 to 15 vertices and a convex mix of max flows
+    found on relabelled copies of it; half the time the zero flow joins the
+    mix, so the value is fractional as well."""
+    n = int(rng.integers(4, 16))
+    net = (random_unit_digraph(rng, n) if directed else
+           random_connected_graph(rng, n, extra_edges=int(rng.integers(1, 2 * n))))
+    flows = [np.zeros(net.m)] if rng.random() < 0.5 else []
+    for _ in range(int(rng.integers(2, 5))):
+        label, order = rng.permutation(n), rng.permutation(net.m)
+        tails, heads = label[net.tails[order]], label[net.heads[order]]
+        copy = FlowNetwork(n, [(u, v, 1.0) for u, v in zip(tails.tolist(), heads.tolist())],
+                           directed=directed, source=int(label[net.source]),
+                           sink=int(label[net.sink]))
+        f = np.zeros(net.m)
+        # an undirected copy stores each edge from its lower label
+        f[order] = np.where(copy.tails == tails, 1.0, -1.0) * \
+            augment_to_max(copy, np.zeros(net.m)).flow
+        flows.append(f)
+    return net, rng.dirichlet(np.ones(len(flows))) @ np.array(flows)
 
 
 class TestTreeApproximator:
@@ -308,7 +330,7 @@ class TestAlmostRoute:
     """Probe verdicts stubbed in by radius: accept at r >= 1.6, a reject below
     1.3, and between them either a certified reject or an undecided probe."""
 
-    def route(self, monkeypatch, middle):
+    def route(self, monkeypatch, middle, solver="cd-l2"):
         eps = 0.1
         probes = []  # (max |rhs|, matrix) per probe; the first is at r = 1
         self.streams = []  # the random stream of each probe
@@ -323,14 +345,15 @@ class TestAlmostRoute:
             return SimpleNamespace(value=value, gap=gap, sampled_coordinates=1,
                                    x=np.zeros(inst.matrix.n_cols))
 
-        monkeypatch.setattr(flow_module, "solve_box_linf", probe)
+        monkeypatch.setattr(flow_module, "solve_flow_regress" if solver == "mirror-prox"
+                            else "solve_box_linf", probe)
         # two disjoint s-t paths: the tree routes 2 units at congestion 2
         net = FlowNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)],
                           source=0, sink=3)
         approx = TreeApproximator(net)
         d = net.st_demand(2.0)
         rd_norm = float(np.abs(approx.apply(d)).max())
-        route = almost_route(net, d, approx, eps)
+        route = almost_route(net, d, approx, eps, solver=solver)
         # every probe of the route runs on one matrix
         assert all(matrix is probes[0][1] for _, matrix in probes)
         return route, rd_norm
@@ -350,10 +373,11 @@ class TestAlmostRoute:
         assert 1.3 <= lb_certified < 1.6
         assert 1.0 <= lb_undecided < 1.3 and lb_undecided < lb_certified
 
-    def test_each_probe_draws_its_own_stream(self, monkeypatch):
+    @pytest.mark.parametrize("solver", ["cd-l2", "mirror-prox"])
+    def test_each_probe_draws_its_own_stream(self, monkeypatch, solver):
         # the radius-1 probe and the bisection's probes never replay each
         # other's uniforms: a probe's stream counts the probes before it
-        route, _ = self.route(monkeypatch, "reject")
+        route, _ = self.route(monkeypatch, "reject", solver)
         assert route.probes >= 2
         assert self.streams == list(range(route.probes))
 
@@ -437,11 +461,41 @@ class TestRoundToIntegral:
             feasible = sol.flow / max(sol.max_congestion, 1.0)
             fval = incidence_apply(net, feasible)[net.sink]
             out = round_to_integral(net, feasible)
+            assert out.flow.tobytes() == search_round(net, feasible).flow.tobytes()
             assert np.abs(out.flow - np.round(out.flow)).max() == 0.0
             assert out.value >= math.floor(fval - 1e-9)
             inner = np.delete(out.achieved_demand, [net.source, net.sink])
             if len(inner):
                 assert np.abs(inner).max() <= 1e-9
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_walk_matches_cycle_search(self, directed):
+        # the forward walk takes the search's edges step for step, so it
+        # returns the search's bytes, and where the search fails so does it
+        rng = np.random.default_rng(24 + directed)
+        fractional_flows = fractional_values = 0
+        while fractional_flows < 200:
+            net, f = mixed_fractional_flow(rng, directed)
+            if np.abs(f - np.round(f)).max(initial=0.0) <= 1e-9:
+                continue  # every copy found the same max flow
+            fractional_flows += 1
+            value = incidence_apply(net, f)[net.sink]
+            fractional_values += abs(value - round(value)) > 1e-9
+            try:
+                want = search_round(net, f)
+            except SolverFault as fault:
+                with pytest.raises(SolverFault, match=str(fault)):
+                    round_to_integral(net, f)
+                continue
+            assert round_to_integral(net, f).flow.tobytes() == want.flow.tobytes()
+        assert fractional_values >= 50
+
+    def test_single_fractional_edge_has_no_cycle(self):
+        # conservation holds to within 1e-6 at vertex 1, so the input is
+        # accepted, but vertex 1's one fractional edge can never be rounded
+        for rounding in (round_to_integral, search_round):
+            with pytest.raises(SolverFault, match="fractional support without a cycle"):
+                rounding(path_net(2), np.array([1.0, 1.0 - 5e-7]))
 
     def test_rejects_infeasible(self):
         net = path_net(2)

@@ -18,6 +18,10 @@ or ``r = f(...)`` with ``f`` returning ``C(...)``).
 The benchmark's span tracer (``linfbench/spans.py``) imports every module
 named in its ``MODULES`` by name, so each must stay importable.
 
+Every attribute the package stores on ``self`` is read as ``.name``
+somewhere in ``src/`` or ``linfbench/``: state that only tests read is
+state the program never uses.
+
 Every parameter with a default, of a package function or method, is set by
 some call in ``src/`` (outside the function itself) or in ``linfbench/``,
 apart from a commented list of test seams and library entry points.
@@ -252,6 +256,29 @@ def test_every_definition_is_referenced():
         elif not reads[name]:
             unreferenced.append(f"{module}.{cls}.{name}")
     assert unreferenced == []
+
+
+def test_every_stored_attribute_is_read():
+    trees = [parse(path) for top in (ROOT / "src", ROOT / "linfbench")
+             for path in sorted(top.rglob("*.py"))
+             if "out" not in path.relative_to(top).parts]
+    read = {attr for tree in trees for attr, _, _ in attribute_reads(tree)}
+    stored = set()  # (module, class, attribute) of every self.<attribute> store
+
+    def visit(node, module, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and key(node.value) == "self"):
+            stored.add((module, cls, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, cls)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(parse(path), path.stem, None)
+    assert stored
+    assert sorted(f"{module}.{cls}.{attr}" for module, cls, attr in stored
+                  if attr not in read) == []
 
 
 # module-level definitions that only tests name, kept in the package on purpose
