@@ -13,20 +13,21 @@ Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``), every
 graph edge's tree path is walked at once, one tree
 level per pass, and the cut capacities are sums of positive terms only
 (subtracting at the LCA would cancel catastrophically when capacities span
-many orders of magnitude).  Augmenting paths walk the network's CSR incidence
-(``FlowNetwork.incidence``).
+many orders of magnitude).
 Exact unit-capacity flows follow by scaling to feasibility, rounding the
 fractional flow with cycle cancellation (each cycle closed by one forward
 walk over the fractional edges), and finishing with augmenting paths;
 a digraph is reduced to a unit-capacity undirected graph first, and the flow
 found there is decomposed into s-t paths over the digraph's own incidence.
-A Dinic blocking-flow solver serves as the in-package oracle.
+A Dinic blocking-flow solver serves as the in-package oracle.  Augmenting
+paths and Dinic walk the network's CSR incidence (``FlowNetwork.incidence``)
+with one flow per edge, and both stop once the flow's value reaches the
+smaller star cut (``_star_cut``), which proves it maximum.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -406,9 +407,10 @@ def round_to_integral(net, f):
     never decreases the value.  With the return edge counted, every vertex
     has integral net flow, so a vertex on the fractional support has a second
     fractional edge; each cycle is closed by one forward walk that never
-    leaves a vertex by the edge it came in on, with no search.  A vertex left
-    with a single fractional edge (conservation holds only to a tolerance)
-    raises ``SolverFault``.
+    leaves a vertex by the edge it came in on, with no search.  Conservation
+    holds only to ``_ROUND_TOL``, so the walk can reach a vertex whose one
+    fractional edge is the one it came in on: that edge is off an integer by
+    the vertex's imbalance alone, and it is snapped to the nearer integer.
     """
     f = np.asarray(f, dtype=np.float64).copy()
     if net.source is None or net.sink is None:
@@ -454,9 +456,17 @@ def round_to_integral(net, f):
             pos[u] = len(walk)
             arc = next((a for a in adj[u] if a[1] != in_edge), None)
             if arc is None:
-                raise SolverFault("fractional support without a cycle")
+                # u's one fractional edge, the one the walk came in on, is
+                # off an integer by u's imbalance alone: snap it there
+                if in_edge == m:
+                    ret = round(ret)
+                else:
+                    f[in_edge] = round(f[in_edge])
+                break
             walk.append(arc)
             u, in_edge = arc[0], arc[1]
+        if arc is None:
+            continue
         cycle = walk[pos[u]:]
         # orient the push to increase the return edge if it participates
         direction = 1.0
@@ -484,6 +494,76 @@ def round_to_integral(net, f):
     return out
 
 
+def _star_cut(net):
+    """The smaller capacity of the two star cuts: out of s, and into t.
+
+    On an undirected graph a star's capacity is the capacity incident to its
+    vertex.  Both cuts separate s from t, so no s-t flow exceeds either, and
+    a flow whose value reaches one is maximum (max-flow/min-cut).
+    """
+    s, t = net.source, net.sink
+    if net.directed:
+        out_s, in_t = net.tails == s, net.heads == t
+    else:
+        out_s = (net.tails == s) | (net.heads == s)
+        in_t = (net.tails == t) | (net.heads == t)
+    return float(min(net.caps[out_s].sum(), net.caps[in_t].sum()))
+
+
+def _check_terminals(net):
+    if net.source is None or net.sink is None:
+        raise InputError("max flow needs designated source and sink")
+    if net.source == net.sink:
+        raise InputError("max flow needs a source distinct from the sink")
+
+
+def _residual_lists(net):
+    """``(caps, lo, hi, low, ptr, neighbor, edge, sign)`` as lists: the CSR
+    incidence, and bounds under which an edge is open along its orientation
+    while ``f < hi`` and against it while ``f > low``, with lo = 0 on digraphs
+    and -1 on undirected graphs, and 1e-9 times the capacity of slack."""
+    lo = 0.0 if net.directed else -1.0
+    return (net.caps.tolist(), lo, (net.caps - 1e-9 * net.caps).tolist(),
+            (lo * net.caps + 1e-9 * net.caps).tolist(),
+            *(a.tolist() for a in net.incidence()))
+
+
+def _search(res, f, s, t):
+    """BFS from s over the open slots, stopped once it labels t.
+
+    Returns per vertex its level (-1 when unlabelled), the vertex it was
+    reached from, and the slot it was reached by.
+    """
+    _, _, hi, low, ptr, neighbor, edge, sign = res
+    n = len(ptr) - 1
+    level, prev, slot = [-1] * n, [0] * n, [0] * n
+    level[s] = 0
+    queue = [s]
+    for u in queue:
+        if level[t] >= 0:
+            break
+        for k in range(ptr[u], ptr[u + 1]):
+            w = neighbor[k]
+            if level[w] < 0:
+                e = edge[k]
+                if (f[e] < hi[e]) if sign[k] > 0 else (f[e] > low[e]):
+                    level[w] = level[u] + 1
+                    prev[w] = u
+                    slot[w] = k
+                    queue.append(w)
+    return level, prev, slot
+
+
+def _push(res, f, path):
+    """Push the smallest residual of the slots in ``path``; returns it."""
+    caps, lo, _, _, _, _, edge, sign = res
+    pushed = min((caps[edge[k]] - f[edge[k]]) if sign[k] > 0
+                 else (f[edge[k]] - lo * caps[edge[k]]) for k in path)
+    for k in path:
+        f[edge[k]] += sign[k] * pushed
+    return pushed
+
+
 def augment_to_max(net, flow):
     """BFS augmenting rounds on the capacitated residual graph (Edmonds-Karp).
 
@@ -491,139 +571,95 @@ def augment_to_max(net, flow):
     against it, with lo = 0 on digraphs and -1 on undirected graphs.  A
     direction is open while its residual exceeds 1e-9 times the edge's
     capacity (a bound on f, computed once per edge), so scaling every
-    capacity scales the answer.  Runs until no augmenting path remains.
+    capacity scales the answer.  Runs until the value, tracked by adding each
+    bottleneck, reaches ``_star_cut`` (checked before any list is built) or
+    no augmenting path remains.  ``meta`` records the ``searches``, the
+    ``paths`` pushed and the ``stop``: ``"star_cut"`` or ``"no_path"``.
     """
-    if net.source is None or net.sink is None:
-        raise InputError("augmenting needs designated source and sink")
-    if net.source == net.sink:
-        raise InputError("max flow needs a source distinct from the sink")
-    f = np.asarray(flow, dtype=np.float64).tolist()
-    caps = net.caps.tolist()
-    lo = 0.0 if net.directed else -1.0
-    # the direction along (against) e is open while f[e] < hi[e] (f[e] > low[e])
-    hi = (net.caps - 1e-9 * net.caps).tolist()
-    low = (lo * net.caps + 1e-9 * net.caps).tolist()
-    ptr, neighbor, edge, sign = (a.tolist() for a in net.incidence())
+    _check_terminals(net)
+    out = FlowSolution.from_flow(net, np.array(flow, dtype=np.float64))
+    value, star = out.value, _star_cut(net)
+    if value >= star:
+        out.meta.update(searches=0, paths=0, stop="star_cut")
+        return out
+    res = _residual_lists(net)
+    f = out.flow.tolist()
     s, t = net.source, net.sink
-    while True:
-        # BFS; prev[w] is the vertex w was reached from, slot[w] the entry
-        prev = [-1] * net.n
-        slot = [0] * net.n
-        prev[s] = s
-        queue = [s]
-        for u in queue:
-            if prev[t] >= 0:
-                break
-            for k in range(ptr[u], ptr[u + 1]):
-                w = neighbor[k]
-                if prev[w] >= 0:
-                    continue
-                e = edge[k]
-                if (f[e] < hi[e]) if sign[k] > 0 else (f[e] > low[e]):
-                    prev[w] = u
-                    slot[w] = k
-                    queue.append(w)
-        if prev[t] < 0:
+    searches = paths = 0
+    while value < star:
+        searches += 1
+        level, prev, slot = _search(res, f, s, t)
+        if level[t] < 0:
             break
-        # walk back, find bottleneck, push
         path = []
         w = t
         while w != s:
             path.append(slot[w])
             w = prev[w]
-        bottleneck = math.inf
-        for k in path:
-            e = edge[k]
-            residual = (caps[e] - f[e]) if sign[k] > 0 else (f[e] - lo * caps[e])
-            bottleneck = min(bottleneck, residual)
-        for k in path:
-            f[edge[k]] += sign[k] * bottleneck
-    return FlowSolution.from_flow(net, np.array(f))
+        value += _push(res, f, path)
+        paths += 1
+    out = FlowSolution.from_flow(net, np.array(f))
+    out.meta.update(searches=searches, paths=paths,
+                    stop="star_cut" if value >= star else "no_path")
+    return out
 
 
 def dinic_oracle(net):
-    """Exact max flow via blocking flows; returns a FlowSolution.
+    """Exact max flow via blocking flows (Dinic 1970); returns a FlowSolution.
 
-    Undirected edges are modeled as arc pairs sharing no capacity, which
-    preserves the max-flow value; the reported per-edge flow is the net.  An
-    arc is open while its flow is below ``room``: c - 1e-9 c on an arc of
-    capacity c, and -1e-9 c on its reverse arc.  The test scales with the
-    capacities, so scaling every capacity by a power of two scales the flow
-    exactly.
+    One flow per edge on the CSR incidence, open as in ``augment_to_max``.
+    Each level search stops once it labels t: no vertex at t's level or
+    beyond lies on a shortest s-t path.  A blocking flow is walked depth
+    first with an explicit stack of incidence slots, so path length is not
+    bounded by the recursion limit.  The phases end once the pushed total
+    (``value``) reaches ``_star_cut`` or a level search misses t; ``meta``
+    counts as ``augment_to_max``'s does.
     """
-    if net.source is None or net.sink is None:
-        raise InputError("max flow needs designated source and sink")
-    if net.source == net.sink:
-        raise InputError("max flow needs a source distinct from the sink")
-    n = net.n
-    heads, caps, room = [], [], []
-    graph = [[] for _ in range(n)]
-
-    def add_arc(u, v, c):
-        graph[u].append(len(heads))
-        heads.append(v)
-        caps.append(c)
-        room.append(c - 1e-9 * c)
-        graph[v].append(len(heads))
-        heads.append(u)
-        caps.append(0.0)
-        room.append(-1e-9 * c)
-
-    for u, v, c in zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist()):
-        add_arc(u, v, c)
-        if not net.directed:
-            add_arc(v, u, c)
-    flow_arc = [0.0] * len(heads)
+    _check_terminals(net)
+    res = _residual_lists(net)
+    _, _, hi, low, ptr, neighbor, edge, sign = res
+    f = [0.0] * net.m
     s, t = net.source, net.sink
+    star = _star_cut(net)
     total = 0.0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in graph[u]:
-                if flow_arc[a] < room[a] and level[heads[a]] < 0:
-                    level[heads[a]] = level[u] + 1
-                    q.append(heads[a])
+    searches = paths = 0
+    while total < star:
+        searches += 1
+        level, _, _ = _search(res, f, s, t)
         if level[t] < 0:
             break
-        it = [0] * n
+        it = ptr[:-1]  # each vertex's next slot to try
         while True:
-            # one s-t path of the level graph, walked with an explicit arc
-            # stack so that path length is not bounded by the recursion limit
+            # one s-t path of the level graph: the slots walked from s
             path = []
             u = s
             while u != t:
-                arcs = graph[u]
-                while it[u] < len(arcs):
-                    a = arcs[it[u]]
-                    if flow_arc[a] < room[a] and level[heads[a]] == level[u] + 1:
+                k, end, nxt = it[u], ptr[u + 1], level[u] + 1
+                while k < end:
+                    e = edge[k]
+                    if level[neighbor[k]] == nxt and (
+                            (f[e] < hi[e]) if sign[k] > 0 else (f[e] > low[e])):
                         break
-                    it[u] += 1
-                else:
+                    k += 1
+                it[u] = k
+                if k == end:
                     if not path:
                         break
-                    # dead end: step back and skip the arc that led here
-                    u = heads[path.pop() ^ 1]
+                    # dead end: step back and skip the slot that led here
+                    path.pop()
+                    u = neighbor[path[-1]] if path else s
                     it[u] += 1
                     continue
-                path.append(a)
-                u = heads[a]
+                path.append(k)
+                u = neighbor[k]
             if u != t:
                 break
-            pushed = min(caps[a] - flow_arc[a] for a in path)
-            for a in path:
-                flow_arc[a] += pushed
-                flow_arc[a ^ 1] -= pushed
-            total += pushed
-    # the forward arcs of the arc pairs, in edge order: one per edge on a
-    # digraph, and the edge's own arc then its opposite on an undirected graph
-    f = np.array(flow_arc[0::2])
-    if not net.directed:
-        f = f[0::2] - f[1::2]
-    out = FlowSolution.from_flow(net, f)
+            total += _push(res, f, path)
+            paths += 1
+    out = FlowSolution.from_flow(net, np.array(f))
     out.value = total
+    out.meta.update(searches=searches, paths=paths,
+                    stop="star_cut" if total >= star else "no_path")
     return out
 
 
@@ -722,10 +758,7 @@ def exact_unit_maxflow(net, solver="cd-l2", seed=0):
     _check_routing_solver(solver)
     if not np.allclose(net.caps, 1.0):
         raise InputError("exact pipeline expects unit capacities")
-    if net.source is None or net.sink is None:
-        raise InputError("max flow needs designated source and sink")
-    if net.source == net.sink:
-        raise InputError("max flow needs a source distinct from the sink")
+    _check_terminals(net)
     if net.directed:
         und, _, recover = directed_reduce(net)
         if und is None:  # no arc kept: each enters s or leaves t, so the max flow is 0

@@ -13,8 +13,11 @@ reference for ``mirrorprox.run_phase``; the dense dual law of a phase is
 of ``flow.directed_reduce``'s undirected network on that network, the
 reference for the ``recover`` that decomposes it on the digraph.
 ``search_round`` rounds a fractional flow by depth-first cycle search, the
-reference for ``flow.round_to_integral``'s forward walk.  This file lives
-under a name pytest does not collect.
+reference for ``flow.round_to_integral``'s forward walk.  ``arc_pair_dinic``
+is Dinic's algorithm on a residual graph of arc pairs, two pairs per
+undirected edge, the reference for ``flow.dinic_oracle``, which keeps one flow
+per edge on the network's CSR incidence.  This file lives under a name pytest
+does not collect.
 """
 
 import math
@@ -317,3 +320,85 @@ def find_cycle(n, adj):
         path.clear()
         on_path.clear()
     return None
+
+
+def arc_pair_dinic(net):
+    """``flow.dinic_oracle`` as it was before it walked the CSR incidence.
+
+    Undirected edges are modeled as arc pairs sharing no capacity, which
+    preserves the max-flow value; the reported per-edge flow is the net.  An
+    arc is open while its flow is below ``room``: c - 1e-9 c on an arc of
+    capacity c, and -1e-9 c on its reverse arc.  Every level search labels
+    every vertex it reaches, and the phases end only when one finds no path.
+    """
+    if net.source is None or net.sink is None:
+        raise InputError("max flow needs designated source and sink")
+    if net.source == net.sink:
+        raise InputError("max flow needs a source distinct from the sink")
+    n = net.n
+    heads, caps, room = [], [], []
+    graph = [[] for _ in range(n)]
+
+    def add_arc(u, v, c):
+        graph[u].append(len(heads))
+        heads.append(v)
+        caps.append(c)
+        room.append(c - 1e-9 * c)
+        graph[v].append(len(heads))
+        heads.append(u)
+        caps.append(0.0)
+        room.append(-1e-9 * c)
+
+    for u, v, c in zip(net.tails.tolist(), net.heads.tolist(), net.caps.tolist()):
+        add_arc(u, v, c)
+        if not net.directed:
+            add_arc(v, u, c)
+    flow_arc = [0.0] * len(heads)
+    s, t = net.source, net.sink
+    total = 0.0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for a in graph[u]:
+                if flow_arc[a] < room[a] and level[heads[a]] < 0:
+                    level[heads[a]] = level[u] + 1
+                    q.append(heads[a])
+        if level[t] < 0:
+            break
+        it = [0] * n
+        while True:
+            path = []
+            u = s
+            while u != t:
+                arcs = graph[u]
+                while it[u] < len(arcs):
+                    a = arcs[it[u]]
+                    if flow_arc[a] < room[a] and level[heads[a]] == level[u] + 1:
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = heads[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                path.append(a)
+                u = heads[a]
+            if u != t:
+                break
+            pushed = min(caps[a] - flow_arc[a] for a in path)
+            for a in path:
+                flow_arc[a] += pushed
+                flow_arc[a ^ 1] -= pushed
+            total += pushed
+    # the forward arcs of the arc pairs, in edge order: one per edge on a
+    # digraph, and the edge's own arc then its opposite on an undirected graph
+    f = np.array(flow_arc[0::2])
+    if not net.directed:
+        f = f[0::2] - f[1::2]
+    out = FlowSolution.from_flow(net, f)
+    out.value = total
+    return out

@@ -19,7 +19,7 @@ from helpers import (
 from linfflow import cli
 from linfflow.cli import build_parser, main
 from linfflow.core import read_matrix_file, write_matrix_file
-from linfflow.flow import TreeApproximator, dinic_oracle, flow_to_regress
+from linfflow.flow import TreeApproximator, augment_to_max, dinic_oracle, flow_to_regress
 from linfflow.graphs import read_dimacs
 
 
@@ -735,6 +735,9 @@ def golden_operations(tmp_path):
         out = tmp_path / f"exact-{name}.flow"
         ops[f"exact-flow-{name}"] = (["exact-flow", "--input", str(path), "--seed", "5",
                                       "--output", str(out)], [out])
+        out = tmp_path / f"dinic-{name}.flow"
+        ops[f"maxflow-dinic-{name}"] = (["maxflow", "--input", str(path), "--solver",
+                                         "dinic", "--output", str(out)], [out])
     table = tmp_path / "bench.csv"
     ops["bench-cd-diag"] = (["bench", "--input", str(sparse), "--solver", "cd-diag",
                              "--eps-grid", "0.1,0.05", "--seed", "3",
@@ -754,7 +757,10 @@ def golden_operations(tmp_path):
 # the flow pipeline stopped setting each ``FlowSolution.value`` twice.
 # maxflow-mirror-prox's was recorded once each mirror-prox probe drew from a
 # stream of its own (before, every probe of a route replayed the first one's
-# uniforms, and the value was 1.8954 where it is now 1.9368)
+# uniforms, and the value was 1.8954 where it is now 1.9368).  The two
+# maxflow-dinic hashes were recorded on the arc-pair Dinic
+# (``reference_steps.arc_pair_dinic``), before it gave way to the one over the
+# CSR incidence
 GOLDEN = {
     "bench-cd-diag": [
         "77c8be8705936092317f58611be24b52d65d44b0f86974dba922bfe9ff655781",
@@ -775,6 +781,14 @@ GOLDEN = {
     "maxflow-cd-l2": [
         "9c016e74b55063a82d1ae5f9ecfa1a9797817343c20d22ff8e519497351f64c4",
         "b5a8157c68f5cd13b26bbe24f7f79e0b14dcdbef7751b22ecfc120f95415b8fa",
+    ],
+    "maxflow-dinic-directed": [
+        "ec129dfeda9491f9581d0c3744da3980c7cbe0e9899db4c8e94255371432351d",
+        "302aa0a9a9c740f979bff76468b51f8f4a0e8d7d7c8f7624fdc0b3636d99b4ac",
+    ],
+    "maxflow-dinic-undirected": [
+        "e290863b3a03796a254e008b4c0c5cb3282302585bec3662d15b74dc388f99bf",
+        "63962e1fe9f13728ce2d9f5320c145a6e3f2ffe63ea23ab59d66c87ef339cb31",
     ],
     "maxflow-mirror-prox": [
         "46ea4ad3702fd0cceec9620adbf292dbb300b817c3b21a5ff64982bfb11bbab6",
@@ -819,6 +833,10 @@ def test_golden_outputs(tmp_path, capsys, name):
         value = float(out.splitlines()[0].removeprefix("value "))
         if name.startswith("exact-flow"):
             assert value == dinic_oracle(read_dimacs(source)).value
+        elif name.startswith("maxflow-dinic"):
+            # an oracle other than the solver under test
+            net = read_dimacs(source)
+            assert value == augment_to_max(net, np.zeros(net.m)).value
         elif name.startswith("regress"):
             eps = float(argv[argv.index("--eps") + 1])
             matrix, b = read_matrix_file(source)

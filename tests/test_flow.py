@@ -28,7 +28,7 @@ from linfflow.flow import (
     round_to_integral,
 )
 from linfflow.graphs import FlowNetwork, incidence_apply
-from reference_steps import reduction_recover, search_round
+from reference_steps import arc_pair_dinic, reduction_recover, search_round
 
 
 def path_net(k, cap=1.0):
@@ -471,7 +471,8 @@ class TestRoundToIntegral:
     @pytest.mark.parametrize("directed", [False, True])
     def test_walk_matches_cycle_search(self, directed):
         # the forward walk takes the search's edges step for step, so it
-        # returns the search's bytes, and where the search fails so does it
+        # returns the search's bytes; these flows conserve to rounding, so
+        # neither meets a lone fractional edge
         rng = np.random.default_rng(24 + directed)
         fractional_flows = fractional_values = 0
         while fractional_flows < 200:
@@ -481,21 +482,27 @@ class TestRoundToIntegral:
             fractional_flows += 1
             value = incidence_apply(net, f)[net.sink]
             fractional_values += abs(value - round(value)) > 1e-9
-            try:
-                want = search_round(net, f)
-            except SolverFault as fault:
-                with pytest.raises(SolverFault, match=str(fault)):
-                    round_to_integral(net, f)
-                continue
+            want = search_round(net, f)
             assert round_to_integral(net, f).flow.tobytes() == want.flow.tobytes()
         assert fractional_values >= 50
 
     def test_single_fractional_edge_has_no_cycle(self):
         # conservation holds to within 1e-6 at vertex 1, so the input is
-        # accepted, but vertex 1's one fractional edge can never be rounded
-        for rounding in (round_to_integral, search_round):
-            with pytest.raises(SolverFault, match="fractional support without a cycle"):
-                rounding(path_net(2), np.array([1.0, 1.0 - 5e-7]))
+        # accepted, but vertex 1's one fractional edge lies on no cycle: the
+        # walk snaps it to the nearer integer, where the search gave up
+        with pytest.raises(SolverFault, match="fractional support without a cycle"):
+            search_round(path_net(2), np.array([1.0, 1.0 - 5e-7]))
+        out = round_to_integral(path_net(2), np.array([1.0, 1.0 - 5e-7]))
+        np.testing.assert_array_equal(out.flow, [1.0, 1.0])
+        assert out.value == 1.0
+
+    def test_lone_edges_snap_along_a_chain(self):
+        # each snap moves the next vertex's imbalance onto its one other
+        # fractional edge, so the walk snaps the path edge by edge, and the
+        # unbalanced input that no cycle can carry still rounds
+        f = np.array([1.0 - 3e-7, 1.0 - 6e-7, 1.0 - 9e-7, 1.0])
+        out = round_to_integral(path_net(4), f)
+        np.testing.assert_array_equal(out.flow, np.ones(4))
 
     def test_rejects_infeasible(self):
         net = path_net(2)
@@ -505,11 +512,83 @@ class TestRoundToIntegral:
             round_to_integral(net, np.array([1.0, 0.0]))
 
 
+def leaf_sink_graph(rng, n=30):
+    """A random unit graph whose sink n - 1 hangs off it by one edge."""
+    core = random_connected_graph(rng, n - 1, extra_edges=n)
+    edges = list(zip(core.tails.tolist(), core.heads.tolist(), core.caps.tolist()))
+    return FlowNetwork(n, edges + [(int(rng.integers(1, n - 1)), n - 1, 1.0)],
+                       source=0, sink=n - 1)
+
+
+def necklace(beads):
+    """Unit graph of ``beads`` 4-cycles strung at opposite corners from s to
+    t, the edges at s and at t doubled: both star cuts have capacity 4, and
+    the min cut, 2, lies inside a cycle."""
+    edges = []
+    for b in range(beads):
+        u, v = 3 * b, 3 * b + 3  # a bead's joints; 3b + 1 and 3b + 2 go round
+        edges += [(u, u + 1, 1.0), (u + 1, v, 1.0), (u, u + 2, 1.0), (u + 2, v, 1.0)]
+    t = 3 * beads
+    doubled = [e for e in edges if 0 in e[:2] or t in e[:2]]
+    return FlowNetwork(t + 1, edges + doubled, source=0, sink=t)
+
+
+class TestStarCut:
+    """A flow whose value reaches the capacity out of s or into t is maximum,
+    so both exact solvers stop there without a search that finds no path."""
+
+    def test_saturated_leaf_sink_is_returned_before_any_list(self, monkeypatch):
+        net = leaf_sink_graph(np.random.default_rng(25))
+        f = dinic_oracle(net).flow
+        assert f[-1] == 1.0  # the sink's one edge is saturated
+
+        def incidence(self):
+            raise AssertionError("the CSR incidence was built")
+
+        monkeypatch.setattr(graphs_module.FlowNetwork, "incidence", incidence)
+        out = augment_to_max(net, f)
+        assert out.flow.tobytes() == f.tobytes()
+        assert out.value == 1.0
+        assert out.meta == {"searches": 0, "paths": 0, "stop": "star_cut"}
+
+    def test_dinic_stops_after_one_level_search_on_a_leaf_sink(self):
+        net = leaf_sink_graph(np.random.default_rng(26))
+        out = dinic_oracle(net)
+        assert out.value == 1.0
+        assert out.meta == {"searches": 1, "paths": 1, "stop": "star_cut"}
+        # the arc-pair Dinic gives the same bytes after a second, empty search
+        assert out.flow.tobytes() == arc_pair_dinic(net).flow.tobytes()
+
+    @pytest.mark.parametrize("beads", [2, 5])
+    def test_necklace_cut_inside_a_bead(self, beads):
+        net = necklace(beads)
+        assert ford_fulkerson_value(net) == 2.0
+        out = dinic_oracle(net)
+        assert out.value == 2.0
+        assert out.meta["stop"] == "no_path"
+        assert out.flow.tobytes() == arc_pair_dinic(net).flow.tobytes()
+        aug = augment_to_max(net, np.zeros(net.m))
+        assert aug.value == 2.0
+        assert aug.meta == {"searches": 3, "paths": 2, "stop": "no_path"}
+
+    def test_flow_short_of_the_cut_by_more_than_the_tolerance_augments(self):
+        # an edge is open while its residual exceeds 1e-9 of its capacity
+        net = path_net(2)
+        out = augment_to_max(net, np.full(2, 1.0 - 2e-9))
+        np.testing.assert_array_equal(out.flow, [1.0, 1.0])
+        assert out.meta == {"searches": 1, "paths": 1, "stop": "star_cut"}
+        within = np.full(2, 1.0 - 1e-9)  # exactly the open bound: closed
+        out = augment_to_max(net, within)
+        assert out.flow.tobytes() == within.tobytes()
+        assert out.meta == {"searches": 1, "paths": 0, "stop": "no_path"}
+
+
 class TestAugmentToMax:
     def test_maximal_input_early_stop(self):
         net = path_net(2)
         out = augment_to_max(net, np.array([1.0, 1.0]))
         assert out.value == 1.0
+        assert out.meta["stop"] == "star_cut"
 
     def test_empty_flow_on_path(self):
         net = path_net(2)
@@ -577,6 +656,49 @@ class TestDinic:
             assert dinic_oracle(net).value == pytest.approx(
                 ford_fulkerson_value(net), abs=1e-9
             )
+
+    def test_long_path_is_one_search(self):
+        # the slot stack is not bounded by the recursion limit
+        out = dinic_oracle(path_net(5000))
+        assert out.value == 1.0
+        assert out.meta == {"searches": 1, "paths": 1, "stop": "star_cut"}
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_arc_pair_reference(self, directed):
+        # one flow per edge on the CSR incidence against two arc pairs per
+        # undirected edge: the residual of a direction is the sum of its two
+        # arcs' residuals, so where every sum is exact (unit and small integer
+        # capacities, times 2^40 or 2^-40) the two push the same paths by the
+        # same amounts, one push where the arc pairs split it in two.  On a
+        # digraph an edge is one arc pair, and the bytes agree at any
+        # capacities; undirected U(0.5, 6) capacities agree to rounding
+        rng = np.random.default_rng(40 + directed)
+        for k in range(240):
+            kind = ("unit", "integer", "mixed")[k % 3]
+            n = int(rng.integers(3, 40))
+            perm = rng.permutation(n)
+            edges = [(int(perm[i]), int(perm[rng.integers(0, i)])) for i in range(1, n)]
+            for _ in range(int(rng.integers(0, 3 * n))):
+                u, v = (int(w) for w in rng.integers(0, n, size=2))
+                if u != v:
+                    edges.append((u, v))
+            for _ in range(int(rng.integers(1, 4))):  # parallel edges
+                edges.append(edges[int(rng.integers(len(edges)))])
+            caps = (np.ones(len(edges)) if kind == "unit" else
+                    rng.integers(1, 5, size=len(edges)).astype(float) if kind == "integer"
+                    else rng.uniform(0.5, 6.0, size=len(edges)))
+            caps *= 2.0 ** float(rng.choice([0, 40, -40]))
+            s, t = (int(w) for w in rng.choice(n, size=2, replace=False))
+            net = FlowNetwork(n, [(u, v, c) for (u, v), c in zip(edges, caps.tolist())],
+                              directed=directed, source=s, sink=t)
+            want, got = arc_pair_dinic(net), dinic_oracle(net)
+            if kind == "mixed" and not directed:
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                np.testing.assert_allclose(got.flow, want.flow, rtol=0,
+                                           atol=1e-12 * want.value)
+            else:
+                assert got.value == want.value, (kind, k)
+                assert got.flow.tobytes() == want.flow.tobytes(), (kind, k)
 
 
 def recapped(base, caps):
