@@ -20,7 +20,6 @@ maximum flows.
 
 from .baselines import SmoothedObjective, gd_general_norm, plain_cd
 from .cdsolver import (
-    RegressionResult,
     SubproblemSolver,
     lcd_steps,
     prox_outer_iterate,
@@ -29,6 +28,7 @@ from .cdsolver import (
 from .core import (
     BoxMap,
     RegressionInstance,
+    RegressionResult,
     SparseMatrix,
     read_matrix_file,
     reduce_to_unit_box,

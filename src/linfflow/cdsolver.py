@@ -12,11 +12,12 @@ bound), then takes the closed-form dual response.  One softmax state and
 one sampler serve every subproblem of a solve, re-centred in place on each
 shifted rhs with the ``A x`` that also gave the last iterate's value and
 bound.  Early exit in both loops is certificate-driven: the outer loop
-stops when its ``core.Certificate`` ledger stops the solve, and the inner
-loop when the projected-gradient bound on the subproblem's objective gap
-falls to ``eps_iter / INNER_GAP_DIVISOR``, the outer iteration's accuracy
-target over 16.  That rule holds because an
-inexact proximal step needs its subproblem solved only to an additive
+stops when its ``core.Certificate`` ledger stops the solve (the ledger then
+builds the ``core.RegressionResult`` that mirror-prox returns too), and the
+inner loop when the projected-gradient bound on the subproblem's objective
+gap falls to ``eps_iter / INNER_GAP_DIVISOR``, the outer iteration's
+accuracy target over 16.  That rule holds because an inexact proximal
+step needs its subproblem solved only to an additive
 accuracy proportional to the outer target (Rockafellar 1976; Nemirovski
 2004), and because every return is still gated by a weak-duality
 certificate, so the inner target sets the work per outer iteration and never
@@ -309,40 +310,7 @@ def prox_outer_iterate(solver, b, x, logp, eps_iter, fail_prob, uniforms,
     return solver.state.x.copy(), _log_normalize(solver.state.w_array()), res
 
 
-@dataclass
-class RegressionResult:
-    """A prox-CD solve.  ``stop_reason`` is its ``Certificate``'s:
-    ``certified``, ``value_target`` or ``lb_target``, or ``outer_budget``
-    (every planned outer iteration ran).  ``gap`` is ``value`` minus the best
-    lower bound found, the larger of the outer-dual bounds and the
-    residual-softmax bounds (``residual_dual_bounds``) at the start point and
-    every outer iterate; each is a weak-duality bound, so ``value - gap``
-    never exceeds the optimum.  Transcript rows carry ``elapsed_ns`` only
-    when the solve was timed."""
-
-    x: np.ndarray
-    value: float
-    certified: bool
-    gap: float
-    outer_iterations: int
-    sampled_coordinates: int
-    transcript: list
-    seed: int
-    stop_reason: str
-    moving_steps: int = 0  # sampled steps that moved x
-    timed: bool = False
-
-    def transcript_csv(self):
-        if self.timed:
-            lines = ["outer_iter,inner_iters,objective,elapsed_ns,seed"]
-        else:
-            lines = ["outer_iter,inner_iters,objective,seed"]
-        for row in self.transcript:
-            lines.append(",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-
-def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
+def solve_box_linf(inst, solver="cd-l2", seed=0, stream=0, timing=False,
                    max_outer=None, value_target=None, x0=None,
                    lb_target=None):
     """Solve one unit-box instance to additive epsilon with high probability.
@@ -354,7 +322,8 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     given, adds an extra stop condition on the directly evaluated objective
     (used by scaling benchmarks where the optimum is known); ``lb_target``
     stops as soon as the weak-duality lower bound exceeds it (used to certify
-    infeasibility early); ``x0`` warm-starts the primal iterate.
+    infeasibility early); ``x0`` warm-starts the primal iterate.  ``solver``
+    is ``cd-l2`` or ``cd-diag``; ``timing`` adds an ``elapsed_ns`` column.
 
     One ``Certificate`` keeps the best point and bound and decides the stop.
     It is offered the start point, the outer dual before every outer
@@ -366,8 +335,8 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     """
     if abs(inst.radius - 1.0) > 1e-12:
         raise InputError("instance must be reduced to the unit box first")
-    if mode not in ("l2", "diag"):
-        raise InputError(f"unknown mode {mode!r}")
+    if solver not in ("cd-l2", "cd-diag"):
+        raise InputError(f"unknown solver {solver!r}")
     import time as _time
 
     matrix, b = inst.matrix, inst.b
@@ -378,15 +347,16 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     norm_a = matrix.norm_inf
     uniforms = BufferedUniforms(make_rng(seed, stream))
     transcript = []
+    header = ("outer_iter,inner_iters,objective,elapsed_ns,seed" if timing
+              else "outer_iter,inner_iters,objective,seed")
 
     if norm_a == 0.0:
         x = np.zeros(m)
-        return RegressionResult(x=x, value=inst.value_at(x), certified=True, gap=0.0,
-                                outer_iterations=0, sampled_coordinates=0,
-                                transcript=transcript, seed=seed,
-                                stop_reason="certified", timed=timing)
+        cert = Certificate(x, inst.value_at(x), eps)
+        cert.offer(bound=cert.value)  # A = 0: every x has this value, the optimum
+        return cert.result(seed, transcript, header, 0)
 
-    if mode == "l2":
+    if solver == "cd-l2":
         alpha = max(eps, math.sqrt(s / m) * norm_a)
         params = LocalSmoothnessParams.l2(matrix, alpha, s, rows=n2)
     else:
@@ -397,7 +367,7 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     if max_outer is not None:
         t_planned = min(t_planned, max_outer)
     fail_prob = 1.0 / (max(t_planned, 1) * n2 * n2)
-    solver = SubproblemSolver(matrix, params)
+    sub = SubproblemSolver(matrix, params)
     x = np.zeros(m) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1, 1)
     logp = np.full(n2, -math.log(n2))
     evaluate = inst.value_at
@@ -416,7 +386,6 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
     if value_target is not None:
         stop_check = lambda xv: cert.meets_value_target(evaluate(xv))
     x_sum = np.zeros(m)
-    t_done = 0
     start = _time.perf_counter_ns()
     if cert.offer(bound=lb):
         t_planned = 0  # the start point already stops the solve
@@ -431,32 +400,20 @@ def solve_box_linf(inst, mode="l2", seed=0, stream=0, timing=False,
         # the eps/2 rule regardless, and every return stays certificate-gated
         envelope = (abs(cert.value) + 1.0) * 0.917 ** t
         eps_iter = max(eps / 2.0, min(cert.gap / 8.0, envelope))
-        x, logp, res = prox_outer_iterate(solver, b, x, logp, eps_iter, fail_prob,
+        x, logp, res = prox_outer_iterate(sub, b, x, logp, eps_iter, fail_prob,
                                           uniforms, stop_check=stop_check, ax=ax)
-        t_done = t + 1
         x_sum += x
         ax = matrix.dot(x)
         val, lb = value_and_bound(ax)
-        row = (t_done, res.iterations, repr(val))
+        row = (t + 1, res.iterations, repr(val))
         if timing:
             row += (_time.perf_counter_ns() - start,)
         transcript.append(row + (seed,))
         if cert.offer(x, val, lb):
             break
 
-    if t_done > 0:
-        x_avg = x_sum / t_done
+    if transcript:
+        x_avg = x_sum / len(transcript)
         cert.offer(x_avg, evaluate(x_avg))
-    return RegressionResult(
-        x=cert.x,
-        value=cert.value,
-        certified=cert.stop_reason == "certified",
-        gap=cert.gap,
-        outer_iterations=t_done,
-        sampled_coordinates=solver.total_steps,
-        transcript=transcript,
-        seed=seed,
-        stop_reason=cert.stop_reason or "outer_budget",
-        moving_steps=solver.moving_steps,
-        timed=timing,
-    )
+    return cert.result(seed, transcript, header, sub.total_steps,
+                       moving_steps=sub.moving_steps)

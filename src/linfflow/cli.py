@@ -2,8 +2,8 @@
 
 Exit statuses are fixed for CI scripting: 0 success, 2 parse or input error,
 3 solver fault, 4 infeasible demands.  All commands are deterministic given
-(arguments, seed); wall-clock columns appear in traces and in the bench table
-only under --timing, so repeated runs without it are byte identical.
+(arguments, seed); wall-clock columns appear in prox-CD traces and in the
+bench table only under --timing, so repeated runs without it are byte identical.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def build_parser():
         "format": dict(choices=("dimacs", "linf-matrix"), default=None,
                        help="override input format sniffing"),
         "timing": dict(action="store_true",
-                       help="record wall time in traces (breaks byte equality)"),
+                       help="record wall time in the bench table and in prox-CD "
+                            "traces only (breaks byte equality)"),
         "eps-grid": dict(default="0.1,0.05,0.025"),
     }
     # each command takes the flags its _run_* function reads, and no others;
@@ -114,8 +115,7 @@ def _solve_matrix(inst, solver, seed, timing):
     """Solve a linf-matrix instance; returns ``(x, value, steps, trace_csv)``,
     where ``trace_csv()`` gives the solver's trace as CSV text."""
     if solver in ("cd-l2", "cd-diag"):
-        res = solve_box_linf(inst, mode="l2" if solver == "cd-l2" else "diag",
-                             seed=seed, timing=timing)
+        res = solve_box_linf(inst, solver=solver, seed=seed, timing=timing)
     elif solver == "mirror-prox":
         res = solve_flow_regress(inst, seed=seed)
     elif solver in ("gd", "plain-cd"):

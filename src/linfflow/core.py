@@ -7,8 +7,9 @@ the maximum entry of the sign-doubled system ``[A; -A] x - [b; -b]``
 folded over the rows of ``A``, prox-CD and the baselines as one weight pair
 per row, mirror-prox as one antisymmetric log-weight per row.  This module
 holds the immutable matrix type, the instance record, the affine change of
-variables that maps general boxes onto the unit box, and the weak-duality
-bounds and stop ledger (``Certificate``) of the solvers.
+variables that maps general boxes onto the unit box, the weak-duality
+bounds and stop ledger (``Certificate``) of the solvers, and the one result
+record (``RegressionResult``) that the ledger builds for both.
 
 ``SparseMatrix`` stores its entries as flat column-major and row-major arrays
 with index pointers (CSC and CSR), read-only, and is the only module that
@@ -362,6 +363,48 @@ class Certificate:
             elif self.lb_target is not None and self.bound * self.scale > self.lb_target:
                 self.stop_reason = "lb_target"
         return self.stop_reason is not None
+
+    def result(self, seed, transcript, header, sampled_coordinates, moving_steps=0):
+        """The solve's record, one outer iteration per transcript row, with the
+        value and gap in the targets' units and ``outer_budget`` for the stop
+        reason when no test held."""
+        return RegressionResult(
+            x=self.x, value=self.value * self.scale, gap=self.gap * self.scale,
+            certified=self.stop_reason == "certified",
+            stop_reason=self.stop_reason or "outer_budget",
+            outer_iterations=len(transcript), sampled_coordinates=sampled_coordinates,
+            moving_steps=moving_steps, transcript=transcript, header=header, seed=seed)
+
+
+@dataclass
+class RegressionResult:
+    """A prox-CD or mirror-prox solve, as its ``Certificate`` leaves it.
+
+    ``stop_reason`` is ``certified``, ``value_target`` or ``lb_target``, or
+    ``outer_budget`` (every planned outer iteration, or mirror-prox phase,
+    ran).  ``gap`` is ``value`` minus the best weak-duality lower bound
+    offered, so ``value - gap`` never exceeds the optimum.  The transcript
+    has one row per outer iteration under the solver's CSV ``header``;
+    ``moving_steps`` counts the sampled prox-CD steps that moved x.
+    """
+
+    x: np.ndarray
+    value: float
+    certified: bool
+    gap: float
+    outer_iterations: int
+    sampled_coordinates: int
+    moving_steps: int
+    transcript: list
+    header: str
+    seed: int
+    stop_reason: str
+
+    def transcript_csv(self):
+        lines = [self.header]
+        for row in self.transcript:
+            lines.append(",".join(str(v) for v in row))
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ a digraph is reduced to a unit-capacity undirected graph first, and the flow
 found there is decomposed into s-t paths over the digraph's own incidence.
 A Dinic blocking-flow solver serves as the in-package oracle.  Augmenting
 paths and Dinic walk the network's CSR incidence (``FlowNetwork.incidence``)
-with one flow per edge, and both stop once the flow's value reaches the
-smaller star cut (``_star_cut``), which proves it maximum.
+with one flow per edge, and both stop once every edge at s, or every edge
+at t, is closed (``_star_closed``), without a last search that finds no
+path.
 """
 
 from __future__ import annotations
@@ -285,8 +286,7 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
             res = solve_flow_regress(inst, seed=seed, stream=stream,
                                      value_target=target, lb_target=target)
         else:
-            mode = "diag" if solver == "cd-diag" else "l2"
-            res = solve_box_linf(inst, mode=mode, seed=seed, stream=stream,
+            res = solve_box_linf(inst, solver=solver, seed=seed, stream=stream,
                                  value_target=target, x0=warm, lb_target=target)
         iterations += res.sampled_coordinates
         thresh = eps * r / 2.0
@@ -494,20 +494,35 @@ def round_to_integral(net, f):
     return out
 
 
-def _star_cut(net):
-    """The smaller capacity of the two star cuts: out of s, and into t.
+def _open_bounds(net):
+    """``(lo, hi, low)``: an edge is open along its orientation while
+    ``f < hi`` and against it while ``f > low``, with lo = 0 on digraphs and
+    -1 on undirected graphs, and 1e-9 times the capacity of slack."""
+    lo = 0.0 if net.directed else -1.0
+    return lo, net.caps - 1e-9 * net.caps, lo * net.caps + 1e-9 * net.caps
 
-    On an undirected graph a star's capacity is the capacity incident to its
-    vertex.  Both cuts separate s from t, so no s-t flow exceeds either, and
-    a flow whose value reaches one is maximum (max-flow/min-cut).
+
+def _star_closed(net):
+    """The stop test of both exact solvers, as a function of a flow f.
+
+    It holds when every edge of the s-star, or of the t-star, is closed
+    under the ``_open_bounds``: ``f >= hi`` where a path would leave s (enter
+    t) along the edge, ``f <= low`` where against it.  No augmenting path is
+    left then, so no search has to find none.  Each edge is tested on its
+    own: no float sum of capacities can hide an open one.
     """
     s, t = net.source, net.sink
-    if net.directed:
-        out_s, in_t = net.tails == s, net.heads == t
-    else:
-        out_s = (net.tails == s) | (net.heads == s)
-        in_t = (net.tails == t) | (net.heads == t)
-    return float(min(net.caps[out_s].sum(), net.caps[in_t].sum()))
+    _, hi, low = _open_bounds(net)
+
+    def edges(ends, v, bound):  # (edge, its bound) for the edges with end v
+        idx = np.flatnonzero(ends == v)
+        return list(zip(idx.tolist(), bound[idx].tolist()))
+
+    stars = ((edges(net.tails, s, hi), edges(net.heads, s, low)),
+             (edges(net.heads, t, hi), edges(net.tails, t, low)))
+    return lambda f: any(all(f[e] >= b for e, b in along)
+                         and all(f[e] <= b for e, b in against)
+                         for along, against in stars)
 
 
 def _check_terminals(net):
@@ -519,12 +534,9 @@ def _check_terminals(net):
 
 def _residual_lists(net):
     """``(caps, lo, hi, low, ptr, neighbor, edge, sign)`` as lists: the CSR
-    incidence, and bounds under which an edge is open along its orientation
-    while ``f < hi`` and against it while ``f > low``, with lo = 0 on digraphs
-    and -1 on undirected graphs, and 1e-9 times the capacity of slack."""
-    lo = 0.0 if net.directed else -1.0
-    return (net.caps.tolist(), lo, (net.caps - 1e-9 * net.caps).tolist(),
-            (lo * net.caps + 1e-9 * net.caps).tolist(),
+    incidence and the ``_open_bounds``."""
+    lo, hi, low = _open_bounds(net)
+    return (net.caps.tolist(), lo, hi.tolist(), low.tolist(),
             *(a.tolist() for a in net.incidence()))
 
 
@@ -571,22 +583,22 @@ def augment_to_max(net, flow):
     against it, with lo = 0 on digraphs and -1 on undirected graphs.  A
     direction is open while its residual exceeds 1e-9 times the edge's
     capacity (a bound on f, computed once per edge), so scaling every
-    capacity scales the answer.  Runs until the value, tracked by adding each
-    bottleneck, reaches ``_star_cut`` (checked before any list is built) or
-    no augmenting path remains.  ``meta`` records the ``searches``, the
+    capacity scales the answer.  Runs until every edge of the s-star or of
+    the t-star is closed (``_star_closed``, checked before any list is built)
+    or no augmenting path remains.  ``meta`` records the ``searches``, the
     ``paths`` pushed and the ``stop``: ``"star_cut"`` or ``"no_path"``.
     """
     _check_terminals(net)
     out = FlowSolution.from_flow(net, np.array(flow, dtype=np.float64))
-    value, star = out.value, _star_cut(net)
-    if value >= star:
+    closed = _star_closed(net)
+    if closed(out.flow):
         out.meta.update(searches=0, paths=0, stop="star_cut")
         return out
     res = _residual_lists(net)
     f = out.flow.tolist()
     s, t = net.source, net.sink
     searches = paths = 0
-    while value < star:
+    while not closed(f):
         searches += 1
         level, prev, slot = _search(res, f, s, t)
         if level[t] < 0:
@@ -596,11 +608,11 @@ def augment_to_max(net, flow):
         while w != s:
             path.append(slot[w])
             w = prev[w]
-        value += _push(res, f, path)
+        _push(res, f, path)
         paths += 1
     out = FlowSolution.from_flow(net, np.array(f))
     out.meta.update(searches=searches, paths=paths,
-                    stop="star_cut" if value >= star else "no_path")
+                    stop="star_cut" if closed(f) else "no_path")
     return out
 
 
@@ -611,19 +623,19 @@ def dinic_oracle(net):
     Each level search stops once it labels t: no vertex at t's level or
     beyond lies on a shortest s-t path.  A blocking flow is walked depth
     first with an explicit stack of incidence slots, so path length is not
-    bounded by the recursion limit.  The phases end once the pushed total
-    (``value``) reaches ``_star_cut`` or a level search misses t; ``meta``
-    counts as ``augment_to_max``'s does.
+    bounded by the recursion limit.  The phases end once ``_star_closed``
+    holds or a level search misses t; ``value`` is the pushed total, and
+    ``meta`` counts as ``augment_to_max``'s does.
     """
     _check_terminals(net)
     res = _residual_lists(net)
     _, _, hi, low, ptr, neighbor, edge, sign = res
     f = [0.0] * net.m
     s, t = net.source, net.sink
-    star = _star_cut(net)
+    closed = _star_closed(net)
     total = 0.0
     searches = paths = 0
-    while total < star:
+    while not closed(f):
         searches += 1
         level, _, _ = _search(res, f, s, t)
         if level[t] < 0:
@@ -659,7 +671,7 @@ def dinic_oracle(net):
     out = FlowSolution.from_flow(net, np.array(f))
     out.value = total
     out.meta.update(searches=searches, paths=paths,
-                    stop="star_cut" if total >= star else "no_path")
+                    stop="star_cut" if closed(f) else "no_path")
     return out
 
 

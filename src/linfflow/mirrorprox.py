@@ -24,9 +24,10 @@ The solve stops on a weak-duality certificate, and it checks it inside a
 phase as well as at its end: ``run_phase`` forms the aggregate point at
 geometrically spaced iterations and offers each to the solve's
 ``core.Certificate``, and the phase ends at the first after which the ledger
-stops the solve.  A point formed inside a phase is only a candidate; the
-next phase starts from the one at the drawn length, as the halving argument
-requires.
+stops the solve.  The ledger builds the returned ``core.RegressionResult``,
+the record prox-CD returns, with one outer iteration per phase.  A point
+formed inside a phase is only a candidate; the next phase starts from the
+one at the drawn length, as the halving argument requires.
 
 The sampling tables depend only on (matrix, s, eps), so ``PhaseTables`` is
 built once per solve and shared by every phase; each fixed law in them, the
@@ -403,36 +404,7 @@ def run_phase(phase, t_star, uniforms, stop):
             return x_out, u_out
 
 
-@dataclass
-class FlowRegressResult:
-    """A mirror-prox solve.  ``stop_reason`` is its ``Certificate``'s:
-    ``certified``, ``value_target`` or ``lb_target``, or ``phase_budget``
-    (every planned phase ran).  The aggregate points formed inside each
-    phase are offered too, so the last phase may end before its drawn
-    length."""
-
-    x: np.ndarray
-    value: float
-    phases_run: int
-    iterations: int
-    sampled_coordinates: int
-    certified: bool
-    gap: float
-    seed: int
-    stop_reason: str
-    transcript: list
-
-    def transcript_csv(self):
-        """One row per phase: the iterations it ran, and the least value and
-        the largest weak-duality lower bound over the aggregate points it
-        formed, in the instance's units."""
-        lines = ["phase,iterations,value,lower_bound"]
-        for row in self.transcript:
-            lines.append(",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-
-def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_phases=None,
+def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_outer=None,
                        lb_target=None):
     """Approximately minimize a flow-shaped instance to additive epsilon.
 
@@ -444,7 +416,10 @@ def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_phases=Non
     every phase.  Every aggregate point is offered to one ``Certificate``
     seeded with x = 0, its value ``max |A x - b|`` and its dual folded to
     ``(e^u - e^-u) / Z``; ``value_target`` and ``lb_target`` are in the
-    instance's units.
+    instance's units.  ``max_outer`` caps the phases.  The transcript has one
+    row per phase: the iterations it ran, and the least value and the
+    largest weak-duality lower bound over the aggregate points it formed, in
+    the instance's units.
     """
     matrix, b = inst.matrix, inst.b
     if abs(inst.radius - 1.0) > 1e-12:
@@ -460,8 +435,8 @@ def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_phases=Non
         )
     matrix, b = matrix.scaled(scale), b / scale
     cfg = MirrorProxConfig.for_instance(matrix, eps_s, inst.s)
-    if max_phases is not None:
-        cfg = replace(cfg, phases=min(cfg.phases, max_phases))
+    if max_outer is not None:
+        cfg = replace(cfg, phases=min(cfg.phases, max_outer))
     tables = PhaseTables(matrix, cfg)
 
     def evaluate(x):
@@ -484,7 +459,6 @@ def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_phases=Non
 
     total_iter = 0
     x_in = u_in = None
-    k = 0
     for k in range(cfg.phases):
         # each phase starts from the previous phase's aggregate point
         phase = PhaseState(matrix, b, cfg, x0=x_in, u0=u_in, tables=tables)
@@ -503,10 +477,5 @@ def solve_flow_regress(inst, seed=0, stream=0, value_target=None, max_phases=Non
 
         warnings.warn("returned point has squared l2 norm above 2s; the given "
                       "sparsity estimate was too small", stacklevel=2)
-    return FlowRegressResult(
-        x=cert.x, value=cert.value * scale, phases_run=k + 1,
-        iterations=total_iter, sampled_coordinates=total_iter,
-        certified=cert.stop_reason == "certified", gap=cert.gap * scale,
-        seed=seed, stop_reason=cert.stop_reason or "phase_budget",
-        transcript=transcript,
-    )
+    return cert.result(seed, transcript, "phase,iterations,value,lower_bound",
+                       total_iter)

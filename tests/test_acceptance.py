@@ -191,7 +191,7 @@ def test_criterion_05_end_to_end_regression():
         )
         opt, _ = box_linf_opt(inst.matrix.to_dense(), inst.b)
         mode = "l2" if k % 2 == 0 else "diag"
-        res = solve_box_linf(inst, mode=mode, seed=1000 + k)
+        res = solve_box_linf(inst, f"cd-{mode}", seed=1000 + k)
         if res.value <= opt + inst.epsilon + 1e-9:
             successes += 1
     assert successes >= 19, f"{successes}/20 within eps of the LP optimum"
@@ -251,7 +251,7 @@ def test_criterion_06_iteration_scaling():
         counts = []
         for seed in seeds:
             inst = RegressionInstance(matrix=matrix, b=b, epsilon=eps)
-            res = solve_box_linf(inst, mode="l2", seed=seed,
+            res = solve_box_linf(inst, "cd-l2", seed=seed,
                                  value_target=opt + eps)
             counts.append(res.sampled_coordinates)
         cd_counts.append(np.mean(counts))

@@ -345,7 +345,7 @@ class TestSolveBoxLinf:
             m_cols = int(rng.integers(2, 10))
             inst = random_instance(rng, n, m_cols, eps=1e-2)
             opt, _ = box_linf_opt(inst.matrix.to_dense(), inst.b)
-            res = solve_box_linf(inst, mode=mode, seed=k)
+            res = solve_box_linf(inst, f"cd-{mode}", seed=k)
             assert res.value <= opt + inst.epsilon + 1e-9
 
     def test_deterministic_given_seed(self):
@@ -366,7 +366,7 @@ class TestSolveBoxLinf:
                 _init(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counted)
         inst = random_instance(np.random.default_rng(8), 10, 10, eps=1e-2)
-        res = solve_box_linf(inst, mode=mode, seed=3)
+        res = solve_box_linf(inst, f"cd-{mode}", seed=3)
         assert res.outer_iterations >= 3
         assert builds == {"state": 1, "sampler": 1}
 
@@ -462,7 +462,7 @@ class TestResidualDualCertificate:
     @pytest.mark.parametrize("mode", ["l2", "diag"])
     def test_certified_in_half_the_outers(self, inst, mode):
         inst, opt = inst
-        res = solve_box_linf(inst, mode=mode, seed=0)
+        res = solve_box_linf(inst, f"cd-{mode}", seed=0)
         assert res.stop_reason == "certified" and res.certified
         assert res.gap <= inst.epsilon
         assert opt - 1e-9 <= res.value <= opt + inst.epsilon
@@ -476,7 +476,7 @@ class TestResidualDualCertificate:
     @pytest.mark.parametrize("mode", ["l2", "diag"])
     def test_inner_gap_target_cuts_the_steps(self, inst, mode):
         inst, opt = inst
-        res = solve_box_linf(inst, mode=mode, seed=0)
+        res = solve_box_linf(inst, f"cd-{mode}", seed=0)
         assert res.stop_reason == "certified"
         assert opt - 1e-9 <= res.value <= opt + inst.epsilon
         assert res.sampled_coordinates <= self.SUP_NORM_TARGET_STEPS[mode] // 3
@@ -492,11 +492,6 @@ class TestStopReason:
     def test_certified(self, inst):
         res = solve_box_linf(inst, seed=2)
         assert res.certified and res.stop_reason == "certified"
-
-    def test_outer_budget(self, inst):
-        res = solve_box_linf(inst, seed=2, max_outer=1)
-        assert not res.certified and res.stop_reason == "outer_budget"
-        assert res.outer_iterations == 1
 
     def test_lb_target(self, inst):
         # every weak-duality bound is at least the one at the uniform dual,

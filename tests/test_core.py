@@ -412,6 +412,17 @@ class TestCertificate:
         cert = Certificate(np.zeros(1), 1.0, eps=0.5, scale=4.0)
         assert cert.offer(bound=0.5) and cert.stop_reason == "certified"
 
+    def test_result_is_in_target_units(self):
+        cert = Certificate(np.zeros(1), 5.0, eps=1e-3, scale=4.0)
+        cert.offer(np.ones(1), 3.0, 1.0)
+        res = cert.result(9, [(0, 12, "12.0", "4.0")],
+                          "phase,iterations,value,lower_bound", 12)
+        assert (res.value, res.gap, res.certified) == (12.0, 8.0, False)
+        assert res.stop_reason == "outer_budget"  # no test held
+        assert (res.outer_iterations, res.sampled_coordinates, res.seed) == (1, 12, 9)
+        np.testing.assert_array_equal(res.x, [1.0])
+        assert res.transcript_csv() == "phase,iterations,value,lower_bound\n0,12,12.0,4.0\n"
+
 
 class TestReduceToUnitBox:
     def test_identity_when_already_unit(self):

@@ -534,8 +534,8 @@ def necklace(beads):
 
 
 class TestStarCut:
-    """A flow whose value reaches the capacity out of s or into t is maximum,
-    so both exact solvers stop there without a search that finds no path."""
+    """A flow that closes every edge at s, or every edge at t, is maximum, so
+    both exact solvers stop there without a search that finds no path."""
 
     def test_saturated_leaf_sink_is_returned_before_any_list(self, monkeypatch):
         net = leaf_sink_graph(np.random.default_rng(25))
@@ -580,7 +580,21 @@ class TestStarCut:
         within = np.full(2, 1.0 - 1e-9)  # exactly the open bound: closed
         out = augment_to_max(net, within)
         assert out.flow.tobytes() == within.tobytes()
-        assert out.meta == {"searches": 1, "paths": 0, "stop": "no_path"}
+        assert out.meta == {"searches": 0, "paths": 0, "stop": "star_cut"}
+
+    def test_star_edges_beyond_float_resolution_are_filled(self):
+        # the 1e-300 path adds nothing a float sum of the s-star can hold, yet
+        # it is open until its own edges are full
+        net = FlowNetwork(3, [(0, 2, 1e300), (0, 1, 1e-300), (1, 2, 1e-300)],
+                          source=0, sink=2)
+        want = arc_pair_dinic(net).flow
+        np.testing.assert_array_equal(want, [1e300, 1e-300, 1e-300])
+        out = dinic_oracle(net)
+        assert out.flow.tobytes() == want.tobytes()
+        assert out.meta["stop"] == "star_cut"
+        aug = augment_to_max(net, np.zeros(net.m))
+        assert aug.flow.tobytes() == want.tobytes()
+        assert aug.meta == {"searches": 2, "paths": 2, "stop": "star_cut"}
 
 
 class TestAugmentToMax:

@@ -336,7 +336,7 @@ def test_every_cli_flag_is_read_by_its_command():
 # defaulted parameters that no package or benchmark call sets, kept on purpose
 UNSET_DEFAULTS = (
     # test seams that reach real stop reasons and refills
-    "solve_box_linf.max_outer", "solve_flow_regress.max_phases",
+    "solve_box_linf.max_outer", "solve_flow_regress.max_outer",
     "plain_cd.x0", "plain_cd.uniforms", "BufferedUniforms.__init__.block",
     # library entry points
     "reduce_to_unit_box.x0", "write_matrix_file.b",

@@ -16,7 +16,8 @@ from helpers import (
     lj_tilde,
     random_sparse,
 )
-from linfflow.core import RegressionInstance, SparseMatrix, sign_double
+from linfflow.cdsolver import solve_box_linf
+from linfflow.core import RegressionInstance, RegressionResult, SparseMatrix, sign_double
 from linfflow.errors import InputError
 from linfflow.mirrorprox import (
     MirrorProxConfig,
@@ -498,19 +499,28 @@ class TestStopReason:
         cfg = MirrorProxConfig.for_instance(inst.matrix.scaled(scale),
                                             inst.epsilon / scale, inst.s)
         t_star = int(make_rng(7, stream=0).integers(1, cfg.t_per_phase + 1))
-        assert res.phases_run == 1 and res.iterations < t_star - 1
+        assert res.outer_iterations == 1 and res.sampled_coordinates < t_star - 1
 
-    def test_phase_budget(self, inst):
-        # at eps = 0.15 the first phase certifies; at 0.05 it runs its drawn
-        # length without certifying
-        res = solve_flow_regress(replace(inst, epsilon=0.05), seed=7, max_phases=1)
-        assert not res.certified and res.stop_reason == "phase_budget"
-        assert res.phases_run == 1
+    @pytest.mark.parametrize("solver", ["cd-l2", "mirror-prox"])
+    def test_outer_budget(self, inst, solver):
+        # one outer iteration (a phase, for mirror-prox) certifies neither
+        # instance: at eps = 0.15 the first phase certifies; at 0.05 it runs
+        # its drawn length without certifying
+        if solver == "mirror-prox":
+            res = solve_flow_regress(replace(inst, epsilon=0.05), seed=7, max_outer=1)
+        else:
+            rng = np.random.default_rng(1)
+            cd_inst = RegressionInstance(matrix=random_sparse(rng, 6, 6, per_col=2),
+                                         b=rng.normal(size=6), epsilon=0.1)
+            res = solve_box_linf(cd_inst, solver, seed=2, max_outer=1)
+        assert isinstance(res, RegressionResult)
+        assert not res.certified and res.stop_reason == "outer_budget"
+        assert res.outer_iterations == 1 == len(res.transcript)
 
     def test_value_target(self, inst):
         res = solve_flow_regress(inst, seed=7, value_target=10.0)
         assert not res.certified and res.stop_reason == "value_target"
-        assert res.phases_run == 1
+        assert res.outer_iterations == 1
 
     def test_lb_target(self, inst):
         # rows and rhs have sup norm below one, so the weak-duality bound of
@@ -518,13 +528,13 @@ class TestStopReason:
         # iterations, stops the solve
         res = solve_flow_regress(inst, seed=7, lb_target=-3.0)
         assert not res.certified and res.stop_reason == "lb_target"
-        assert res.phases_run == 1 and res.iterations == 64
+        assert res.outer_iterations == 1 and res.sampled_coordinates == 64
         assert res.value - res.gap > -3.0
 
     def test_transcript_rows_follow_the_phases(self, inst):
         res = solve_flow_regress(inst, seed=7)
-        assert len(res.transcript) == res.phases_run
-        assert sum(row[1] for row in res.transcript) == res.iterations
+        assert len(res.transcript) == res.outer_iterations
+        assert sum(row[1] for row in res.transcript) == res.sampled_coordinates
         assert min(float(row[2]) for row in res.transcript) >= res.value
         best_lb = max(float(row[3]) for row in res.transcript)
         assert res.gap == pytest.approx(res.value - best_lb, abs=1e-12)
