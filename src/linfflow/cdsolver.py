@@ -35,9 +35,20 @@ the outer dual alone lags many iterations behind.
 
 The steps between two certificate checks run in one call of ``lcd_steps``, a
 fused kernel that inlines the sampler draw, the column scan, the clamped step,
-the weight-pair update and the tree refresh over local Python lists.  It
-leaves every cache, counter and random draw exactly as the step-by-step
-primitives in ``sampling`` and ``tests/reference_steps.py`` would.
+the weight-pair update and the tree refresh over local Python lists.  Each
+check also hands the kernel the columns whose projected step is 0: a column
+at a box bound whose gradient pushes outward, or one whose gradient is
+exactly 0 (its rows' softmax weights underflowed and it sits at its prox
+centre).  The kernel's step on such a column is null, so until the next
+check the kernel draws from the curvature law conditioned on the other
+columns, and it drops a column whose step comes out null for the rest of the
+call (the "shrinking" of dual coordinate descent: Joachims 1999; Hsieh et
+al., ICML 2008).  That changes only the work: a column whose gradient turns
+re-enters at the next check, at most ``check_every`` steps on, and every
+return is gated by the full, unmasked certificate.  Without a mask the
+kernel leaves every cache, counter and random draw exactly as the
+step-by-step primitives in ``sampling`` and ``tests/reference_steps.py``
+would.
 """
 
 from __future__ import annotations
@@ -57,15 +68,29 @@ from .smoothing import REBUILD_DRIFT, LocalSmoothnessParams, SoftmaxState
 INNER_GAP_DIVISOR = 16
 
 
-def lcd_steps(state, sampler, center, uniforms, count):
-    """Run ``count`` coordinate steps in one call; returns ``(moving, j, delta)``.
+def lcd_steps(state, sampler, center, uniforms, count, skip=None):
+    """Take up to ``count`` coordinate steps in one call; returns ``(steps,
+    moving, j, delta)``.
 
     Each step samples a coordinate j by its curvature weight and takes the
     clamped step toward ``center``; the gradient (pair difference) and the
-    curvature (pair sum) share one scan of the column.  ``moving`` counts the
-    steps that moved x, and ``(j, delta)`` is the last step's draw and move.
+    curvature (pair sum) share one scan of the column.  ``steps`` counts the
+    steps taken, ``moving`` those that moved x, and ``(j, delta)`` is the
+    last step's draw and move.
 
-    The iterate, its softmax caches, the sampler tree with its counters and the
+    ``skip``, when given, is a boolean mask over the columns, True where a
+    step is known to be null (``SubproblemSolver._certificate``'s zero mask).
+    The kernel then draws from the curvature law conditioned on the other
+    columns: the static summand's prefix sums are rebuilt over them, and any
+    draw that lands on a skipped column (a row-tree draw, or a static one on
+    a column skipped within the call) is redrawn and not counted.  A step
+    that comes out null skips its column for the rest of the call, and once
+    no column is left the call returns with the steps taken so far.
+    Every column of static weight 0 is empty (its curvature law is 0), so it
+    is skipped too, and each column left is drawn with positive probability.
+
+    Without ``skip`` every column stays in, ``steps`` is ``count``, and the
+    iterate, its softmax caches, the sampler tree with its counters and the
     uniform cursor end exactly as ``CoordSampler.sample``, ``grad_coord`` /
     ``local_smoothness`` (test oracles in ``tests/reference_steps.py``), the
     clamp and ``CoordSampler.step`` leave them one step at a time.  Their
@@ -80,9 +105,20 @@ def lcd_steps(state, sampler, center, uniforms, count):
     cols, abs_cols = state.matrix.py_columns()
     curvature, static_l, row_mass = (sampler._curvature, sampler._static_l,
                                      sampler._row_mass)
-    static_mass, dyn_coeff = sampler.static_mass, sampler.dyn_coeff
-    row_cdf = sampler.row_cdf
-    s_cum, s_n = sampler.static_alias.cum, sampler.static_alias.n
+    dyn_coeff, row_cdf = sampler.dyn_coeff, sampler.row_cdf
+    shrink = skip is not None
+    if shrink:
+        static = sampler.params.sample_static
+        active = ~skip & (static > 0)
+        left = int(np.count_nonzero(active))
+        skipped = (~active).tolist()
+        s_cum = np.cumsum(np.where(active, static, 0.0)).tolist()
+        static_mass = s_cum[-1]
+    else:
+        left = state.matrix.n_cols
+        skipped = [False] * left
+        s_cum, static_mass = sampler.static_alias.cum, sampler.static_mass
+    s_n = len(s_cum)
     tree = sampler.tree
     nodes, size = tree.nodes, tree.size
     rng, block, buf, pos = uniforms.rng, uniforms.block, uniforms._buf, uniforms._pos
@@ -92,10 +128,10 @@ def lcd_steps(state, sampler, center, uniforms, count):
     w, w_neg, expw, expw_neg = state.w, state.w_neg, state.expw, state.expw_neg
     wref, z, version = state.wref, state.z, state.version
     exp, isfinite, drift_limit = math.exp, math.isfinite, REBUILD_DRIFT
-    moving = updates = 0
+    steps = moving = updates = 0
     j, delta = -1, 0.0
     try:
-        for _ in range(count):
+        while steps < count and left:
             # draw j: the static summand or the row tree, then the row's
             # prefix sums; each fixed law is bisected with one uniform
             total = nodes[1]
@@ -127,6 +163,9 @@ def lcd_steps(state, sampler, center, uniforms, count):
                     buf, pos = rng.random(block).tolist(), 0
                 j = row_cols[bisect_right(cum, buf[pos] * cum[-1], 0, len(cum) - 1)]
                 pos += 1
+            if skipped[j]:
+                continue
+            steps += 1
 
             # one column scan: gradient and curvature bound, then the clamp
             rows, vals = cols[j]
@@ -148,6 +187,9 @@ def lcd_steps(state, sampler, center, uniforms, count):
                 target = -1.0
             delta = target - xj
             if delta == 0.0:
+                if shrink:
+                    skipped[j] = True
+                    left -= 1
                 continue
 
             # the weight-pair update of the column's rows (apply_coord_update)
@@ -203,7 +245,7 @@ def lcd_steps(state, sampler, center, uniforms, count):
         uniforms._buf, uniforms._pos = buf, pos
         tree.update_count += updates
         tree.touched_nodes += updates * tree.levels
-    return moving, j, delta
+    return steps, moving, j, delta
 
 
 @dataclass
@@ -241,12 +283,19 @@ class SubproblemSolver:
         return max(1, math.ceil(2.0 * p.mass_bound / p.mu * math.log(ratio)))
 
     def _certificate(self, state, center):
-        """Upper bound on the objective gap from the projected gradient."""
+        """Upper bound on the objective gap from the projected gradient, and
+        the mask of the columns whose projected step is 0.
+
+        The kernel's curvature bound ``L_j(x)`` is at least ``c_j``, so where
+        the step ``t_j`` clamped at curvature ``c_j`` is 0 (a zero gradient,
+        or a bound that the gradient pushes past), the kernel's clamped step
+        is null too: ``lcd_steps`` skips those columns until the next check.
+        """
         g = self.matrix.t_dot(state.distribution())  # A^T (p - p_neg)
         g += self.params.curvature * (state.x - center)
         c = self.params.curvature
         t = np.clip(state.x - g / c, -1.0, 1.0) - state.x
-        return float(-(g * t + 0.5 * c * t * t).sum())
+        return float(-(g * t + 0.5 * c * t * t).sum()), t == 0.0
 
     def solve(self, b_t, center, x_start, gap, fail_prob, uniforms,
               stop_check=None, b_neg=None, ax=None):
@@ -256,9 +305,12 @@ class SubproblemSolver:
         ``b_neg``, when given, is the rhs of the mirrored rows ``-A x - b_neg``;
         ``ax``, when given, is ``A x_start``.  The returned flag is False
         when the iteration budget ran out before the projected-gradient
-        certificate fired.  ``stop_check``, when given, is polled at
-        certificate points with the current x and may abort the solve early
-        (used for direct value targets).
+        certificate fired, or when no column could move.  ``stop_check``,
+        when given, is polled at certificate points with the current x and
+        may abort the solve early (used for direct value targets).  Between
+        two checks the kernel skips the columns of the last check's zero
+        mask; the budget and ``iterations`` count the steps taken, not the
+        skipped draws.
         """
         state = self.state
         if state is None:
@@ -274,14 +326,19 @@ class SubproblemSolver:
         check_every = min(512, max(16, self.matrix.n_cols))
         center_list = np.asarray(center, dtype=np.float64).tolist()
         done = moving = 0
-        certified = self._certificate(state, center) <= gap
+        bound, null = self._certificate(state, center)
+        certified = bound <= gap
         while not certified and done < budget:
             if stop_check is not None and stop_check(state.x):
                 break
-            chunk = min(check_every, budget - done)
-            moving += lcd_steps(state, sampler, center_list, uniforms, chunk)[0]
-            done += chunk
-            certified = self._certificate(state, center) <= gap
+            steps, moved = lcd_steps(state, sampler, center_list, uniforms,
+                                     min(check_every, budget - done), null)[:2]
+            if not steps:
+                break  # no column can move, so the certificate cannot fall
+            done += steps
+            moving += moved
+            bound, null = self._certificate(state, center)
+            certified = bound <= gap
         self.total_steps += done
         self.moving_steps += moving
         return SubproblemResult(certified=certified, iterations=done)

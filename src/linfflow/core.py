@@ -537,6 +537,9 @@ def read_matrix_file(path):
     if min(n_rows, n_cols, nnz) < 0 or n_rows == 0:
         raise InputError(f"{path}:1: header needs at least one row and "
                          "non-negative counts")
+    if n_cols == 0:
+        raise InputError(f"{path}:1: header declares 0 columns; a matrix needs "
+                         "at least one")
     if max(n_rows, n_cols) > MAX_MATRIX_DIM:
         raise InputError(
             f"{path}:1: {n_rows}x{n_cols} exceeds the {MAX_MATRIX_DIM} rows or "

@@ -18,7 +18,10 @@ primitives, and the law tests call them; the baselines draw from a
 ``StaticAlias`` only.  The prox-CD hot loop (``cdsolver.lcd_steps``) inlines
 both over the same tables, with the same draws in the same order; for it the
 sampler keeps Python-list copies of the row masses and the curvature
-parameters.  No solver reads a column's weight or the total mass on its
+parameters.  Given a mask of skipped columns, the kernel draws instead from
+this law conditioned on the other columns: it bisects prefix sums of the
+static summand rebuilt over them, and redraws any draw that lands on a
+skipped column.  No solver reads a column's weight or the total mass on its
 own: those step-by-step forms (``sampler_weight``, ``total_mass``,
 ``tree_total``) are test oracles in ``tests/reference_steps.py``.
 """
@@ -187,7 +190,9 @@ class CoordSampler:
     decomposes as ``static_j + (8/alpha) * sum_i p_i w_ij`` with everything
     except p precomputed: the static summand is drawn from the prefix sums of
     ``static_alias``; the dynamic summand routes through a row tree, then
-    bisects the prefix sums of the row's ``w_ij`` in ``row_cdf``.
+    bisects the prefix sums of the row's ``w_ij`` in ``row_cdf``.  This is the
+    full law; ``cdsolver.lcd_steps`` can also draw from it conditioned on a
+    set of columns, over the same tree and row tables.
     A row of A and its mirrored row share their column pattern and their
     |A_ij|, so they share one leaf ``(expw_i + expw_neg_i) * row_mass_i``.
     The ``w_ij`` are computed for every entry at once, over the matrix's

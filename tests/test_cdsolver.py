@@ -10,10 +10,12 @@ from helpers import (
     box_linf_opt,
     dense_to_sparse,
     golden_section,
+    random_connected_graph,
     random_instance,
     random_sparse,
     sup_norm_gap,
 )
+from linfflow import flow
 from linfflow.cdsolver import (
     SubproblemSolver,
     lcd_steps,
@@ -41,7 +43,7 @@ def make_iterate(matrix, b, alpha, s, x0=None, center=None):
 
 def step(it, u):
     """One coordinate step; returns ``(j, delta)``."""
-    return lcd_steps(it.state, it.sampler, it.center, u, 1)[1:]
+    return lcd_steps(it.state, it.sampler, it.center, u, 1)[2:]
 
 
 class TestLcdStep:
@@ -207,7 +209,7 @@ class TestSolveSubproblem:
         assert res.certified and res.iterations > 0
         # the certificate recomputed from a fresh state at the returned point
         assert solver._certificate(SoftmaxState(d, b2, alpha, x0=solver.state.x),
-                                   center) <= gap
+                                   center)[0] <= gap
 
 
 class TestProxOuter:
@@ -369,6 +371,24 @@ class TestSolveBoxLinf:
         res = solve_box_linf(inst, f"cd-{mode}", seed=3)
         assert res.outer_iterations >= 3
         assert builds == {"state": 1, "sampler": 1}
+
+    def test_flow_probe_steps_mostly_move(self, monkeypatch):
+        # the maxflow-cd-l2 golden's graph and run: its one probe sits at
+        # box bounds and underflowed rows, where a draw from the full law
+        # took a null step 29% of the time; skipping the columns whose
+        # projected step is 0 leaves almost only moving steps
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(solve_box_linf(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(flow, "solve_box_linf", recorded)
+        net = random_connected_graph(np.random.default_rng(33), 8, extra_edges=6)
+        flow.flow_to_regress(net, net.st_demand(1.0), 0.2, solver="cd-l2", seed=5)
+        steps = sum(r.sampled_coordinates for r in results)
+        assert results and steps > 0
+        assert sum(r.moving_steps for r in results) / steps >= 0.95
 
     def test_rejects_non_unit_radius(self):
         m = dense_to_sparse(np.eye(2))

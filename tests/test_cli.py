@@ -173,6 +173,19 @@ class TestRegress:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("solver", ["cd-l2", "cd-diag", "mirror-prox", "gd",
+                                        "plain-cd"])
+    def test_zero_column_matrix_file_names_the_columns(self, tmp_path, capsys,
+                                                        solver):
+        # with no --sparsity-s given, the error must not blame s (whose
+        # default, the column count, is 0 here)
+        path = tmp_path / "empty.linf"
+        path.write_text("linf-matrix v1 2 0 0\n")
+        code, _, err = run(capsys, "regress", "--input", str(path), "--solver", solver)
+        assert code == 2
+        assert "empty.linf:1: header declares 0 columns" in err
+        assert "s must" not in err
+
     def test_mirror_prox_underflowing_row_rejected(self, tmp_path, capsys):
         # sqrt(s * colmax * |A_ij|) underflows to 0, so the row cannot be sampled
         path = tmp_path / "tiny.linf"
@@ -746,14 +759,20 @@ def golden_operations(tmp_path):
 
 
 # sha256 of stdout, then of each file written, of every golden operation; a
-# refactor that keeps the CLI's output byte-identical keeps them.  Every hash
-# but exact-flow-directed's was recorded when the fixed laws (prox-CD's static
+# refactor that keeps the CLI's output byte-identical keeps them.  The six
+# prox-CD hashes (regress-cd-l2, regress-cd-diag, maxflow-cd-l2,
+# maxflow-cd-diag, exact-flow-undirected and bench-cd-diag) were recorded
+# when ``lcd_steps`` began to skip, between two certificate checks, the
+# columns whose projected step is 0: it draws from the curvature law
+# conditioned on the other columns and no longer counts the null steps, so
+# every prox-CD transcript moved.  regress-mirror-prox's and the two
+# maxflow-dinic hashes were recorded when the fixed laws (prox-CD's static
 # summand and row tables, mirror-prox's static and row branches) began to be
 # drawn by bisecting one uniform into prefix sums instead of through Walker
-# alias tables, and the radius-1 flow probe got a stream of its own: the laws
-# stayed, but the map from a uniform to an index and the last bits of the row
-# masses moved.  exact-flow-directed's did not move (its one probe's
-# fractional flow rounds to the same integral flow); it was recorded before
+# alias tables: the laws stayed, but the map from a uniform to an index and
+# the last bits of the row masses moved.
+# exact-flow-directed's moved at neither change (its one probe's fractional
+# flow rounds to the same integral flow); it was recorded before
 # the flow pipeline stopped setting each ``FlowSolution.value`` twice.
 # maxflow-mirror-prox's was recorded once each mirror-prox probe drew from a
 # stream of its own (before, every probe of a route replayed the first one's
@@ -763,8 +782,8 @@ def golden_operations(tmp_path):
 # CSR incidence
 GOLDEN = {
     "bench-cd-diag": [
-        "77c8be8705936092317f58611be24b52d65d44b0f86974dba922bfe9ff655781",
-        "77c8be8705936092317f58611be24b52d65d44b0f86974dba922bfe9ff655781",
+        "64d8fa8c6516514115b0ebac49b9c457efb994c8ea05acfcb14fa6184d66610e",
+        "64d8fa8c6516514115b0ebac49b9c457efb994c8ea05acfcb14fa6184d66610e",
     ],
     "exact-flow-directed": [
         "54a8b53579ec63d9f25abf3de1161c75124276d6a6adba5792c0b52dce538516",
@@ -772,15 +791,15 @@ GOLDEN = {
     ],
     "exact-flow-undirected": [
         "70c85b2b3359625b0f1eb30f368b6ded6f3d80871fd52bf03ecba522c8d75d08",
-        "939ed4728cc7834ddd687821fc84b4339b9c88f3d84b54f985bab13015d50b33",
+        "8a0b80df22a20b23647e3d2a88324726b05f7dd782b12d115c38c819fc4bb079",
     ],
     "maxflow-cd-diag": [
-        "73e0dd81a033edb66f6b9591be714614d4e5b53a40b7b25b050c1dc40b938dd1",
-        "d0d1c5e9c96a7c468d1a76a642e6b8e5e12e11c055c0b363c2279a0fdf7d52e0",
+        "2b46b45c36a69d55d816370d16c6191c12ae2fcb805cecfecf7cbaf14e594123",
+        "8ce55c7ec4deb97f26aa8889f97ef57757e89bf1f64910c3a2996fdb6301a54a",
     ],
     "maxflow-cd-l2": [
-        "9c016e74b55063a82d1ae5f9ecfa1a9797817343c20d22ff8e519497351f64c4",
-        "b5a8157c68f5cd13b26bbe24f7f79e0b14dcdbef7751b22ecfc120f95415b8fa",
+        "23670e8e4557ff7ad4d92e277f278fa42d8e217a89b8732019f86fdcfd0e249a",
+        "507ea6cef2a0a4eb879f86445ea670e7f812fb3ec635516054d204aba23da2da",
     ],
     "maxflow-dinic-directed": [
         "ec129dfeda9491f9581d0c3744da3980c7cbe0e9899db4c8e94255371432351d",
@@ -796,13 +815,13 @@ GOLDEN = {
     ],
     "regress-cd-diag": [
         "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
-        "338e3ce5ed01e2b49ac4d81ef9a0c59120aee1a96d409db88215036b52eb1da8",
-        "d0376e49fcd68961a63655bf5d2e95d217337d3841e6847262936332bc2326cd",
+        "0ed64d6c96b46a4f2cadafb3fba114fc08fba6465db05104cf215c67e6d73165",
+        "24d427627deb179c51fe66ec0b2e2b0e7e7a4ee29518374c6078932f79806110",
     ],
     "regress-cd-l2": [
         "c510cedabfc411c3d42471401b1af14a17d5c7529c63d1a96f4db4912c9c0db5",
-        "13c222a3126adb1f3acd44d110bc56d85ece7f61c6867bae8ded613ed334275d",
-        "d787597428a3c9cb44d4ac38b7e32101c73581a9256211ad810d513d6b1997e9",
+        "6a3f3219ca0069ffd6dd3047fe77e44c9c38170f9f2a94148e96cca323a9b9e1",
+        "c7200b867ba9a215bc34c7a3fa8255f23dd51edf282b630231e3b28a49c0a6c4",
     ],
     "regress-mirror-prox": [
         "b311e291949dae1f9869b77597e48bd95dfb21856eed7f01d645a680beb7978a",

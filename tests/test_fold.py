@@ -173,7 +173,7 @@ class TestFoldedCertificate:
         center = np.zeros(folded.matrix.n_cols)
         fsolver = SubproblemSolver(folded.matrix, fparams)
         dsolver = SubproblemSolver(doubled.matrix, dparams)
-        assert fsolver._certificate(folded, center) == pytest.approx(
-            dsolver._certificate(doubled, center), rel=1e-10, abs=1e-12)
+        assert fsolver._certificate(folded, center)[0] == pytest.approx(
+            dsolver._certificate(doubled, center)[0], rel=1e-10, abs=1e-12)
         assert fsolver.range_bound() == dsolver.range_bound()
         assert fparams.mass_bound == dparams.mass_bound

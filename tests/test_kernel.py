@@ -4,11 +4,14 @@
 ``local_smoothness`` (``reference_steps``), the clamp and
 ``CoordSampler.step``.  These tests drive two identical setups, one through
 the kernel and one through the primitives, and require the two to end bit
-for bit alike.
+for bit alike.  With a ``skip`` mask the kernel draws from the law
+conditioned on the columns left, and the later tests check that law and the
+skipping itself.
 """
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from helpers import random_sparse
 from linfflow.cdsolver import lcd_steps, solve_box_linf
@@ -16,7 +19,7 @@ from linfflow.core import RegressionInstance, SparseMatrix
 from linfflow.errors import InputError, SolverFault
 from linfflow.sampling import BufferedUniforms, CoordSampler, make_rng
 from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState
-from reference_steps import grad_coord, local_smoothness
+from reference_steps import grad_coord, local_smoothness, sampler_weight
 
 
 def reference_step(state, sampler, center, uniforms):
@@ -111,7 +114,7 @@ def test_kernel_matches_reference_steps(mode, folded):
         for _ in range(count):
             last = reference_step(reference[0], reference[1], center, reference[2])
             moving += last[1] != 0.0
-        assert got == (moving, *last)
+        assert got == (count, moving, *last)
         moving = 0
         assert_identical(kernel, reference)
     assert kernel[1].tree.update_count > 0
@@ -137,7 +140,7 @@ def test_lcd_step_is_one_kernel_step():
     build, center = setup("diag", True, alpha=0.4, seed=8)
     kernel, reference = build(), build()
     for _ in range(50):
-        assert lcd_steps(kernel[0], kernel[1], center, kernel[2], 1)[1:] == \
+        assert lcd_steps(kernel[0], kernel[1], center, kernel[2], 1)[2:] == \
             reference_step(reference[0], reference[1], center, reference[2])
     assert_identical(kernel, reference)
 
@@ -165,6 +168,82 @@ def test_non_finite_step_raises_and_keeps_state_synced():
     np.testing.assert_array_equal(state.x, x_before)
     assert sampler._synced_version == state.version == 0
     lcd_steps(state, sampler, center, uniforms, 10)  # still usable
+
+
+def still_setup(mode, seed):
+    """A folded (state, sampler, uniforms) at x = center = 0 with b_neg = b:
+    every row and its mirror carry the same weight, so every gradient is
+    exactly 0 and every step is null, while the rows' weights still differ."""
+    rng = np.random.default_rng(seed)
+    matrix = with_empty_column(random_sparse(rng, 9, 12, per_col=3))
+    b = rng.normal(size=matrix.n_rows)
+    if mode == "l2":
+        params = LocalSmoothnessParams.l2(matrix, 0.4, float(matrix.n_cols), rows=18)
+    else:
+        params = LocalSmoothnessParams.diag(matrix, 0.4, d_floor=0.01, rows=18)
+    state = SoftmaxState(matrix, b, 0.4, x0=np.zeros(matrix.n_cols), b_neg=b)
+    sampler = CoordSampler(state, params)
+    return state, sampler, BufferedUniforms(make_rng(seed, 7), block=64)
+
+
+@pytest.mark.parametrize("mode", ["l2", "diag"])
+def test_skipped_columns_are_never_drawn_and_never_move(mode):
+    build, center = setup(mode, True, alpha=0.4, seed=3)
+    state, sampler, uniforms = build()
+    m = state.matrix.n_cols
+    skip = np.zeros(m, dtype=bool)
+    skip[::3] = True
+    x_skipped = state.x[skip].copy()
+    drawn = set()
+    for _ in range(200):
+        steps, _, j, _ = lcd_steps(state, sampler, center.tolist(), uniforms, 1, skip)
+        assert steps == 1
+        drawn.add(j)
+    steps, moving, _, _ = lcd_steps(state, sampler, center.tolist(), uniforms, 500, skip)
+    assert 0 < moving <= steps <= 500
+    assert drawn.isdisjoint(np.flatnonzero(skip)) and len(drawn) > 1
+    assert_same_bits(state.x[skip], x_skipped)
+    assert sampler._synced_version == state.version
+
+
+@pytest.mark.parametrize("mode", ["l2", "diag"])
+def test_masked_law_is_the_full_law_conditioned_on_the_columns_left(mode):
+    state, sampler, uniforms = still_setup(mode, seed=11)
+    m = state.matrix.n_cols
+    skip = np.zeros(m, dtype=bool)
+    skip[[0, 4, 5, m - 1]] = True
+    weights = np.array([sampler_weight(sampler, j) for j in range(m)])
+    weights[skip] = 0.0
+    center = [0.0] * m
+    n = 40_000
+    counts = np.zeros(m)
+    for _ in range(n):
+        steps, moving, j, _ = lcd_steps(state, sampler, center, uniforms, 1, skip)
+        assert (steps, moving) == (1, 0)  # a null step leaves the law alone
+        counts[j] += 1
+    assert not counts[skip].any()
+    keep = weights > 0
+    expected = weights[keep] / weights.sum() * n
+    assert stats.chisquare(counts[keep], expected).pvalue > 0.001
+
+
+@pytest.mark.parametrize("mode", ["l2", "diag"])
+def test_null_steps_skip_their_columns_for_the_rest_of_the_call(mode):
+    state, sampler, uniforms = still_setup(mode, seed=12)
+    m = state.matrix.n_cols
+    skip = np.zeros(m, dtype=bool)
+    skip[2] = True
+    # each column left is drawn once, its step is null, and then it is out
+    assert lcd_steps(state, sampler, [0.0] * m, uniforms, 10_000, skip)[:2] == (m - 1, 0)
+
+
+def test_every_column_skipped_returns_at_once():
+    build, center = setup("l2", True, alpha=0.4, seed=6)
+    kernel, reference = build(), build()
+    skip = np.ones(kernel[0].matrix.n_cols, dtype=bool)
+    assert lcd_steps(kernel[0], kernel[1], center.tolist(), kernel[2], 10_000,
+                     skip) == (0, 0, -1, 0.0)
+    assert_identical(kernel, reference)  # not one uniform drawn
 
 
 def test_regression_result_counts_moving_steps():
