@@ -521,7 +521,8 @@ def read_matrix_file(path):
 
     Header: ``linf-matrix v1 <n_rows> <n_cols> <nnz>`` then ``i j value`` lines,
     0-indexed.  Optional trailing ``b <i> <value>`` lines populate the rhs
-    (absent entries are zero).  Parse failures report the offending line.
+    (absent entries are zero, and no entry may be given twice).  Parse
+    failures report the offending line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -547,6 +548,7 @@ def read_matrix_file(path):
         )
     rows, cols, vals = [], [], []
     b = np.zeros(n_rows)
+    rhs_line = {}  # the line of each rhs entry read
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts or parts[0] == "c":
@@ -562,6 +564,10 @@ def read_matrix_file(path):
                     raise ValueError(f"rhs entry {i} is not finite: {v!r}")
                 if abs(v) > MAX_MATRIX_MAGNITUDE:
                     raise ValueError(f"rhs entry {i} exceeds {MAX_MATRIX_MAGNITUDE:g}")
+                if i in rhs_line:
+                    raise ValueError(f"a second rhs entry {i}; the first is on line "
+                                     f"{rhs_line[i]}")
+                rhs_line[i] = lineno
                 b[i] = v
             else:
                 if len(parts) != 3:

@@ -9,8 +9,9 @@ matrix depends only on the tree, so each approximator builds it once; a probe
 at radius r keeps that matrix and divides the rhs by r, since
 ``max|r A x - b| = r max|A x - b/r|``.
 The approximator is built over index arrays: the spanning tree comes from
-Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``), every
-graph edge's tree path is walked at once, one tree
+Borůvka rounds over numpy arrays (``FlowNetwork.max_spanning_tree``), it is
+rooted by a breadth-first search whose levels ``subtree_sums`` sums deepest
+first, every graph edge's tree path is walked at once, one tree
 level per pass, and the cut capacities are sums of positive terms only
 (subtracting at the LCA would cancel catastrophically when capacities span
 many orders of magnitude).
@@ -36,15 +37,85 @@ import numpy as np
 from .cdsolver import solve_box_linf
 from .core import RegressionInstance, SparseMatrix
 from .errors import InputError, SolverFault
-from .graphs import FlowNetwork, FlowSolution, incidence_apply
+from .graphs import FlowNetwork, FlowSolution, csr_incidence, incidence_apply
 from .mirrorprox import solve_flow_regress
 
 
-# at most this many tree-path walks left: _climb finishes them in Python
+# at most this many tree-path walks left (_climb), or children in a tree level
+# (_root_tree): Python lists beat numpy calls from here down
 _SCALAR_CLIMB = 64
 
 # round_to_integral's slack on the capacity bounds and on conservation
 _ROUND_TOL = 1e-6
+
+
+def _root_tree(n, tails, heads):
+    """Root the tree with edges ``(tails[k], heads[k])`` at vertex 0.
+
+    Returns ``(parent, depth, levels)``.  A breadth-first search finds the
+    tree level by level, each vertex's children in descending order of k (the
+    CSR of the edges reversed, ``csr_incidence``).  A level with more than
+    ``_SCALAR_CLIMB`` children comes from one set of numpy gathers; narrower
+    ones, a deep tree's long stretches, one vertex at a time over Python lists.
+
+    ``levels`` is the search's order reversed, one entry per wide level and
+    one per stretch of narrow levels, in ``subtree_sums``' format: every child
+    comes after all of its own children, and each parent's children come in
+    ascending order of k.  A wide level is ``(children, parents, None)``.  A
+    stretch is ``(None, parents, verts)``: ``verts`` in the search's order,
+    from the level above the stretch down, and ``parents`` the index in
+    ``verts`` of the parent of each vertex below that level, last vertex first.
+    """
+    ptr, nbr, _, _ = csr_incidence(n, tails[::-1], heads[::-1])
+    kids = ptr[1:] - ptr[:-1] - 1  # every neighbour but the parent
+    kids[0] += 1
+    parent = np.full(n, -1, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    levels, lists = [], None
+    children, parents, k = np.zeros(1, dtype=np.int64), np.array([-1]), 0
+    while True:
+        wide = kids[children].sum()
+        if not wide:
+            break
+        if wide > _SCALAR_CLIMB:
+            lo = ptr[children]
+            cnt = ptr[children + 1] - lo
+            slot = np.arange(cnt.sum()) + np.repeat(lo + cnt - np.cumsum(cnt), cnt)
+            keep = nbr[slot] != np.repeat(parents, cnt)
+            children, parents = nbr[slot[keep]], np.repeat(children, cnt)[keep]
+            k += 1
+            parent[children] = parents
+            depth[children] = k
+            levels.append((children[::-1], parents[::-1], None))
+            continue
+        if lists is None:
+            lists = ptr.tolist(), nbr.tolist(), kids.tolist()
+        ptr_l, nbr_l, kids_l = lists
+        # the queue: the level at depth k, then the stretch level by level;
+        # per vertex queued, its parent's index in the queue and its depth
+        cs, ps, up, ds = children.tolist(), parents.tolist(), [], []
+        push_c, push_p, push_u, push_d = cs.append, ps.append, up.append, ds.append
+        first = end = len(cs)
+        wide = 0
+        for i, u in enumerate(cs):
+            if i == end:  # cs[end:] is the next level, queued whole
+                if not 0 < wide <= _SCALAR_CLIMB:
+                    break
+                end, wide, k = len(cs), 0, k + 1
+            pu = ps[i]
+            for w in nbr_l[ptr_l[u]:ptr_l[u + 1]]:
+                if w != pu:
+                    push_c(w)
+                    push_p(u)
+                    push_u(i)
+                    push_d(k + 1)
+                    wide += kids_l[w]
+        verts = np.array(cs)
+        parent[verts[first:]] = ps[first:]
+        depth[verts[first:]] = ds
+        levels.append((None, up[::-1], verts))
+        children, parents, k = verts[end:], np.array(ps[end:]), k + 1
+    return parent, depth, levels[::-1]
 
 
 class TreeApproximator:
@@ -59,9 +130,9 @@ class TreeApproximator:
     The tree is ``net.max_spanning_tree()``: Kruskal's tree under decreasing
     capacity with ties broken by edge index, picked by Borůvka rounds over
     numpy arrays, with ``tree_edges`` in Kruskal's order.  A
-    stack DFS from vertex 0 over the tree edges, in that order, gives
-    ``tree_parent``, ``depth`` and ``post_order``; the post order fixes the
-    float order of ``subtree_sums``.
+    breadth-first search from vertex 0 (``_root_tree``) gives ``tree_parent``,
+    ``depth`` and the levels that fix the float order of ``subtree_sums``:
+    deepest level first, each parent's children in row order.
 
     Rows are indexed by position in ``tree_edges``: ``row_vertex[k]`` is the
     deeper endpoint of ``tree_edges[k]`` (the cut is the subtree below it) and
@@ -80,32 +151,8 @@ class TreeApproximator:
         self.tree_edges = tree = net.max_spanning_tree()
         if len(tree) != n - 1:
             raise InputError("graph must be connected")
-        adj = [[] for _ in range(n)]
-        for u, v in zip(net.tails[tree].tolist(), net.heads[tree].tolist()):
-            adj[u].append(v)
-            adj[v].append(u)
-        tree_parent = [-1] * n
-        depth = [0] * n
-        order_v = []
-        stack = [0]
-        seen = [False] * n
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            order_v.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    tree_parent[w] = u
-                    depth[w] = depth[u] + 1
-                    stack.append(w)
-        self.post_order = order_v[::-1]
-        # (child, parent) in post order: subtree_sums' accumulation sequence
-        self._child_parent = [(u, tree_parent[u]) for u in self.post_order
-                              if tree_parent[u] >= 0]
-        self.tree_parent = np.array(tree_parent, dtype=np.int64)
-        self.depth = np.array(depth, dtype=np.int64)
         t, h = net.tails[tree], net.heads[tree]
+        self.tree_parent, self.depth, self._levels = _root_tree(n, t, h)
         self.row_vertex = np.where(self.depth[t] > self.depth[h], t, h)
         self._head_is_row = self.row_vertex == h
         self.n_rows = len(tree)
@@ -176,11 +223,23 @@ class TreeApproximator:
         yield np.array(rows), np.array(cols), np.array(signs)
 
     def subtree_sums(self, d):
-        """Net demand inside the subtree below each vertex, in O(n)."""
-        s = np.asarray(d, dtype=np.float64).tolist()
-        for u, p in self._child_parent:
-            s[p] += s[u]
-        return np.array(s)
+        """Net demand inside the subtree below each vertex, in O(n).
+
+        Adds every child's sum to its parent's, deepest level first: one
+        ``np.add.at`` per wide level, a narrow stretch one pair at a time over
+        a list (``_root_tree``).  Each parent gets its children in row order.
+        """
+        s = np.array(d, dtype=np.float64)
+        for children, parents, verts in self._levels:
+            if verts is None:
+                np.add.at(s, parents, s[children])
+            else:
+                # reversed(v) reads each sum after its children, queued later
+                v = s[verts].tolist()
+                for x, p in zip(reversed(v), parents):
+                    v[p] += x
+                s[verts] = v
+        return s
 
     def apply(self, d):
         """R @ d: per tree edge, the subtree demand over the cut capacity."""

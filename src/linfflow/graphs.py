@@ -203,18 +203,8 @@ class FlowNetwork:
         return order[np.sort(np.concatenate(picked))]
 
     def incidence(self):
-        """CSR incidence: ``(ptr, neighbor, edge, sign)``, built by one stable sort.
-
-        Vertex u's entries are ``ptr[u]:ptr[u + 1]``, one per incident edge in
-        edge order: the other endpoint, the edge, and sign +1.0 where u is the
-        edge's tail (walking to the neighbor follows the orientation), -1.0
-        where u is its head.
-        """
-        ends = np.column_stack((self.tails, self.heads)).ravel()  # 2e: tail, 2e+1: head
-        slots = np.argsort(ends, kind="stable")
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n), out=ptr[1:])
-        return ptr, ends[slots ^ 1], slots >> 1, 1.0 - 2.0 * (slots & 1)
+        """CSR incidence of the network's edges (``csr_incidence``)."""
+        return csr_incidence(self.n, self.tails, self.heads)
 
     def st_demand(self, amount=1.0):
         """Demand vector routing ``amount`` units from source to sink."""
@@ -226,6 +216,21 @@ class FlowNetwork:
         d[self.source] = -amount
         d[self.sink] = amount
         return d
+
+
+def csr_incidence(n, tails, heads):
+    """CSR incidence: ``(ptr, neighbor, edge, sign)``, built by one stable sort.
+
+    Edge e runs from ``tails[e]`` to ``heads[e]``.  Vertex u's entries are
+    ``ptr[u]:ptr[u + 1]``, one per incident edge in edge order: the other
+    endpoint, the edge, and sign +1.0 where u is the edge's tail (walking to
+    the neighbor follows the orientation), -1.0 where u is its head.
+    """
+    ends = np.column_stack((tails, heads)).ravel()  # 2e: tail, 2e+1: head
+    slots = np.argsort(ends, kind="stable")
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
+    return ptr, ends[slots ^ 1], slots >> 1, 1.0 - 2.0 * (slots & 1)
 
 
 def incidence_apply(net, f):
@@ -292,6 +297,13 @@ def _bulk_arcs(lines):
     return _EdgeArrays(tails - 1, heads - 1, caps)
 
 
+def _first_line(first, what, lineno):
+    """Record that ``what`` is on line ``lineno``; raise if an earlier line had it."""
+    if what in first:
+        raise ValueError(f"a second {what}; the first is on line {first[what]}")
+    first[what] = lineno
+
+
 def _read_lines(path, lines, skip_arcs):
     """``(n, m, edges, source, sink, directed)`` read one line at a time.
 
@@ -302,6 +314,7 @@ def _read_lines(path, lines, skip_arcs):
     edges = []
     source = sink = None
     directed = True
+    first = {}  # the line of the 'p', 'n s' and 'n t' lines: each may appear once
     for lineno, line in enumerate(lines, start=1):
         if skip_arcs and line[:2] == "a ":
             continue
@@ -316,10 +329,13 @@ def _read_lines(path, lines, skip_arcs):
             elif tag == "p":
                 if len(parts) != 4 or parts[1] != "max":
                     raise ValueError("expected 'p max <n> <m>'")
+                _first_line(first, "problem line", lineno)
                 n, m = int(parts[2]), int(parts[3])
             elif tag == "n":
                 if len(parts) != 3 or parts[2] not in ("s", "t"):
                     raise ValueError("expected 'n <id> s|t'")
+                _first_line(first, ("source" if parts[2] == "s" else "sink")
+                            + " designation", lineno)
                 if parts[2] == "s":
                     source = int(parts[1]) - 1
                 else:

@@ -314,10 +314,12 @@ class ReferenceTree:
     """The maximum-spanning-tree approximator built one edge at a time.
 
     Reference for ``linfflow.flow.TreeApproximator``: Kruskal by
-    ``sorted(key=(-cap, e))``, the same stack DFS from vertex 0, and every
-    graph edge's tree path walked vertex by vertex (``path_edges``), with the
-    cut capacities summed edge by edge in edge order.  Rows are indexed by
-    position in ``tree_edges``, as in the approximator.
+    ``sorted(key=(-cap, e))``, a stack DFS from vertex 0 over the tree edges
+    in that order (whose post order adds each parent's children in row order,
+    as the approximator's levels do), and every graph edge's tree path walked
+    vertex by vertex (``path_edges``), with the cut capacities summed edge by
+    edge in edge order.  Rows are indexed by position in ``tree_edges``, as in
+    the approximator.
     """
 
     def __init__(self, net):

@@ -163,6 +163,8 @@ class TestRegress:
         ("linf-matrix v1 1 1 1\n0 0 0.5\nb 0 1e300\n", "rhs entry 0 exceeds"),
         ("linf-matrix v1 1 2 2\n0 0 1e100\n0 1 -1e100\nb 0 3\n",
          "below the floating-point resolution"),
+        ("linf-matrix v1 1 1 1\n0 0 0.5\nb 0 1\nb 0 2\n",
+         "bad.linf:4: a second rhs entry 0; the first is on line 3"),
     ])
     def test_degenerate_matrix_files_rejected(self, tmp_path, capsys, solver, body,
                                               message):
@@ -396,6 +398,28 @@ class TestFlowCommands:
         code, _, err = run(capsys, "maxflow", "--input", str(path))
         assert code == 2
         assert "vertex 8 out of range for 3 vertices" in err
+
+    @pytest.mark.parametrize("lines, message", [
+        ("p max 3 2\nn 1 s\nn 3 t\nn 2 t", ":5: a second sink designation; the "
+         "first is on line 4"),
+        ("p max 3 2\nn 1 s\nn 2 s\nn 3 t", ":4: a second source designation; the "
+         "first is on line 3"),
+        ("p max 3 2\nn 1 s\nn 3 t\np max 4 2", ":5: a second problem line; the "
+         "first is on line 2"),
+    ], ids=["sink", "source", "problem"])
+    @pytest.mark.parametrize("arcs", [2, 80], ids=["lines", "bulk"])
+    def test_repeated_header_line_rejected(self, tmp_path, capsys, lines, message,
+                                           arcs):
+        # a later 'n' line moved the sink, a later 'p' line the vertex count
+        path = tmp_path / "dup.dimacs"
+        lines = lines.replace("p max 3 2", f"p max 3 {arcs}")
+        path.write_text(f"c undirected\n{lines}\n"
+                        + "".join(f"a {1 + k % 2} {2 + k % 2} 1\n" for k in range(arcs)))
+        for command in ("maxflow", "exact-flow", "verify"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert code == 2
+            assert out == ""
+            assert f"{path}{message}" in err
 
     @pytest.mark.parametrize("solver", ["gd", "plain-cd"])
     def test_maxflow_rejects_non_routing_solver(self, path_graph, capsys, solver):

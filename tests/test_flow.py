@@ -176,12 +176,27 @@ def deep_tree_graph(rng, n=400, chords=40, integral=True):
                        source=0, sink=n - 1)
 
 
+def broom_graph(rng, handle, bristles, chords=30):
+    """A path of ``handle`` vertices from vertex 0 into the hub of a star with
+    ``bristles`` leaves, all of capacity 2, plus chords of capacity 1: the
+    spanning tree is the broom.  ``handle=1`` is a plain star about vertex 0.
+    """
+    hub, n = handle - 1, handle + bristles
+    edges = [(i, i + 1, 2.0) for i in range(hub)]
+    edges += [(hub, v, 2.0) for v in range(handle, n)]
+    edges += [(int(u), int(v), 1.0) for u, v in rng.integers(0, n, size=(chords, 2))
+              if u != v]
+    return FlowNetwork(n, edges, source=0, sink=n - 1)
+
+
 class TestTreeMatchesPathWalk:
     """TreeApproximator against the vertex-by-vertex path walk of ReferenceTree.
 
     ``scalar_climb`` moves the point where the level-synchronous climb hands
-    its last walks to Python: 0 keeps every pass in numpy, 10**9 walks every
-    edge in Python.
+    its last walks to Python, and where the rooting search and
+    ``subtree_sums`` switch between numpy levels and Python lists: 0 keeps
+    every pass and level in numpy, 10**9 runs all of them in Python.  Under
+    the default the broom's handle goes over lists and its bristles in numpy.
     """
 
     @pytest.fixture(params=[0, None, 10**9], ids=["numpy", "default", "python"])
@@ -196,6 +211,8 @@ class TestTreeMatchesPathWalk:
             yield random_connected_graph(rng, n, extra_edges=extra, unit=False), True
         yield deep_tree_graph(rng), True
         yield deep_tree_graph(rng, integral=False), False
+        yield broom_graph(rng, 150, 200), True
+        yield broom_graph(rng, 1, 200), True
 
     def test_same_tree_cuts_and_operators(self, scalar_climb):
         rng = np.random.default_rng(22)
@@ -204,7 +221,6 @@ class TestTreeMatchesPathWalk:
             np.testing.assert_array_equal(approx.tree_edges, ref.tree_edges)
             np.testing.assert_array_equal(approx.tree_parent, ref.tree_parent)
             np.testing.assert_array_equal(approx.depth, ref.depth)
-            np.testing.assert_array_equal(approx.post_order, ref.post_order)
             np.testing.assert_array_equal(approx.row_vertex, ref.row_vertex)
             if integral:
                 np.testing.assert_array_equal(approx.cutcap, ref.cutcap)
@@ -212,12 +228,17 @@ class TestTreeMatchesPathWalk:
                 np.testing.assert_allclose(approx.cutcap, ref.cutcap, rtol=1e-14, atol=0)
             d = rng.normal(size=net.n)
             d -= d.mean()
-            np.testing.assert_array_equal(approx.subtree_sums(d), ref.subtree_sums(d))
-            np.testing.assert_array_equal(approx.tree_route(d), ref.tree_route(d))
-            if integral:
-                np.testing.assert_array_equal(approx.apply(d), ref.apply(d))
-            else:
-                np.testing.assert_allclose(approx.apply(d), ref.apply(d), rtol=1e-14, atol=0)
+            # magnitudes 1e-8 to 1e8, so that adding a parent's children in
+            # another order shows in the bits of their sum
+            wide = rng.choice((-1.0, 1.0), net.n) * 10.0 ** rng.uniform(-8, 8, net.n)
+            for d in (d, wide):
+                np.testing.assert_array_equal(approx.subtree_sums(d), ref.subtree_sums(d))
+                np.testing.assert_array_equal(approx.tree_route(d), ref.tree_route(d))
+                if integral:
+                    np.testing.assert_array_equal(approx.apply(d), ref.apply(d))
+                else:
+                    np.testing.assert_allclose(approx.apply(d), ref.apply(d), rtol=1e-14,
+                                               atol=0)
 
     def test_regression_matrix_matches_path_walk(self, scalar_climb):
         rng = np.random.default_rng(23)
