@@ -5,9 +5,9 @@ Two solver families minimize ``max_i |(A x - b)_i|`` over the unit box:
 * a proximal outer loop around locally adaptive randomized coordinate descent
   (l2 or column-weighted geometry), and
 * a phased randomized mirror-prox method whose dual simplex variable is kept
-  as a dense vector of log-weights over the rows of ``A``, with
-  ``ReferenceSimplex`` as its recursion's reference; the paper's implicit
-  structure for it was measured slower and is kept under ``tests/`` only.
+  as a dense vector of log-weights over the rows of ``A``; the recursion's
+  dense reference and the paper's implicit structure for it (measured
+  slower) are kept under ``tests/`` only.
 
 Neither builds the sign-doubled matrix ``[A; -A]`` (``sign_double``).
 
@@ -70,7 +70,6 @@ from .sampling import (
     StaticAlias,
     make_rng,
 )
-from .simplexmaint import ReferenceSimplex
 from .smoothing import LocalSmoothnessParams, SoftmaxState
 
 __all__ = [name for name in dir() if not name.startswith("_")]

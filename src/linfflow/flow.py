@@ -24,7 +24,8 @@ A Dinic blocking-flow solver serves as the in-package oracle.  Augmenting
 paths and Dinic walk the network's CSR incidence (``FlowNetwork.incidence``)
 with one flow per edge, and both stop once every edge at s, or every edge
 at t, is closed (``_star_closed``), without a last search that finds no
-path.
+path.  One search (``_search``) and one push (``_push``) serve every path
+loop: Dinic's, the augmenting paths' and the digraph decomposition's.
 """
 
 from __future__ import annotations
@@ -294,20 +295,34 @@ def _check_routing_solver(solver, net=None):
 @dataclass
 class RouteResult:
     flow: np.ndarray
-    x: np.ndarray
     radius: float
     certified: bool
     probes: int
     meta: dict = field(default_factory=dict)
 
 
+def _check_demand(net, d):
+    """``d`` as floats, or InputError unless it has one finite entry per
+    vertex and sums to zero within 1e-9 of its l1 norm."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.shape != (net.n,):
+        raise InputError(f"demand length {d.shape} does not match {net.n} vertices")
+    if not np.isfinite(d).all():
+        raise InputError("demand has a non-finite entry")
+    if abs(d.sum()) > 1e-9 * np.abs(d).sum():
+        raise InputError("demands must sum to zero")
+    return d
+
+
 def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     """Route d to composite factor (1 + eps): certificate-driven radius search.
 
-    Solves the box-constrained regression against the approximator rows at a
-    bisected congestion radius.  Every probe runs on the approximator's one
-    matrix with the rhs divided by the radius r, and its verdict is read in
-    the radius's units.  A probe ends in one of three states: accepted
+    Solves the box-constrained regression against the approximator rows in
+    one bisection over the congestion radius r: r = 1 first, then
+    ``sqrt(lo hi)``, at most 60 probes.  Every probe runs on the
+    approximator's one matrix with the rhs divided by r
+    (``max|r A x - b| = r max|A x - b/r|``), and its verdict is read in the
+    radius's units.  A probe ends in one of three states: accepted
     when the solver exhibits a point of value at most eps*r/2, a certified
     reject when the weak-duality bound (``value - gap``) stays above it, and
     undecided when the solver's budget ran out first.  An undecided probe moves
@@ -315,45 +330,19 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     raise ``meta["opt_lower"]``, ``meta["undecided_probes"]`` counts the rest,
     and ``certified`` is False when there were any.  The search never fails:
     the spanning tree routes d exactly, so its congestion is always an
-    acceptable radius.
+    acceptable radius.  A malformed demand raises InputError (``_check_demand``).
     """
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
     _check_routing_solver(solver, net)
-    d = np.asarray(d, dtype=np.float64)
+    d = _check_demand(net, d)
     rd = approx.apply(d)
     rd_norm = float(np.abs(rd).max()) if len(rd) else 0.0
     if rd_norm == 0.0:
-        return RouteResult(flow=np.zeros(net.m), x=np.zeros(net.m), radius=0.0,
-                           certified=True, probes=0,
-                           meta={"undecided_probes": 0})
+        return RouteResult(flow=np.zeros(net.m), radius=0.0, certified=True, probes=0,
+                           meta={"opt_lower": 0.0, "iterations": 0,
+                                 "undecided_probes": 0})
     d_scaled = d / rd_norm
-    iterations = 0
-    undecided = 0
-
-    def probe(r, stream, warm=None):
-        """Returns ``(accepted, certified_reject, x)`` and counts undecided probes.
-
-        ``max|r A x - b| = r max|A x - b/r|``: the solve sees rhs b/r with the
-        threshold and epsilon divided by r, and the verdicts multiply back.
-        """
-        nonlocal iterations, undecided
-        target = eps / 2.0
-        inst = RegressionInstance(matrix=matrix, b=rhs / r,
-                                  epsilon=max(eps / 4.0, 1e-12 / r))
-        if solver == "mirror-prox":
-            res = solve_flow_regress(inst, seed=seed, stream=stream,
-                                     value_target=target, lb_target=target)
-        else:
-            res = solve_box_linf(inst, solver=solver, seed=seed, stream=stream,
-                                 value_target=target, x0=warm, lb_target=target)
-        iterations += res.sampled_coordinates
-        thresh = eps * r / 2.0
-        accepted = r * res.value <= thresh + 1e-12
-        rejected = not accepted and r * (res.value - res.gap) > thresh
-        undecided += not (accepted or rejected)
-        return accepted, rejected, res.x
-
     # the spanning tree routes the demands exactly, so its congestion is a
     # certified acceptable radius with a zero-residual point: the search only
     # pays for probes below it
@@ -362,36 +351,41 @@ def almost_route(net, d, approx, eps, solver="cd-l2", seed=0):
     cong_tree = max(float(np.abs(x_tree).max()), 1.0)
     lo, hi = 1.0, cong_tree
     best_r, best_x = hi, x_tree / cong_tree
-    probes = 0
+    probes = iterations = undecided = 0
     largest_reject = None
+    target = eps / 2.0
     if hi > 1.0:
         # fetched only here: when the tree already routes at congestion 1, no
         # probe runs and the approximator never builds its matrix
         matrix, rhs = approx.regression_parts(d_scaled)
-        # each probe draws from stream = the number of probes before it
-        ok_lo, rejected, x_lo = probe(lo, probes, warm=best_x * (best_r / lo))
-        probes += 1
-        if ok_lo:
-            best_r, best_x = lo, x_lo
+    # radius 1 first, where an accept closes the bracket at hi = 1, then the
+    # geometric midpoint; each probe draws from stream = the probes before it
+    while hi > 1.0 and (not probes or hi / lo > 1.0 + eps / 4.0 and probes < 60):
+        r = math.sqrt(lo * hi) if probes else lo
+        inst = RegressionInstance(matrix=matrix, b=rhs / r,
+                                  epsilon=max(eps / 4.0, 1e-12 / r))
+        if solver == "mirror-prox":
+            res = solve_flow_regress(inst, seed=seed, stream=probes,
+                                     value_target=target, lb_target=target)
         else:
-            if rejected:
-                largest_reject = lo
-            while hi / lo > 1.0 + eps / 4.0 and probes < 60:
-                mid = math.sqrt(lo * hi)
-                ok, rejected, x_mid = probe(mid, probes, warm=best_x * (best_r / mid))
-                probes += 1
-                if ok:
-                    hi, best_r, best_x = mid, mid, x_mid
-                else:
-                    lo = mid
-                    if rejected:
-                        largest_reject = mid
-    x = best_x * best_r * rd_norm
-    flow = x * net.caps
+            res = solve_box_linf(inst, solver=solver, seed=seed, stream=probes,
+                                 value_target=target, x0=best_x * (best_r / r),
+                                 lb_target=target)
+        probes += 1
+        iterations += res.sampled_coordinates
+        thresh = eps * r / 2.0
+        if r * res.value <= thresh + 1e-12:
+            hi, best_r, best_x = r, r, res.x
+        else:
+            lo = r
+            if r * (res.value - res.gap) > thresh:
+                largest_reject = r
+            else:
+                undecided += 1
     # opt_lower: certified rejected radii bound OPT from below; the approximator
     # row bound certifies OPT >= |R d| always
     opt_lower = rd_norm if largest_reject is None else largest_reject * rd_norm
-    return RouteResult(flow=flow, x=x, radius=best_r * rd_norm,
+    return RouteResult(flow=best_x * best_r * rd_norm * net.caps, radius=best_r * rd_norm,
                        certified=undecided == 0, probes=probes,
                        meta={"opt_lower": opt_lower, "iterations": iterations,
                              "undecided_probes": undecided})
@@ -406,10 +400,11 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0, approx=None):
     rounds route residual demands at accuracy 1/2 before the exact tree
     finish.  Residual contraction is asserted per round.  ``approx`` is a
     ``TreeApproximator`` of ``net`` to reuse (and its regression matrix with
-    it); by default one is built.
+    it); by default one is built.  A demand that ``almost_route`` would
+    reject raises InputError here too.
     """
     _check_routing_solver(solver, net)
-    d = np.asarray(d, dtype=np.float64)
+    d = _check_demand(net, d)
     if approx is None:
         approx = TreeApproximator(net)
     rounds = max(1, math.ceil(math.log2(2 * max(net.m, 2))))
@@ -418,16 +413,23 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0, approx=None):
     ratios = []
     opt_lower = 0.0
     iterations = 0
+    # |R d_k| after a round is the next round's |R d_k| before it
+    rd_after = float(np.abs(approx.apply(d_k)).max())
     for k in range(rounds + 1):
         eps_k = eps if k == 0 else 0.5
-        rd_before = float(np.abs(approx.apply(d_k)).max())
+        rd_before = rd_after
         if rd_before <= 1e-14 * max(1.0, float(np.abs(d).max())):
             break
         route = almost_route(net, d_k, approx, eps_k, solver=solver,
                              seed=seed + k)
-        iterations += route.meta.get("iterations", 0)
+        iterations += route.meta["iterations"]
         f_total += route.flow
         d_k = d_k - incidence_apply(net, route.flow)
+        # the residual's float imbalance is of the order of the first rounds'
+        # flows, so next to a shrinking d_k it would fail almost_route's
+        # demand check: the root's entry takes it, since the tree is rooted at
+        # vertex 0 and no approximator operator reads the root's entry
+        d_k[0] -= d_k.sum()
         rd_after = float(np.abs(approx.apply(d_k)).max())
         ratios.append((rd_before, rd_after, eps_k))
         if rd_after > eps_k * rd_before * (1.0 + 1e-6) + 1e-12:
@@ -436,7 +438,7 @@ def flow_to_regress(net, d, eps, solver="cd-l2", seed=0, approx=None):
                 f"({rd_after:.3e} vs {eps_k:.2f} * {rd_before:.3e})"
             )
         if k == 0:
-            opt_lower = max(route.meta.get("opt_lower", 0.0), rd_before)
+            opt_lower = max(route.meta["opt_lower"], rd_before)
             # certified early finish: routing the residual exactly on the tree
             # may already land within (1 + eps) of the certified lower bound,
             # because the tree's quality factor matches the factor the
@@ -602,8 +604,8 @@ def _residual_lists(net):
 def _search(res, f, s, t):
     """BFS from s over the open slots, stopped once it labels t.
 
-    Returns per vertex its level (-1 when unlabelled), the vertex it was
-    reached from, and the slot it was reached by.
+    Returns per vertex its level (-1 when unlabelled), and the slots of the
+    s-t path found, walked back from t, or None when t is not labelled.
     """
     _, _, hi, low, ptr, neighbor, edge, sign = res
     n = len(ptr) - 1
@@ -622,7 +624,13 @@ def _search(res, f, s, t):
                     prev[w] = u
                     slot[w] = k
                     queue.append(w)
-    return level, prev, slot
+    if level[t] < 0:
+        return level, None
+    path = []
+    while t != s:
+        path.append(slot[t])
+        t = prev[t]
+    return level, path
 
 
 def _push(res, f, path):
@@ -646,9 +654,27 @@ def augment_to_max(net, flow):
     the t-star is closed (``_star_closed``, checked before any list is built)
     or no augmenting path remains.  ``meta`` records the ``searches``, the
     ``paths`` pushed and the ``stop``: ``"star_cut"`` or ``"no_path"``.
+
+    The start flow must be feasible, or InputError is raised: finite, within
+    ``[lo cap, cap]`` up to the 1e-9 cap slack of ``_open_bounds``, and
+    conserved at every vertex but s and t to within 1e-9 of the vertex's
+    incident capacity.
     """
     _check_terminals(net)
     out = FlowSolution.from_flow(net, np.array(flow, dtype=np.float64))
+    lo = 0.0 if net.directed else -1.0
+    caps, f = net.caps, out.flow
+    if not np.isfinite(f).all():
+        raise InputError("start flow has a non-finite entry")
+    if ((f > caps + 1e-9 * caps) | (f < lo * caps - 1e-9 * caps)).any():
+        raise InputError("start flow violates capacities")
+    excess = np.abs(out.achieved_demand)
+    excess[[net.source, net.sink]] = 0.0
+    incident = (np.bincount(net.tails, caps, net.n)
+                + np.bincount(net.heads, caps, net.n))
+    bad = np.flatnonzero(excess > 1e-9 * incident)
+    if len(bad):
+        raise InputError(f"start flow violates conservation at vertex {bad[0]}")
     closed = _star_closed(net)
     if closed(out.flow):
         out.meta.update(searches=0, paths=0, stop="star_cut")
@@ -659,14 +685,9 @@ def augment_to_max(net, flow):
     searches = paths = 0
     while not closed(f):
         searches += 1
-        level, prev, slot = _search(res, f, s, t)
-        if level[t] < 0:
+        _, path = _search(res, f, s, t)
+        if path is None:
             break
-        path = []
-        w = t
-        while w != s:
-            path.append(slot[w])
-            w = prev[w]
         _push(res, f, path)
         paths += 1
     out = FlowSolution.from_flow(net, np.array(f))
@@ -696,8 +717,8 @@ def dinic_oracle(net):
     searches = paths = 0
     while not closed(f):
         searches += 1
-        level, _, _ = _search(res, f, s, t)
-        if level[t] < 0:
+        level, path = _search(res, f, s, t)
+        if path is None:
             break
         it = ptr[:-1]  # each vertex's next slot to try
         while True:
@@ -743,7 +764,8 @@ def directed_reduce(net):
     recover) where recover maps an undirected max flow back to an integral
     max flow of the digraph.  The undirected network spans s, t and the
     endpoints of the kept arcs, relabelled in increasing order.  With no arc
-    kept the max flow is 0, and all three are None.
+    kept the max flow is 0, and all three are None.  ``recover`` decomposes
+    the flow into paths with the augmenting paths' ``_search`` and ``_push``.
     """
     if not net.directed:
         raise InputError("directed reduction expects a digraph")
@@ -774,7 +796,12 @@ def directed_reduce(net):
     und = FlowNetwork(len(verts), edges, directed=False, source=ls, sink=lt)
     f_init = np.array(init_along)
     half_along = -0.5 * f_init[1::3]  # f_init runs each middle edge against its arc
+    # the residual of a flow g left to decompose: every slot's sign negated,
+    # so a search leaves a vertex only by an out-arc with g > 1e-9 (caps 0,
+    # lo 0, hi -inf, low 1e-9), and a push takes the path's min(g) off g
     ptr, neighbor, edge, sign = (a.tolist() for a in net.incidence())
+    res = ([0.0] * net.m, 0.0, [-math.inf] * net.m, [1e-9] * net.m,
+           ptr, neighbor, edge, [-x for x in sign])
 
     def recover(f_final):
         # f_init saturates every leg away from s or toward t, so the flow
@@ -786,31 +813,12 @@ def directed_reduce(net):
         g = g.tolist()
         f_rec = [0.0] * net.m
         for _ in range(10 * net.m + 10):
-            # BFS over out-arcs with flow left, as in augment_to_max
-            prev = [-1] * net.n
-            slot = [0] * net.n
-            prev[s] = s
-            queue = [s]
-            for u in queue:
-                if prev[t] >= 0:
-                    break
-                for k in range(ptr[u], ptr[u + 1]):
-                    w = neighbor[k]
-                    if prev[w] < 0 and sign[k] > 0 and g[edge[k]] > 1e-9:
-                        prev[w] = u
-                        slot[w] = k
-                        queue.append(w)
-            if prev[t] < 0:
+            _, path = _search(res, g, s, t)
+            if path is None:
                 break
-            path = []
-            w = t
-            while w != s:
-                path.append(edge[slot[w]])
-                w = prev[w]
-            bottleneck = min(g[e] for e in path)
-            for e in path:
-                g[e] -= bottleneck
-                f_rec[e] += bottleneck
+            pushed = _push(res, g, path)
+            for k in path:
+                f_rec[edge[k]] += pushed
         f_rec = np.clip(f_rec, 0.0, 1.0)
         if np.abs(f_rec - np.round(f_rec)).max() > 1e-6:
             return round_to_integral(net, f_rec).flow

@@ -41,13 +41,14 @@ can finish (its length grows with n), numpy's per-call overhead on 2- to
 8-entry vectors cost more than the O(n + c) arithmetic of an iteration; at
 a few hundred rows the interpreted O(n) passes start to cost more than
 numpy's would (CHANGES.md).  ``sample_pj`` is the reference draw the kernel
-is tested against; ``simplexmaint.ReferenceSimplex`` over the doubled rows
-is the reference recursion.  The plain phase, which runs to its drawn
+is tested against; ``ReferenceSimplex`` over the doubled rows, in
+``tests/simplex_maintainer.py``, is the reference recursion.  The plain phase, which runs to its drawn
 length with no in-phase check, is a test oracle in
 ``tests/reference_steps.py``, and the dense law y over the doubled rows is
 ``tests/helpers.doubled_law``.  The paper's implicit structure for the dual,
 ``SimplexMaintainer``, was measured slower at every size tried (CHANGES.md);
-it is kept as a tested reference under ``tests/``, not in the package.
+it is kept beside ``ReferenceSimplex`` as a tested reference, not in the
+package.
 """
 
 from __future__ import annotations

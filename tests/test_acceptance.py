@@ -33,7 +33,6 @@ from linfflow.mirrorprox import (
     solve_flow_regress,
 )
 from linfflow.sampling import BufferedUniforms, make_rng
-from linfflow.simplexmaint import ReferenceSimplex
 from linfflow.smoothing import LocalSmoothnessParams, SoftmaxState
 from reference_steps import (
     grad_coord,
@@ -43,7 +42,7 @@ from reference_steps import (
     plain_phase,
     smax_hessian_diag,
 )
-from simplex_maintainer import SimplexMaintainer
+from simplex_maintainer import ReferenceSimplex, SimplexMaintainer
 
 
 def report(number, name, elapsed, budget, ok=True):

@@ -10,7 +10,7 @@ EXPORTS = [
     "BoxMap", "BufferedUniforms", "CoordSampler", "DynamicTree", "FlowNetwork",
     "FlowSolution", "InfeasibleError", "InputError", "LocalSmoothnessParams",
     "MirrorProxConfig", "PhaseState", "PhaseTables",
-    "ReferenceSimplex", "RegressionInstance", "RegressionResult", "SmoothedObjective",
+    "RegressionInstance", "RegressionResult", "SmoothedObjective",
     "SoftmaxState", "SolverFault", "SparseMatrix", "StaticAlias",
     "SubproblemSolver", "TreeApproximator", "almost_route", "augment_to_max",
     "baselines", "cdsolver", "core", "dinic_oracle", "directed_reduce",
@@ -19,7 +19,7 @@ EXPORTS = [
     "make_rng", "mirrorprox", "phase_iterates", "plain_cd",
     "prox_outer_iterate", "read_dimacs",
     "read_matrix_file", "reduce_to_unit_box", "round_to_integral", "run_phase",
-    "sample_pj", "sampling", "sign_double", "simplexmaint", "smoothing",
+    "sample_pj", "sampling", "sign_double", "smoothing",
     "solve_box_linf", "solve_flow_regress", "weak_duality_bound", "write_flow_file",
     "write_matrix_file",
 ]

@@ -347,30 +347,40 @@ class TestFlowNetworkEdgeChecks:
             np.testing.assert_array_equal(a, b)
 
 
-class TestAlmostRoute:
-    """Probe verdicts stubbed in by radius: accept at r >= 1.6, a reject below
-    1.3, and between them either a certified reject or an undecided probe."""
+def two_paths():
+    """Two disjoint s-t paths: the tree routes 2 units at congestion 2."""
+    return FlowNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)],
+                       source=0, sink=3)
 
-    def route(self, monkeypatch, middle, solver="cd-l2"):
-        eps = 0.1
+
+def bands(middle):
+    """Probe verdicts by radius: accept at r >= 1.6, a reject below 1.3, and
+    ``middle`` between them."""
+    return lambda r: "accept" if r >= 1.6 else "reject" if r < 1.3 else middle
+
+
+class TestAlmostRoute:
+    """Probe verdicts stubbed in by radius: an accept, a certified reject, or
+    an undecided probe."""
+
+    def route(self, monkeypatch, verdict, solver="cd-l2", eps=0.1):
         probes = []  # (max |rhs|, matrix) per probe; the first is at r = 1
         self.streams = []  # the random stream of each probe
+        self.radii = []  # the radius of each probe
 
         def probe(inst, value_target, stream, **_):
             probes.append((float(np.abs(inst.b).max()), inst.matrix))
             self.streams.append(stream)
             r = probes[0][0] / probes[-1][0]  # a probe at radius r sees rhs b / r
-            verdict = "accept" if r >= 1.6 else "reject" if r < 1.3 else middle
+            self.radii.append(r)
             value, gap = {"accept": (0.0, 0.0), "reject": (2 * value_target, 0.0),
-                          "undecided": (2 * value_target, 2 * value_target)}[verdict]
+                          "undecided": (1.0, 1.0)}[verdict(r)]
             return SimpleNamespace(value=value, gap=gap, sampled_coordinates=1,
                                    x=np.zeros(inst.matrix.n_cols))
 
         monkeypatch.setattr(flow_module, "solve_flow_regress" if solver == "mirror-prox"
                             else "solve_box_linf", probe)
-        # two disjoint s-t paths: the tree routes 2 units at congestion 2
-        net = FlowNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)],
-                          source=0, sink=3)
+        net = two_paths()
         approx = TreeApproximator(net)
         d = net.st_demand(2.0)
         rd_norm = float(np.abs(approx.apply(d)).max())
@@ -380,8 +390,8 @@ class TestAlmostRoute:
         return route, rd_norm
 
     def test_undecided_probes_do_not_certify(self, monkeypatch):
-        certified, rd_norm = self.route(monkeypatch, "reject")
-        undecided, _ = self.route(monkeypatch, "undecided")
+        certified, rd_norm = self.route(monkeypatch, bands("reject"))
+        undecided, _ = self.route(monkeypatch, bands("undecided"))
         # an undecided probe moves the search exactly as a reject does
         assert undecided.probes == certified.probes >= 4
         assert undecided.radius == certified.radius
@@ -398,9 +408,76 @@ class TestAlmostRoute:
     def test_each_probe_draws_its_own_stream(self, monkeypatch, solver):
         # the radius-1 probe and the bisection's probes never replay each
         # other's uniforms: a probe's stream counts the probes before it
-        route, _ = self.route(monkeypatch, "reject", solver)
+        route, _ = self.route(monkeypatch, bands("reject"), solver)
         assert route.probes >= 2
         assert self.streams == list(range(route.probes))
+
+    @pytest.mark.parametrize("middle", ["reject", "undecided"])
+    def test_probe_radii_bisect_geometrically(self, monkeypatch, middle):
+        # r = 1 first, then sqrt(lo hi) on [1, 2] until hi / lo <= 1 + eps / 4:
+        # each radius is a power of 2 whose exponent halves the bracket
+        route, rd_norm = self.route(monkeypatch, bands(middle))
+        expect = [1.0, 2 ** (1 / 2), 2 ** (3 / 4), 2 ** (5 / 8), 2 ** (11 / 16),
+                  2 ** (21 / 32)]
+        assert self.radii == pytest.approx(expect, rel=1e-12)
+        assert route.probes == len(expect)
+        assert route.radius / rd_norm == pytest.approx(2 ** (11 / 16), rel=1e-12)
+
+    def test_accept_at_radius_one_is_the_only_probe(self, monkeypatch):
+        route, rd_norm = self.route(monkeypatch, lambda r: "accept")
+        assert self.radii == [1.0]
+        assert route.radius == rd_norm and route.certified
+
+    def test_undecided_search_stops_at_60_probes(self, monkeypatch):
+        # at eps = 1e-20 the bracket never closes to 1 + eps / 4: lo stalls a
+        # few floats below hi, where sqrt(lo hi) rounds back to lo, and the
+        # cap ends the search
+        route, rd_norm = self.route(monkeypatch, lambda r: "undecided", eps=1e-20)
+        assert route.probes == len(self.radii) == 60
+        assert self.streams == list(range(60))
+        assert route.radius == 2.0 * rd_norm  # the tree's own radius
+        assert route.meta["undecided_probes"] == 60 and not route.certified
+        assert route.meta["opt_lower"] == rd_norm
+
+
+# a demand of the wrong length, with a non-finite entry or unbalanced
+MALFORMED_DEMANDS = {
+    "unbalanced": [-1.0, 0.0, 0.0, 2.0],
+    "length": [-1.0, 0.0, 0.0, 1.0, 0.0],
+    "nan": [np.nan, 0.0, 0.0, 0.0],
+    "inf": [-np.inf, 0.0, 0.0, np.inf],
+}
+
+
+class TestMalformedDemands:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DEMANDS))
+    def test_almost_route_rejects(self, name):
+        net = two_paths()
+        with pytest.raises(InputError, match="demand"):
+            almost_route(net, np.array(MALFORMED_DEMANDS[name]), TreeApproximator(net), 0.2)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DEMANDS))
+    def test_flow_to_regress_rejects(self, name):
+        with pytest.raises(InputError, match="demand"):
+            flow_to_regress(two_paths(), np.array(MALFORMED_DEMANDS[name]), 0.2)
+
+    def test_shrinking_residuals_pass_the_demand_check(self):
+        # six rounds shrink |R d_k| from 0.25 to 3e-9, while the float
+        # imbalance that the first rounds' flows leave in d_k does not shrink:
+        # every round must still pass almost_route's demand check
+        rng = np.random.default_rng(22)
+        random_connected_graph(rng, 6, extra_edges=6)
+        net = random_connected_graph(rng, 8, extra_edges=8)
+        d = net.st_demand(1.0)
+        sol = flow_to_regress(net, d, 0.1)
+        assert len(sol.meta["contraction"]) >= 5
+        np.testing.assert_allclose(sol.achieved_demand, d, atol=1e-9)
+
+    def test_imbalance_within_tolerance_routes(self):
+        net = two_paths()
+        d = np.array([-1.0, 0.0, 0.0, 1.0 + 1e-10])  # |sum d| = 5e-11 |d|_1
+        sol = flow_to_regress(net, d, 0.2)
+        np.testing.assert_allclose(sol.achieved_demand, d, atol=1e-9)
 
 
 class TestFlowToRegress:
@@ -659,6 +736,29 @@ class TestAugmentToMax:
         net = FlowNetwork(2, [(0, 1, 1.0)], directed=directed, source=0, sink=0)
         with pytest.raises(InputError, match="source distinct from the sink"):
             augment_to_max(net, np.zeros(1))
+
+    @pytest.mark.parametrize("flow, message", [
+        ([2.0, 2.0, 0.0, 0.0], "capacities"),  # was value 3.0; the max flow is 2
+        ([-1.0 - 1e-8, 0.0, 0.0, 0.0], "capacities"),
+        ([0.5, 0.0, 0.0, 0.0], "conservation at vertex 1"),  # was 1.5
+        ([np.nan, 0.0, 0.0, 0.0], "non-finite"),  # was a NaN flow of value 1.0
+    ], ids=["over_cap", "below_lo", "unconserved", "nan"])
+    def test_rejects_infeasible_start(self, flow, message):
+        with pytest.raises(InputError, match=message):
+            augment_to_max(two_paths(), np.array(flow))
+
+    def test_rejects_flow_against_an_arc(self):
+        net = FlowNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True, source=0, sink=2)
+        with pytest.raises(InputError, match="capacities"):
+            augment_to_max(net, np.array([-0.5, -0.5]))
+
+    def test_start_within_the_slack_is_feasible(self):
+        # off a bound by less than 1e-9 cap and off conservation by less than
+        # 1e-9 of the incident capacity: the start is kept and augmented
+        start = np.array([1.0 + 5e-10, 1.0 + 1e-10, 0.0, 0.0])
+        out = augment_to_max(two_paths(), start)
+        assert out.value == pytest.approx(2.0)
+        assert out.meta["paths"] == 1
 
     def test_capacitated_flow_against_orientation(self):
         # undirected edges are stored as u < v: from source 2 to sink 0 the

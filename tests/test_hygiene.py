@@ -284,7 +284,7 @@ def test_every_stored_attribute_is_read():
 # module-level definitions that only tests name, kept in the package on purpose
 TEST_ONLY_NAMES = (
     "reduce_to_unit_box", "write_matrix_file",  # library entry points
-    "sample_pj", "ReferenceSimplex",  # span names the benchmark still reads
+    "sample_pj",  # a span name the benchmark still reads
 )
 
 

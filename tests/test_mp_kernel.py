@@ -30,7 +30,7 @@ from linfflow.mirrorprox import (
     sample_pj,
 )
 from linfflow.sampling import BufferedUniforms, make_rng
-from linfflow.simplexmaint import ReferenceSimplex
+from simplex_maintainer import ReferenceSimplex
 
 TOL = 1e-12
 

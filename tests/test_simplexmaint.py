@@ -9,8 +9,7 @@ from scipy import stats
 from helpers import debug_dump, rep_triple
 from linfflow.errors import InputError, SolverFault
 from linfflow.sampling import BufferedUniforms, make_rng
-from linfflow.simplexmaint import ReferenceSimplex
-from simplex_maintainer import SimplexMaintainer, taylor_degree
+from simplex_maintainer import ReferenceSimplex, SimplexMaintainer, taylor_degree
 
 
 def uniforms(seed=0, stream=0):
